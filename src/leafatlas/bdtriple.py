@@ -18,15 +18,17 @@ from .linalg import (
     Matrix,
     identity,
     inverse,
+    madd,
     mat,
     matmul,
     matvec,
+    mscale,
     msub,
     rref,
     transpose,
     vec,
 )
-from .rootsys import RootSystem, form_pairing
+from .rootsys import RootSystem, form_pairing, levi_roots
 
 __all__ = [
     "BDTriple",
@@ -89,10 +91,6 @@ class BDTriple:
     @property
     def tau_map(self) -> dict[int, int]:
         return dict(self.tau)
-
-    @property
-    def tau_inv_map(self) -> dict[int, int]:
-        return {j: i for i, j in self.tau}
 
 
 @dataclass(frozen=True)
@@ -198,11 +196,6 @@ def _supported_on(v, indices: set[int]) -> bool:
     return all(x == 0 for t, x in enumerate(v) if t not in indices)
 
 
-def levi_positive_roots(rs: RootSystem, indices) -> tuple[tuple[int, ...], ...]:
-    s = set(indices)
-    return tuple(a for a in rs.positive_roots if _supported_on(a, s))
-
-
 def partial_order_pairs(rs: RootSystem, triple: BDTriple):
     """All related pairs (alpha, beta), alpha < beta, over the positive roots.
 
@@ -212,7 +205,7 @@ def partial_order_pairs(rs: RootSystem, triple: BDTriple):
     tlin = tau_linear_matrix(rs, triple)
     g1 = set(triple.gamma1)
     pairs = []
-    for alpha in levi_positive_roots(rs, g1):
+    for alpha in filter(rs.is_positive_root, levi_roots(rs, g1)):
         cur = alpha
         while _supported_on(cur, g1):
             nxt = tuple(int(x) for x in matvec(tlin, vec(cur)))
@@ -231,7 +224,7 @@ def omega0_matrix(rs: RootSystem) -> Matrix:
 def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> None:
     """Raise Infeasible unless both r0 constraints hold exactly."""
     m = term.r0
-    if msub(madd_t(m), omega0_matrix(rs)) != zero_like(m):
+    if madd(m, transpose(m)) != omega0_matrix(rs):
         raise Infeasible("r0 + r0^T does not equal the Cartan Casimir block")
     g = rs.gram
     for a_idx, t_idx in triple.tau:
@@ -247,16 +240,6 @@ def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> Non
             raise Infeasible(
                 f"r0 violates the slot constraint for alpha_{a_idx + 1}"
             )
-
-
-def madd_t(m: Matrix) -> Matrix:
-    return tuple(
-        tuple(m[i][j] + m[j][i] for j in range(len(m))) for i in range(len(m))
-    )
-
-
-def zero_like(m: Matrix) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in row) for row in m)
 
 
 def solve_r0(
@@ -352,17 +335,13 @@ def solve_r0(
     for (i, j), val in zip(unknowns, sol):
         s[i][j] = val
         s[j][i] = -val
-    half = mscale_half(omega)
+    half = mscale(Fraction(1, 2), omega)
     m = tuple(
         tuple(half[i][j] + s[i][j] for j in range(k)) for i in range(k)
     )
     term = CartanTerm(r0=m)
     check_cartan_term(rs, triple, term)
     return term
-
-
-def mscale_half(m: Matrix) -> Matrix:
-    return tuple(tuple(x / 2 for x in row) for row in m)
 
 
 def assemble_r(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> AbstractRMatrix:

@@ -313,8 +313,7 @@ def run_job(cfg: JobConfig) -> Report:
             fail("decomposition", e, f"r0 = {cfg.r0_mode}")
             d = None
 
-    # sigma (before classification so records could reference it)
-    sigma = None
+    # sigma
     if d is not None:
         try:
             sigma = sigma_group(d, exp_kernel_lattice(rs))
@@ -330,10 +329,10 @@ def run_job(cfg: JobConfig) -> Report:
     if d is not None:
         try:
             if cfg.mode in ("gminus", "both"):
-                for rec in classify_gminus(rs, triple, d, sigma=sigma):
+                for rec in classify_gminus(rs, triple, d):
                     report.records.append(_record_dict(rs, rec, pure_a))
             if cfg.mode in ("full", "both"):
-                for rec in classify_g(rs, triple, d, sigma=sigma):
+                for rec in classify_g(rs, triple, d):
                     report.records.append(_record_dict(rs, rec, pure_a))
         except (ValueError, RuntimeError, AssertionError) as e:
             fail("classification", e, f"mode = {cfg.mode}")

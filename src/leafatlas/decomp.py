@@ -23,7 +23,7 @@ from .linalg import (
     msub,
     vec,
 )
-from .rootsys import RootSystem
+from .rootsys import RootSystem, levi_roots
 
 __all__ = [
     "Decomposition",
@@ -33,7 +33,6 @@ __all__ = [
     "dimension_summary",
     "simple_span",
     "form_perp_of_simples",
-    "levi_roots",
     "cartan_domain",
 ]
 
@@ -67,16 +66,6 @@ def simple_span(rs: RootSystem, indices) -> Subspace:
 def form_perp_of_simples(rs: RootSystem, indices) -> Subspace:
     """z for an index set: vectors on which every listed simple root vanishes."""
     return simple_span(rs, indices).perp(rs.gram)
-
-
-def levi_roots(rs: RootSystem, indices) -> tuple[tuple[int, ...], ...]:
-    s = set(indices)
-    out = []
-    for a in rs.positive_roots:
-        if all(x == 0 for t, x in enumerate(a) if t not in s):
-            out.append(a)
-            out.append(tuple(-x for x in a))
-    return tuple(sorted(out))
 
 
 def compute_decomposition(

@@ -33,6 +33,7 @@ from .linalg import (
     msub,
     quotient_invariants,
     rank,
+    transpose,
 )
 from .rootsys import RootSystem
 from .weyl import (
@@ -52,6 +53,7 @@ __all__ = [
     "SimplifiedPathUnavailable",
     "ThetaMinusOneSingular",
     "NonCommensurableLattices",
+    "stable_roots",
     "stable_subalgebra_v",
     "stable_subalgebra_pair",
     "classify_gminus",
@@ -148,7 +150,6 @@ class LeafRecord:
     v1: WeylElement | None = None
     v2: WeylElement | None = None
     simplified_leaf_dim: AffineDim | None = None
-    sigma_ref: FiniteAbelianGroup | None = None
 
 
 def _weyl_frac(w: WeylElement) -> Matrix:
@@ -196,6 +197,29 @@ def _cong_data(
     return cong_dim, center_dim - product.dim
 
 
+def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
+    """Sorted roots whose forward orbit under step stays in roots and comes
+    back to its start.
+
+    step is an injective partial map on roots (None where undefined), so an
+    orbit that stays in roots closes within len(roots) steps.
+    """
+    members = set(roots)
+    out = []
+    for a in members:
+        cur = a
+        for _ in range(len(members)):
+            cur = step(cur)
+            if cur is None or cur not in members:
+                break
+            if cur == a:
+                out.append(a)
+                break
+        else:
+            raise AssertionError("root orbit failed to close")
+    return tuple(sorted(out))
+
+
 def stable_subalgebra_v(
     rs: RootSystem, triple: BDTriple, d: Decomposition, v: WeylElement
 ) -> StableSubalgebra:
@@ -203,21 +227,7 @@ def stable_subalgebra_v(
     plus the center data of the corresponding stable subgroup."""
     _require_coset_minimal(rs, v, triple.gamma1, "v")
     k = rs.cartan_rank
-    l1roots = set(d.levi1_roots)
-    root_set = []
-    for a in d.levi1_roots:
-        cur = a
-        ok = True
-        while True:
-            cur = v(cur)
-            if cur == a:
-                break
-            if cur not in l1roots:
-                ok = False
-                break
-        if ok:
-            root_set.append(a)
-    root_set.sort()
+    root_set = stable_roots(d.levi1_roots, v)
     _assert_simple_generated(rs, root_set)
 
     span = _root_span(rs, root_set)
@@ -229,25 +239,13 @@ def stable_subalgebra_v(
         rs, d, _weyl_frac(v), lv_center, center_dim, v
     )
     return StableSubalgebra(
-        root_set=tuple(root_set),
+        root_set=root_set,
         derived_dim=derived_dim,
         center_dim=center_dim,
         lv_center=lv_center,
         cong_dim=cong_dim,
         moduli_dim=moduli_dim,
     )
-
-
-def _tau_inverse_matrix(rs: RootSystem, triple: BDTriple) -> Matrix:
-    k = rs.cartan_rank
-    tinv = triple.tau_inv_map
-    cols = []
-    for j in range(k):
-        if j in tinv:
-            cols.append(tuple(1 if t == tinv[j] else 0 for t in range(k)))
-        else:
-            cols.append(tuple(0 for _ in range(k)))
-    return mat(tuple(tuple(cols[j][t] for j in range(k)) for t in range(k)))
 
 
 def _stack(upper, lower):
@@ -266,10 +264,9 @@ def stable_subalgebra_pair(
     _require_coset_minimal(rs, v1, triple.gamma1, "v1")
     _require_coset_minimal(rs, v2, triple.gamma2, "v2")
     k = rs.cartan_rank
-    l1roots = set(d.levi1_roots)
     l2roots = set(d.levi2_roots)
     tlin = tau_linear_matrix(rs, triple)
-    tinv = _tau_inverse_matrix(rs, triple)
+    tinv = transpose(tlin)
 
     def phi(a):
         b = tuple(int(x) for x in matvec(tlin, a))
@@ -279,24 +276,7 @@ def stable_subalgebra_pair(
         e = tuple(int(x) for x in matvec(tinv, c))
         return v1(e)
 
-    root_set = []
-    guard = 4 * len(rs.positive_roots) + 4
-    for a in d.levi1_roots:
-        cur = a
-        ok = True
-        for _ in range(guard):
-            nxt = phi(cur)
-            if nxt is None or nxt not in l1roots:
-                ok = False
-                break
-            if nxt == a:
-                break
-            cur = nxt
-        else:
-            raise AssertionError("twist orbit failed to close")
-        if ok:
-            root_set.append(a)
-    root_set.sort()
+    root_set = stable_roots(d.levi1_roots, phi)
     _assert_simple_generated(rs, root_set)
     partner = tuple(
         sorted(v2(tuple(int(x) for x in matvec(tlin, a))) for a in root_set)
@@ -342,7 +322,7 @@ def stable_subalgebra_pair(
     z_pair_dim = u1.intersect(u2).add(u3).dim
 
     return PairStableSubalgebra(
-        root_set=tuple(root_set),
+        root_set=root_set,
         derived_dim=derived_dim,
         center_dim=center_dim,
         lv_center=lv_center,
@@ -361,10 +341,7 @@ def _coset_space(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
 
 
 def classify_gminus(
-    rs: RootSystem,
-    triple: BDTriple,
-    d: Decomposition,
-    sigma: FiniteAbelianGroup | None = None,
+    rs: RootSystem, triple: BDTriple, d: Decomposition
 ) -> tuple[LeafRecord, ...]:
     """One record per minimal coset representative, dimension formulas included."""
     dims = dimension_summary(rs, triple, d)
@@ -399,7 +376,6 @@ def classify_gminus(
                 coset_dim=coset,
                 v=v,
                 simplified_leaf_dim=simplified,
-                sigma_ref=sigma,
             )
         )
     return tuple(records)
@@ -410,7 +386,6 @@ def classify_g(
     triple: BDTriple,
     d: Decomposition,
     simplified: bool = False,
-    sigma: FiniteAbelianGroup | None = None,
 ) -> tuple[LeafRecord, ...]:
     """One record per pair of minimal coset representatives."""
     if simplified and not full_h_predicate(d):
@@ -465,7 +440,6 @@ def classify_g(
                     v1=v1,
                     v2=v2,
                     simplified_leaf_dim=simp,
-                    sigma_ref=sigma,
                 )
             )
     records.sort(

@@ -34,11 +34,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zero_matrix(m: int, n: int) -> Matrix:
-    zero = Fraction(0)
-    return tuple((zero,) * n for _ in range(m))
-
-
 def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
@@ -71,16 +66,6 @@ def msub(a: Matrix, b: Matrix) -> Matrix:
 def mscale(c, a: Matrix) -> Matrix:
     c = frac(c)
     return tuple(tuple(c * x for x in row) for row in a)
-
-
-def dot(u, v) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("length mismatch in dot")
-    return sum((frac(x) * frac(y) for x, y in zip(u, v)), Fraction(0))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def _int_rows(a: Matrix) -> list[list[int]]:
@@ -292,19 +277,8 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def full_space(ambient: int) -> Subspace:
-    return Subspace(ambient, tuple(identity(ambient)))
-
-
 def subspace_from_columns(a: Matrix) -> Subspace:
     return Subspace(len(a), tuple(zip(*a)) if a and a[0] else ())
-
-
-def map_rank_on(a: Matrix, sub: Subspace) -> int:
-    """Rank of the linear map a restricted to the subspace (image dimension)."""
-    if sub.dim == 0:
-        return 0
-    return rank(matmul(a, sub.basis))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ __all__ = [
     "build_root_system",
     "form_pairing",
     "exp_kernel_lattice",
+    "levi_roots",
     "Lattice",
     "Subspace",
 ]
@@ -235,6 +236,18 @@ def form_pairing(rs: RootSystem, x, y) -> Fraction:
 def dot_form(gram: Matrix, x, y) -> Fraction:
     gy = matvec(gram, vec(y))
     return sum((frac(a) * b for a, b in zip(x, gy)), Fraction(0))
+
+
+def levi_roots(rs: RootSystem, indices) -> tuple[tuple[int, ...], ...]:
+    """Sorted roots (both signs) of the Levi subsystem spanned by the
+    listed simple roots."""
+    s = set(indices)
+    out = []
+    for a in rs.positive_roots:
+        if all(x == 0 for t, x in enumerate(a) if t not in s):
+            out.append(a)
+            out.append(tuple(-x for x in a))
+    return tuple(sorted(out))
 
 
 def exp_kernel_lattice(rs: RootSystem, user_kernel: Lattice | None = None) -> Lattice:

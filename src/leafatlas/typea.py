@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .bdtriple import BDTriple, CartanTerm, partial_order_pairs
 from .decomp import Decomposition
-from .leafclass import NotMinimalRep
+from .leafclass import NotMinimalRep, stable_roots
 from .linalg import (
     Matrix,
     det,
@@ -31,7 +31,7 @@ from .linalg import (
     rank,
     transpose,
 )
-from .rootsys import RootSystem, build_root_system
+from .rootsys import RootSystem, build_root_system, levi_roots
 from .weyl import (
     ParabolicSubgroup,
     WeylElement,
@@ -63,7 +63,6 @@ __all__ = [
     "build_theta_prime",
     "conjugation_twist",
     "identity_twist",
-    "chain_twist",
     "tc_orbit_dim",
     "normalize_coset",
     "cg_sigma",
@@ -177,16 +176,6 @@ class TensorElement:
                 return False
         return True
 
-    def as_matrix(self) -> Matrix:
-        """Dense (size^arity) x (size^arity)... for arity 2: size^2 square."""
-        if self.arity != 2:
-            raise ValueError("dense form implemented for arity 2 only")
-        n = self.size
-        rows = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-        for ((a, b), (c, d)), val in self.coefficients.items():
-            rows[a * n + b][c * n + d] = val
-        return tuple(tuple(row) for row in rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TensorElement)
@@ -255,6 +244,15 @@ def coroot_coords_to_diag(coords) -> tuple[Fraction, ...]:
 # r-matrix realization and the classical Yang-Baxter check
 
 
+_RS_CACHE: dict[int, RootSystem] = {}
+
+
+def _type_a(n: int) -> RootSystem:
+    if n not in _RS_CACHE:
+        _RS_CACHE[n] = build_root_system(f"A{n}")
+    return _RS_CACHE[n]
+
+
 def _cartan_tensor_terms(t: TensorElement, m: Matrix) -> None:
     n = len(m)
     for k in range(n):
@@ -268,7 +266,7 @@ def _cartan_tensor_terms(t: TensorElement, m: Matrix) -> None:
 
 def realize_r(n: int, triple: BDTriple, r0: CartanTerm) -> TensorElement:
     """Assemble the r-matrix tensor on sl(n+1) from a triple and r0."""
-    rs = build_root_system(f"A{n}")
+    rs = _type_a(n)
     for idx in triple.gamma1 + triple.gamma2:
         if idx >= n:
             raise ValueError("triple does not fit in A_n")
@@ -286,7 +284,7 @@ def realize_r(n: int, triple: BDTriple, r0: CartanTerm) -> TensorElement:
 
 
 def casimir_tensor(n: int) -> TensorElement:
-    rs = build_root_system(f"A{n}")
+    rs = _type_a(n)
     t = TensorElement(n + 1, 2)
     for i in range(n + 1):
         for j in range(n + 1):
@@ -435,15 +433,6 @@ def levi_projection(m: Matrix, indices, size: int) -> Matrix:
     )
 
 
-_RS_CACHE: dict[int, RootSystem] = {}
-
-
-def _type_a(n: int) -> RootSystem:
-    if n not in _RS_CACHE:
-        _RS_CACHE[n] = build_root_system(f"A{n}")
-    return _RS_CACHE[n]
-
-
 def _add_row(work: list[list[Fraction]], dst: int, src: int, lam: Fraction):
     work[dst] = [x + lam * y for x, y in zip(work[dst], work[src])]
 
@@ -488,17 +477,7 @@ def _bruhat_core(g: Matrix, left_idx, right_idx):
     perm = [0] * size
     for c in range(size):
         perm[c] = next(r for r in range(size) if monomial[r][c] != 0)
-    n = rs.rank
-
-    def root_coords(a, b):
-        if a < b:
-            return tuple(1 if a <= t < b else 0 for t in range(n))
-        return tuple(-1 if b <= t < a else 0 for t in range(n))
-
-    cols = [root_coords(perm[i], perm[i + 1]) for i in range(n)]
-    w_borel = make_element(
-        rs, tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    )
+    w_borel = perm_to_weyl(rs, perm)
 
     # split monomial into the sign-convention representative times a diagonal
     wb = wdot_matrix(w_borel)
@@ -550,20 +529,8 @@ def bruhat_decompose(
         wd_raw = matmul(j, matmul(wdj, j))
         p2 = matmul(j, matmul(p2j, j))
         # restore the sign convention, folding the correction into p2
-        rs = _type_a(size - 1)
         perm = [next(r for r in range(size) if wd_raw[r][c] != 0) for c in range(size)]
-        n = rs.rank
-
-        def root_coords(a, b):
-            if a < b:
-                return tuple(1 if a <= t < b else 0 for t in range(n))
-            return tuple(-1 if b <= t < a else 0 for t in range(n))
-
-        cols = [root_coords(perm[i], perm[i + 1]) for i in range(n)]
-        w_abs = make_element(
-            rs, tuple(tuple(cols[q][i] for q in range(n)) for i in range(n))
-        )
-        wd = wdot_matrix(w_abs)
+        wd = wdot_matrix(perm_to_weyl(_type_a(size - 1), perm))
         p2 = matmul(matmul(transpose(wd), wd_raw), p2)
     return (
         MatrixElement(p1, "group"),
@@ -722,20 +689,6 @@ def conjugation_twist(g: MatrixElement | Matrix) -> TwistAutomorphism:
     return TwistAutomorphism(steps=(("ad", m, inverse(m)),))
 
 
-def chain_twist(
-    v1dot: Matrix, v2dot: Matrix, tp: ThetaPrime
-) -> TwistAutomorphism:
-    """x -> Ad_{v1dot} theta'^{-1} Ad_{v2dot} theta' (x)."""
-    return TwistAutomorphism(
-        steps=(
-            ("theta", tp, 1),
-            ("ad", mat(v2dot), inverse(mat(v2dot))),
-            ("theta", tp, -1),
-            ("ad", mat(v1dot), inverse(mat(v1dot))),
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # twisted-conjugation orbit dimension
 
@@ -774,38 +727,10 @@ def tc_orbit_dim(f: MatrixElement, twist: TwistAutomorphism, subalgebra_roots) -
 # the iterative coset normalization
 
 
-def _signed_root_set(rs: RootSystem, indices) -> set:
-    s = set(indices)
-    out = set()
-    for a in rs.positive_roots:
-        if all(x == 0 for t, x in enumerate(a) if t not in s):
-            out.add(a)
-            out.add(tuple(-x for x in a))
-    return out
-
-
 def _stable_simple_set(rs: RootSystem, c: WeylElement, s_cur: frozenset) -> frozenset:
     """Simple indices spanning the roots of the current block whose whole
     forward c-orbit stays inside the block; c permutes that root set."""
-    delta = _signed_root_set(rs, s_cur)
-    guard = 4 * len(rs.positive_roots) + 4
-    stable = set()
-    for a in delta:
-        seen = {a}
-        cur = a
-        ok = True
-        for _ in range(guard):
-            cur = c(cur)
-            if cur not in delta:
-                ok = False
-                break
-            if cur in seen:
-                break
-            seen.add(cur)
-        else:
-            raise AssertionError("orbit walk did not close")
-        if ok:
-            stable.add(a)
+    stable = set(stable_roots(levi_roots(rs, s_cur), c))
     s_next = frozenset(
         i
         for i in s_cur
@@ -935,13 +860,8 @@ def cg_orbit_correspondence(n: int, j: int, b: MatrixElement | None):
         gl_dim = rank(transpose(mat(images)))
     v = cg_sigma(rs, j)
     twist = conjugation_twist(wdot_matrix(v))
-    roots = []
-    for a in rs.positive_roots:
-        if all(x == 0 for t, x in enumerate(a) if t >= j - 1):
-            roots.append(a)
-            roots.append(tuple(-x for x in a))
     f = MatrixElement(f_entries, "group")
-    tc_dim = tc_orbit_dim(f, twist, roots)
+    tc_dim = tc_orbit_dim(f, twist, levi_roots(rs, range(j - 1)))
     if tc_dim - gl_dim != n - j:
         raise AssertionError(
             f"correspondence gap {tc_dim - gl_dim} != {n - j}"

@@ -10,7 +10,7 @@ reflections with matrix-keyed deduplication and a configurable size bound
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rootsys import RootSystem
 
@@ -145,7 +145,6 @@ class ParabolicSubgroup:
     """Standard parabolic subgroup given by a set of simple-root indices."""
 
     generators: frozenset[int]
-    elements: tuple[WeylElement, ...] | None = field(default=None, compare=False)
 
     @staticmethod
     def of(indices) -> "ParabolicSubgroup":
@@ -153,16 +152,10 @@ class ParabolicSubgroup:
 
 
 def parabolic_elements(rs: RootSystem, p: ParabolicSubgroup) -> tuple[WeylElement, ...]:
-    if p.elements is not None:
-        return p.elements
     gens = [simple_reflection(rs, i).matrix for i in sorted(p.generators)]
     if not gens:
         return (weyl_identity(rs),)
     return tuple(make_element(rs, m) for m in _closure(rs, gens))
-
-
-def with_elements(rs: RootSystem, p: ParabolicSubgroup) -> ParabolicSubgroup:
-    return ParabolicSubgroup(generators=p.generators, elements=parabolic_elements(rs, p))
 
 
 def longest_element(rs: RootSystem, parabolic: ParabolicSubgroup) -> WeylElement:
@@ -173,11 +166,6 @@ def longest_element(rs: RootSystem, parabolic: ParabolicSubgroup) -> WeylElement
     if len(ties) != 1:
         raise AssertionError("longest element is not unique")
     return best
-
-
-def is_positive_vector(v) -> bool:
-    """A root is positive iff all simple-root coordinates are >= 0."""
-    return all(x >= 0 for x in v)
 
 
 def left_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:
@@ -207,24 +195,13 @@ def minimal_coset_reps(
     simple roots alpha of the left side and w(beta) positive for those of
     the right side.
     """
-    reps = []
-    for w in enumerate_weyl(rs):
-        if _is_double_minimal(rs, w, left.generators, right.generators):
-            reps.append(w)
-    return tuple(reps)
-
-
-def _is_double_minimal(rs, w, left_idx, right_idx) -> bool:
-    for i in left_idx:
-        # w^{-1}(alpha_i) > 0  <=>  l(s_i w) > l(w)
-        s = simple_reflection(rs, i)
-        if element_length(rs, _matmul(s.matrix, w.matrix)) < w.length:
-            return False
-    for j in right_idx:
-        img = apply_matrix(w.matrix, rs.simple_roots[j])
-        if all(x <= 0 for x in img):
-            return False
-    return True
+    # the right test is O(rank); the left one recounts a length, so it runs last
+    return tuple(
+        w
+        for w in enumerate_weyl(rs)
+        if right_descent(rs, w, right.generators) is None
+        and left_descent(rs, w, left.generators) is None
+    )
 
 
 def in_parabolic(rs: RootSystem, w: WeylElement, p: ParabolicSubgroup) -> bool:
@@ -246,7 +223,7 @@ def cross_parabolic(
     Generated by the simple roots alpha of the left subsystem whose image
     w^{-1}(alpha) is a root of the right subsystem.
     """
-    winv_m = _inverse_matrix(rs, w)
+    winv_m = inverse_element(rs, w).matrix
     gens = set()
     for i in left.generators:
         img = apply_matrix(winv_m, rs.simple_roots[i])
@@ -254,16 +231,6 @@ def cross_parabolic(
         if support <= right.generators:
             gens.add(i)
     return ParabolicSubgroup.of(gens)
-
-
-def _inverse_matrix(rs: RootSystem, w: WeylElement) -> IntMatrix:
-    m = w.matrix
-    ident = _identity_matrix(rs.cartan_rank)
-    acc, prev = m, ident
-    while acc != ident:
-        prev = acc
-        acc = _matmul(acc, m)
-    return prev if m != ident else ident
 
 
 def decompose_min(

@@ -25,6 +25,7 @@ from leafatlas import (
     classify_g,
     classify_gminus,
     compute_decomposition,
+    enumerate_valid_triples,
     exp_kernel_lattice,
     reduced_word,
     sigma_group,
@@ -292,3 +293,24 @@ def test_quotient_invariants_against_torsion_counting():
                 for r in reps
             ]
             assert sum(scaled) == expected
+
+
+# symplectic leaves have even dimension, so every leaf constant is even
+# (coset constants need not be); two-sided records on the larger systems
+# are restricted to triples with few pairs to keep the test short
+_EVEN_LEAF_SYSTEMS = ["A1", "A2", "A1xA1", "B2", "G2", "A2xA1", "A3", "B3", "C3"]
+
+
+@pytest.mark.parametrize("label", _EVEN_LEAF_SYSTEMS)
+def test_leaf_dimension_constants_are_even(label):
+    rs = build_root_system(label)
+    checked = 0
+    for t in enumerate_valid_triples(rs):
+        d = compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
+        records = classify_gminus(rs, t, d)
+        if rs.rank <= 2 or len(t.gamma1) >= rs.rank - 1:
+            records += classify_g(rs, t, d)
+        for rec in records:
+            assert rec.leaf_dim.constant % 2 == 0, (t, rec.v, rec.v1, rec.v2)
+        checked += len(records)
+    assert checked > 0
