@@ -218,7 +218,7 @@ def partial_order_pairs(rs: RootSystem, triple: BDTriple):
 
 def omega0_matrix(rs: RootSystem) -> Matrix:
     """Cartan block of the Casimir for the invariant form: gram^{-1}."""
-    return inverse(rs.gram)
+    return rs.gram_inverse
 
 
 def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> None:

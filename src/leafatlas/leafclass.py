@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm, prod
 
-from .bdtriple import BDTriple, tau_linear_matrix
+from .bdtriple import BDTriple
 from .decomp import (
     Decomposition,
     cartan_domain,
@@ -33,7 +33,6 @@ from .linalg import (
     msub,
     quotient_invariants,
     rank,
-    transpose,
 )
 from .rootsys import RootSystem
 from .weyl import (
@@ -264,23 +263,17 @@ def stable_subalgebra_pair(
     _require_coset_minimal(rs, v1, triple.gamma1, "v1")
     _require_coset_minimal(rs, v2, triple.gamma2, "v2")
     k = rs.cartan_rank
-    l2roots = set(d.levi2_roots)
-    tlin = tau_linear_matrix(rs, triple)
-    tinv = transpose(tlin)
+    # tau maps the first Levi's roots onto the second's
+    tau = dict(d.theta_roots)
+    tau_inv = {b: a for a, b in d.theta_roots}
 
     def phi(a):
-        b = tuple(int(x) for x in matvec(tlin, a))
-        c = v2(b)
-        if c not in l2roots:
-            return None
-        e = tuple(int(x) for x in matvec(tinv, c))
-        return v1(e)
+        e = tau_inv.get(v2(tau[a]))
+        return None if e is None else v1(e)
 
     root_set = stable_roots(d.levi1_roots, phi)
     _assert_simple_generated(rs, root_set)
-    partner = tuple(
-        sorted(v2(tuple(int(x) for x in matvec(tlin, a))) for a in root_set)
-    )
+    partner = tuple(sorted(v2(tau[a]) for a in root_set))
 
     span = _root_span(rs, root_set)
     derived_dim = len(root_set) + span.dim

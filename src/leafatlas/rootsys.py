@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Lattice, Matrix, Subspace, frac, mat, matvec, vec
+from .linalg import Lattice, Matrix, Subspace, frac, inverse, mat, matvec, vec
 
 __all__ = [
     "RootSystem",
@@ -48,6 +48,9 @@ class RootSystem:
     positive_roots: all positive roots as integer vectors.
     gram: matrix of the invariant form on simple-root coordinates.
     cartan_rank: dim h = semisimple rank + torus rank.
+    reflections: integer matrix of each simple reflection on those
+        coordinates (the torus block is fixed).
+    gram_inverse: the inverse of gram.
     """
 
     type_label: str
@@ -57,6 +60,8 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
     gram: Matrix
     cartan_rank: int
+    reflections: tuple[tuple[tuple[int, ...], ...], ...]
+    gram_inverse: Matrix
 
     @property
     def rank(self) -> int:
@@ -90,12 +95,29 @@ class RootSystem:
 
     def reflect(self, i: int, v) -> tuple[int, ...]:
         """Reflection of v through the i-th simple root."""
-        alpha = self.simple_roots[i]
-        c = 2 * form_pairing(self, v, alpha) / form_pairing(self, alpha, alpha)
-        if c.denominator != 1:
-            raise ValueError("reflection of a non-root produced non-integer pairing")
-        c = int(c)
-        return tuple(int(x) - c * int(a) for x, a in zip(v, alpha))
+        if len(v) != self.cartan_rank:
+            raise ValueError("vector dimension does not match cartan_rank")
+        return _apply(self.reflections[i], v)
+
+
+def _apply(m, v) -> tuple[int, ...]:
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
+
+
+def _simple_reflections(gram: Matrix, rank: int) -> tuple:
+    """s_i(e_j) = e_j - a_ij·e_i with the Cartan integer a_ij = 2 g_ij / g_ii:
+    only row i of the identity changes."""
+    k = len(gram)
+    ident = [tuple(int(t == j) for j in range(k)) for t in range(k)]
+    out = []
+    for i in range(rank):
+        cartan = [2 * g / gram[i][i] for g in gram[i]]
+        if any(a.denominator != 1 for a in cartan):
+            raise ValueError("gram matrix gives a non-integer Cartan entry")
+        m = list(ident)
+        m[i] = tuple(e - int(a) for e, a in zip(ident[i], cartan))
+        out.append(tuple(m))
+    return tuple(out)
 
 
 def _parse_label(label: str) -> tuple[tuple[tuple[str, int], ...], int]:
@@ -192,15 +214,7 @@ def build_root_system(type_label: str) -> RootSystem:
         tuple(1 if j == i else 0 for j in range(cartan_rank)) for i in range(rank)
     )
 
-    rs = RootSystem(
-        type_label=type_label.strip().replace(" ", ""),
-        components=components,
-        torus_rank=torus,
-        simple_roots=simple,
-        positive_roots=(),
-        gram=gram,
-        cartan_rank=cartan_rank,
-    )
+    reflections = _simple_reflections(gram, rank)
 
     # closure generation: reflect known roots through simple roots until stable
     known = set(simple)
@@ -208,21 +222,23 @@ def build_root_system(type_label: str) -> RootSystem:
     while frontier:
         nxt = []
         for v in frontier:
-            for i in range(rank):
-                w = rs.reflect(i, v)
+            for s in reflections:
+                w = _apply(s, v)
                 if all(x >= 0 for x in w) and w not in known:
                     known.add(w)
                     nxt.append(w)
         frontier = nxt
     positive = tuple(sorted(known, key=lambda v: (sum(v), v)))
     return RootSystem(
-        type_label=rs.type_label,
+        type_label=type_label.strip().replace(" ", ""),
         components=components,
         torus_rank=torus,
         simple_roots=simple,
         positive_roots=positive,
         gram=gram,
         cartan_rank=cartan_rank,
+        reflections=reflections,
+        gram_inverse=inverse(gram),
     )
 
 

@@ -290,7 +290,7 @@ def casimir_tensor(n: int) -> TensorElement:
         for j in range(n + 1):
             if i != j:
                 t.add_term(((i, j), (j, i)), 1)
-    _cartan_tensor_terms(t, inverse(rs.gram))
+    _cartan_tensor_terms(t, rs.gram_inverse)
     return t
 
 

@@ -2,9 +2,12 @@
 minimal-length (double) coset representatives.
 
 Elements are integer matrices acting on simple-root coordinates; the torus
-block is fixed pointwise.  Enumeration is breadth-first over the simple
-reflections with matrix-keyed deduplication and a configurable size bound
-(env var LEAFATLAS_WEYL_BOUND, default 10^6).
+block is fixed pointwise.  Every decision reads data stored on the
+RootSystem: the integer simple-reflection matrices and the inverse Gram
+matrix.  Descents are sign tests on images of simple roots.
+Enumeration is breadth-first over the simple reflections with matrix-keyed
+deduplication, records each length as the BFS depth, and has a configurable
+size bound (env var LEAFATLAS_WEYL_BOUND, default 10^6).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .rootsys import RootSystem
+from .rootsys import RootSystem, _apply as apply_matrix
 
 __all__ = [
     "WeylElement",
@@ -25,7 +28,6 @@ __all__ = [
     "weyl_identity",
     "compose",
     "inverse_element",
-    "apply_weyl",
     "cross_parabolic",
     "reduced_word",
 ]
@@ -44,14 +46,6 @@ class WeylElement:
 
     def __call__(self, v) -> tuple[int, ...]:
         return apply_matrix(self.matrix, v)
-
-
-def apply_matrix(m: IntMatrix, v) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def apply_weyl(w: WeylElement, v) -> tuple[int, ...]:
-    return apply_matrix(w.matrix, v)
 
 
 def _identity_matrix(n: int) -> IntMatrix:
@@ -82,13 +76,7 @@ def weyl_identity(rs: RootSystem) -> WeylElement:
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    n = rs.cartan_rank
-    cols = []
-    for j in range(n):
-        e_j = tuple(1 if t == j else 0 for t in range(n))
-        cols.append(rs.reflect(i, e_j))
-    m = tuple(tuple(cols[j][t] for j in range(n)) for t in range(n))
-    return WeylElement(matrix=m, length=1)
+    return WeylElement(matrix=rs.reflections[i], length=1)
 
 
 def compose(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
@@ -97,15 +85,11 @@ def compose(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
-    # the inverse of an integer matrix of finite order is a power of it
-    m = w.matrix
-    acc = m
-    ident = _identity_matrix(rs.cartan_rank)
-    prev = ident
-    while acc != ident:
-        prev = acc
-        acc = _matmul(acc, m)
-    return WeylElement(matrix=prev, length=w.length)
+    """G^{-1}·w^T·G: w preserves the invariant form G."""
+    m = _matmul(rs.gram_inverse, _matmul(tuple(zip(*w.matrix)), rs.gram))
+    return WeylElement(
+        matrix=tuple(tuple(int(x) for x in row) for row in m), length=w.length
+    )
 
 
 def _weyl_bound() -> int:
@@ -113,31 +97,34 @@ def _weyl_bound() -> int:
     return int(raw) if raw else DEFAULT_BOUND
 
 
-def _closure(rs: RootSystem, generators: list[IntMatrix]) -> list[IntMatrix]:
+def _closure(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
+    """The subgroup generated by the listed simple reflections, ordered
+    lexicographically by matrix.  The BFS depth at which an element is
+    first reached is its length, in W and in every standard parabolic."""
     bound = _weyl_bound()
+    generators = [simple_reflection(rs, i).matrix for i in sorted(indices)]
     ident = _identity_matrix(rs.cartan_rank)
-    seen = {ident}
+    depth = {ident: 0}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
             for g in generators:
                 p = _matmul(m, g)
-                if p not in seen:
-                    seen.add(p)
-                    if len(seen) > bound:
+                if p not in depth:
+                    depth[p] = depth[m] + 1
+                    if len(depth) > bound:
                         raise ValueError(
                             f"Weyl enumeration exceeded bound {bound}"
                         )
                     nxt.append(p)
         frontier = nxt
-    return sorted(seen)
+    return tuple(WeylElement(matrix=m, length=depth[m]) for m in sorted(depth))
 
 
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements, ordered lexicographically by matrix."""
-    gens = [simple_reflection(rs, i).matrix for i in range(rs.rank)]
-    return tuple(make_element(rs, m) for m in _closure(rs, gens))
+    return _closure(rs, range(rs.rank))
 
 
 @dataclass(frozen=True)
@@ -152,10 +139,7 @@ class ParabolicSubgroup:
 
 
 def parabolic_elements(rs: RootSystem, p: ParabolicSubgroup) -> tuple[WeylElement, ...]:
-    gens = [simple_reflection(rs, i).matrix for i in sorted(p.generators)]
-    if not gens:
-        return (weyl_identity(rs),)
-    return tuple(make_element(rs, m) for m in _closure(rs, gens))
+    return _closure(rs, p.generators)
 
 
 def longest_element(rs: RootSystem, parabolic: ParabolicSubgroup) -> WeylElement:
@@ -169,12 +153,10 @@ def longest_element(rs: RootSystem, parabolic: ParabolicSubgroup) -> WeylElement
 
 
 def left_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:
-    """i with l(s_i·w) < l(w)."""
-    for i in sorted(indices):
-        s = simple_reflection(rs, i)
-        if element_length(rs, _matmul(s.matrix, w.matrix)) < w.length:
-            return i
-    return None
+    """i with l(s_i·w) < l(w): a right descent of w^{-1}."""
+    if not indices:
+        return None
+    return right_descent(rs, inverse_element(rs, w), indices)
 
 
 def right_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:
@@ -195,7 +177,7 @@ def minimal_coset_reps(
     simple roots alpha of the left side and w(beta) positive for those of
     the right side.
     """
-    # the right test is O(rank); the left one recounts a length, so it runs last
+    # the right test is O(rank); the left one builds w^{-1}, so it runs last
     return tuple(
         w
         for w in enumerate_weyl(rs)
@@ -208,7 +190,7 @@ def in_parabolic(rs: RootSystem, w: WeylElement, p: ParabolicSubgroup) -> bool:
     """Membership test: all inversions of w lie in the parabolic subsystem."""
     gens = p.generators
     for alpha in rs.positive_roots:
-        img = apply_weyl(w, alpha)
+        img = w(alpha)
         if all(x <= 0 for x in img):
             if any(alpha[t] != 0 for t in range(len(alpha)) if t not in gens):
                 return False
@@ -271,7 +253,8 @@ def decompose_min(
         x = compose(rs, s, x)
         a = compose(rs, a, s)
     # x lies in w·W_R with additive lengths
-    b = compose(rs, inverse_element(rs, w), x)
+    w_inv = inverse_element(rs, w)
+    b = compose(rs, w_inv, x)
     if not in_parabolic(rs, b, right):
         raise AssertionError("double-coset reduction failed to land in W_R")
     if x.length != w.length + b.length:
@@ -286,7 +269,7 @@ def decompose_min(
         s = simple_reflection(rs, j)
         a = compose(rs, a, s)
         # s transfers across w as the reflection through w^{-1}(alpha_j)
-        t = compose(rs, compose(rs, inverse_element(rs, w), s), w)
+        t = compose(rs, compose(rs, w_inv, s), w)
         b = compose(rs, t, b)
 
     if u.length != a.length + w.length + b.length:

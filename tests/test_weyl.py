@@ -24,7 +24,10 @@ from leafatlas.weyl import (
     weyl_identity,
 )
 
-GROUP_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "A1xA1": 4}
+GROUP_ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "A1xA1": 4,
+    "C3": 48, "D4": 192, "F4": 1152, "A2+T1": 6,
+}
 
 
 @pytest.mark.parametrize("label,order", sorted(GROUP_ORDERS.items()))
@@ -68,15 +71,16 @@ def test_reduced_word_reassembles():
 
 
 def test_descents_match_definition():
-    rs = build_root_system("A3")
-    for w in enumerate_weyl(rs):
-        for i in range(rs.rank):
-            alpha = tuple(1 if t == i else 0 for t in range(rs.rank))
-            right_negative = not all(x >= 0 for x in w(alpha))
-            assert (right_descent(rs, w, (i,)) == i) == right_negative
-            winv = inverse_element(rs, w)
-            left_negative = not all(x >= 0 for x in winv(alpha))
-            assert (left_descent(rs, w, (i,)) == i) == left_negative
+    for label in ("A3", "G2", "C3", "A2xA1", "A2+T1"):
+        rs = build_root_system(label)
+        for w in enumerate_weyl(rs):
+            for i in range(rs.rank):
+                alpha = rs.simple_roots[i]
+                right_negative = not all(x >= 0 for x in w(alpha))
+                assert (right_descent(rs, w, (i,)) == i) == right_negative
+                winv = inverse_element(rs, w)
+                left_negative = not all(x >= 0 for x in winv(alpha))
+                assert (left_descent(rs, w, (i,)) == i) == left_negative
 
 
 def test_parabolic_elements_are_the_subgroup():
@@ -108,9 +112,26 @@ def _brute_double_coset(rs, w, left_elems, right_elems):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("left,right", [((0,), (2,)), ((0, 1), (0, 1)), ((), (1,))])
-def test_decompose_min_against_brute_force(left, right):
-    rs = build_root_system("A3")
+DECOMPOSE_CASES = [
+    ("A3", (0,), (2,)),
+    ("A3", (0, 1), (0, 1)),
+    ("A3", (), (1,)),
+    ("G2", (0,), (1,)),
+    ("C3", (0, 1), (1, 2)),
+    ("C3", (2,), (0,)),
+    ("A2xA1", (0,), (1, 2)),
+    ("A2+T1", (1,), (0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "label,left,right",
+    DECOMPOSE_CASES,
+    # the ids the A3 cases had before the label parameter was added
+    ids=[f"left{k}-right{k}" for k in range(len(DECOMPOSE_CASES))],
+)
+def test_decompose_min_against_brute_force(label, left, right):
+    rs = build_root_system(label)
     pl, pr = ParabolicSubgroup.of(left), ParabolicSubgroup.of(right)
     left_elems = parabolic_elements(rs, pl)
     right_elems = parabolic_elements(rs, pr)
