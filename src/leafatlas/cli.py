@@ -37,7 +37,7 @@ from .typea import (
     tc_orbit_dim,
     weyl_to_perm,
 )
-from .weyl import reduced_word
+from .weyl import WeylElement, reduced_word
 
 CONVENTION_NOTE = (
     "convention: the symmetric part of the Cartan term r0 is fixed to half "
@@ -205,7 +205,7 @@ def _word(rs, w) -> str:
     return " ".join(f"s{i + 1}" for i in word) if word else "e"
 
 
-def _record_dict(rs, rec, pure_a: bool) -> dict:
+def _record_dict(word, rec, pure_a: bool) -> dict:
     stable = rec.stable
     out = {
         "kind": "gminus" if rec.v is not None else "full",
@@ -221,13 +221,13 @@ def _record_dict(rs, rec, pure_a: bool) -> dict:
         "coset_const": rec.coset_dim.constant,
     }
     if rec.v is not None:
-        out["v"] = _word(rs, rec.v)
+        out["v"] = word(rec.v)
         out["length"] = rec.v.length
         if pure_a:
             out["perm"] = " ".join(str(i + 1) for i in weyl_to_perm(rec.v))
     else:
-        out["v1"] = _word(rs, rec.v1)
-        out["v2"] = _word(rs, rec.v2)
+        out["v1"] = word(rec.v1)
+        out["v2"] = word(rec.v2)
         out["length"] = rec.v1.length + rec.v2.length
         out["z_pair_dim"] = stable.z_pair_dim
     if rec.simplified_leaf_dim is not None:
@@ -327,13 +327,21 @@ def run_job(cfg: JobConfig) -> Report:
 
     # classification
     if d is not None:
+        # a representative recurs in many records; render its word once
+        words: dict[WeylElement, str] = {}
+
+        def word(w: WeylElement) -> str:
+            if w not in words:
+                words[w] = _word(rs, w)
+            return words[w]
+
         try:
             if cfg.mode in ("gminus", "both"):
                 for rec in classify_gminus(rs, triple, d):
-                    report.records.append(_record_dict(rs, rec, pure_a))
+                    report.records.append(_record_dict(word, rec, pure_a))
             if cfg.mode in ("full", "both"):
                 for rec in classify_g(rs, triple, d):
-                    report.records.append(_record_dict(rs, rec, pure_a))
+                    report.records.append(_record_dict(word, rec, pure_a))
         except (ValueError, RuntimeError, AssertionError) as e:
             fail("classification", e, f"mode = {cfg.mode}")
 

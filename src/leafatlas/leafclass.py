@@ -11,6 +11,7 @@ quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm, prod
 
 from .bdtriple import BDTriple
@@ -31,13 +32,16 @@ from .linalg import (
     matmul,
     matvec,
     msub,
+    nullspace,
     quotient_invariants,
     rank,
+    transpose,
 )
 from .rootsys import RootSystem
 from .weyl import (
     ParabolicSubgroup,
     WeylElement,
+    inverse_element,
     minimal_coset_reps,
     right_descent,
 )
@@ -151,17 +155,9 @@ class LeafRecord:
     simplified_leaf_dim: AffineDim | None = None
 
 
-def _weyl_frac(w: WeylElement) -> Matrix:
-    return mat(w.matrix)
-
-
 def _require_coset_minimal(rs: RootSystem, v: WeylElement, indices, label: str):
     if right_descent(rs, v, indices) is not None:
         raise NotMinimalRep(f"{label} is not the minimal element of its coset")
-
-
-def _root_span(rs: RootSystem, roots) -> Subspace:
-    return Subspace(rs.cartan_rank, [tuple(map(frac, a)) for a in roots])
 
 
 def _assert_simple_generated(rs: RootSystem, root_set):
@@ -174,26 +170,6 @@ def _assert_simple_generated(rs: RootSystem, root_set):
                 raise AssertionError(
                     "stable root set is not generated by its simple roots"
                 )
-
-
-def _cong_data(
-    rs: RootSystem,
-    d: Decomposition,
-    twist: Matrix,
-    lv_center: Subspace,
-    center_dim: int,
-    v1: WeylElement,
-):
-    """Rank of (twist - 1) on the center and the product-subspace codimension."""
-    k = rs.cartan_rank
-    delta = msub(twist, identity(k))
-    cong_dim = 0 if lv_center.dim == 0 else rank(matmul(delta, lv_center.basis))
-    image = Subspace(k, [matvec(delta, x) for x in lv_center.vectors()])
-    moved_ort = Subspace(
-        k, [matvec(_weyl_frac(v1), x) for x in d.h_ort1.vectors()]
-    )
-    product = image.add(d.h_ort1).add(moved_ort)
-    return cong_dim, center_dim - product.dim
 
 
 def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
@@ -219,36 +195,171 @@ def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+class _Frame:
+    """What the records of one (rs, triple, d) share.
+
+    The Cartan domain of the first side, theta and the tau maps are built
+    once.  Data that depends on one representative, on one stable root set,
+    or on a first-side representative and a root set is memoized on first
+    use, so the per-record work is the stable-root walk and a few ranks.
+    """
+
+    def __init__(self, rs: RootSystem, triple: BDTriple, d: Decomposition):
+        self.rs = rs
+        self.triple = triple
+        self.d = d
+        self.k = rs.cartan_rank
+        self.zero = tuple(frac(0) for _ in range(self.k))
+        self.dom1 = cartan_domain(rs, triple, d, 1)
+        self.theta = d.theta_cartan
+        # tau maps the first Levi's roots onto the second's
+        self.tau = dict(d.theta_roots)
+        self.tau_inv = {b: a for a, b in d.theta_roots}
+        self._left = {}
+        self._left_pair = {}
+        self._right = {}
+        self._spans = {}
+        self._meets = {}
+
+    @cached_property
+    def theta_inv(self) -> Matrix:
+        # built on first use: one-sided records never need it, and theta is
+        # singular on a degenerate (unvalidated) Cartan term
+        return inverse(self.theta)
+
+    def _moved(self, m: Matrix, space: Subspace) -> Subspace:
+        return Subspace(self.k, [matvec(m, x) for x in space.vectors()])
+
+    def left(self, v: WeylElement, label: str):
+        """v as a rational matrix and a basis of h_ort1 + v·h_ort1."""
+        hit = self._left.get(v)
+        if hit is None:
+            _require_coset_minimal(self.rs, v, self.triple.gamma1, label)
+            m = mat(v.matrix)
+            ort = self.d.h_ort1.add(self._moved(m, self.d.h_ort1))
+            hit = self._left[v] = (m, ort.vectors())
+        return hit
+
+    def left_pair(self, v1: WeylElement):
+        """The two-sided extras of v1: v1·dom1, theta·v1^{-1} and the
+        u3 rows (x, 0) for x in h_ort1 + v1·h_ort1."""
+        hit = self._left_pair.get(v1)
+        if hit is None:
+            m1, ort = self.left(v1, "v1")
+            v1_inv = mat(inverse_element(self.rs, v1).matrix)
+            hit = self._left_pair[v1] = (
+                self._moved(m1, self.dom1),
+                matmul(self.theta, v1_inv),
+                tuple(x + self.zero for x in ort),
+            )
+        return hit
+
+    def right(self, v2: WeylElement):
+        """v2·theta, theta^{-1}·v2·theta and the u3 rows (0, y) for y in
+        h_ort2 + v2·h_ort2."""
+        hit = self._right.get(v2)
+        if hit is None:
+            _require_coset_minimal(self.rs, v2, self.triple.gamma2, "v2")
+            m2 = mat(v2.matrix)
+            v2theta = matmul(m2, self.theta)
+            ort = self.d.h_ort2.add(self._moved(m2, self.d.h_ort2))
+            hit = self._right[v2] = (
+                v2theta,
+                matmul(self.theta_inv, v2theta),
+                tuple(self.zero + y for y in ort.vectors()),
+            )
+        return hit
+
+    def span_data(self, root_set):
+        """dim span, span-perp and lv_center = dom1 ∩ span-perp."""
+        hit = self._spans.get(root_set)
+        if hit is None:
+            _assert_simple_generated(self.rs, root_set)
+            span = Subspace(self.k, [tuple(map(frac, a)) for a in root_set])
+            perp = span.perp(self.rs.gram)
+            hit = self._spans[root_set] = (
+                span.dim,
+                perp,
+                self.dom1.intersect(perp),
+            )
+        return hit
+
+    def meet(self, v1: WeylElement, root_set) -> Subspace:
+        """lv_center ∩ center2, where center2 = v1·dom1 ∩ span-perp."""
+        key = (v1, root_set)
+        hit = self._meets.get(key)
+        if hit is None:
+            _, perp, lv_center = self.span_data(root_set)
+            center2 = self.left_pair(v1)[0].intersect(perp)
+            hit = self._meets[key] = lv_center.intersect(center2)
+        return hit
+
+    def cong(self, moved: Matrix, lv_center: Subspace, center_dim: int, ort):
+        """Rank of (twist - 1) on the center and the codimension of its
+        image plus h_ort1 + v1·h_ort1, from moved = twist·lv_center.basis."""
+        image = transpose(msub(moved, lv_center.basis))
+        return rank(image), center_dim - rank(image + ort)
+
+    def single(self, v: WeylElement) -> StableSubalgebra:
+        m, ort = self.left(v, "v")
+        root_set = stable_roots(self.d.levi1_roots, v)
+        span_dim, _, lv_center = self.span_data(root_set)
+        center_dim = self.k - span_dim
+        cong_dim, moduli_dim = self.cong(
+            matmul(m, lv_center.basis), lv_center, center_dim, ort
+        )
+        return StableSubalgebra(
+            root_set=root_set,
+            derived_dim=len(root_set) + span_dim,
+            center_dim=center_dim,
+            lv_center=lv_center,
+            cong_dim=cong_dim,
+            moduli_dim=moduli_dim,
+        )
+
+    def pair(self, v1: WeylElement, v2: WeylElement) -> PairStableSubalgebra:
+        m1, ort1 = self.left(v1, "v1")
+        v2theta, conj, u3_right = self.right(v2)
+        tau, tau_inv = self.tau, self.tau_inv
+
+        def phi(a):
+            e = tau_inv.get(v2(tau[a]))
+            return None if e is None else v1(e)
+
+        root_set = stable_roots(self.d.levi1_roots, phi)
+        span_dim, _, lv_center = self.span_data(root_set)
+        center_dim = self.k - span_dim
+        # the twist psi = v1·theta^-1·v2·theta is only ever applied to lv_center
+        moved = matmul(m1, matmul(conj, lv_center.basis))
+        cong_dim, moduli_dim = self.cong(moved, lv_center, center_dim, ort1)
+
+        # u1 = graph(v2theta | lv_center), u2 = graph(theta·v1^-1 | center2), so
+        # u1 ∩ u2 = graph(v2theta | ker(v2theta - theta·v1^-1) on lv_center ∩ center2)
+        _, theta_v1inv, u3_left = self.left_pair(v1)
+        meet = self.meet(v1, root_set).basis
+        kernel = nullspace(matmul(msub(v2theta, theta_v1inv), meet))
+        graph = []
+        for c in kernel:
+            x = matvec(meet, c)
+            graph.append(x + matvec(v2theta, x))
+        return PairStableSubalgebra(
+            root_set=root_set,
+            derived_dim=len(root_set) + span_dim,
+            center_dim=center_dim,
+            lv_center=lv_center,
+            cong_dim=cong_dim,
+            moduli_dim=moduli_dim,
+            partner_root_set=tuple(sorted(v2(tau[a]) for a in root_set)),
+            z_pair_dim=rank(tuple(graph) + u3_left + u3_right),
+        )
+
+
 def stable_subalgebra_v(
     rs: RootSystem, triple: BDTriple, d: Decomposition, v: WeylElement
 ) -> StableSubalgebra:
     """Roots of the first Levi whose whole v-orbit stays in the Levi,
     plus the center data of the corresponding stable subgroup."""
-    _require_coset_minimal(rs, v, triple.gamma1, "v")
-    k = rs.cartan_rank
-    root_set = stable_roots(d.levi1_roots, v)
-    _assert_simple_generated(rs, root_set)
-
-    span = _root_span(rs, root_set)
-    derived_dim = len(root_set) + span.dim
-    center_dim = k - span.dim
-    dom1 = cartan_domain(rs, triple, d, 1)
-    lv_center = dom1.intersect(span.perp(rs.gram))
-    cong_dim, moduli_dim = _cong_data(
-        rs, d, _weyl_frac(v), lv_center, center_dim, v
-    )
-    return StableSubalgebra(
-        root_set=root_set,
-        derived_dim=derived_dim,
-        center_dim=center_dim,
-        lv_center=lv_center,
-        cong_dim=cong_dim,
-        moduli_dim=moduli_dim,
-    )
-
-
-def _stack(upper, lower):
-    return tuple(upper) + tuple(lower)
+    return _Frame(rs, triple, d).single(v)
 
 
 def stable_subalgebra_pair(
@@ -260,70 +371,7 @@ def stable_subalgebra_pair(
 ) -> PairStableSubalgebra:
     """Stable data for the two-sided twist v1 tau^{-1} v2 tau, with the
     partner root set and the dimension of the pair-center solution space."""
-    _require_coset_minimal(rs, v1, triple.gamma1, "v1")
-    _require_coset_minimal(rs, v2, triple.gamma2, "v2")
-    k = rs.cartan_rank
-    # tau maps the first Levi's roots onto the second's
-    tau = dict(d.theta_roots)
-    tau_inv = {b: a for a, b in d.theta_roots}
-
-    def phi(a):
-        e = tau_inv.get(v2(tau[a]))
-        return None if e is None else v1(e)
-
-    root_set = stable_roots(d.levi1_roots, phi)
-    _assert_simple_generated(rs, root_set)
-    partner = tuple(sorted(v2(tau[a]) for a in root_set))
-
-    span = _root_span(rs, root_set)
-    derived_dim = len(root_set) + span.dim
-    center_dim = k - span.dim
-    dom1 = cartan_domain(rs, triple, d, 1)
-    lv_center = dom1.intersect(span.perp(rs.gram))
-
-    theta = d.theta_cartan
-    theta_inv = inverse(theta)
-    m1 = _weyl_frac(v1)
-    m2 = _weyl_frac(v2)
-    psi = matmul(m1, matmul(theta_inv, matmul(m2, theta)))
-    cong_dim, moduli_dim = _cong_data(rs, d, psi, lv_center, center_dim, v1)
-
-    # pair-center space in h x h: graph conditions over the two centers,
-    # plus the moved orthogonal-complement block
-    v2theta = matmul(m2, theta)
-    u1 = Subspace(
-        2 * k, [_stack(x, matvec(v2theta, x)) for x in lv_center.vectors()]
-    )
-    moved_dom = Subspace(k, [matvec(m1, x) for x in dom1.vectors()])
-    center2 = moved_dom.intersect(span.perp(rs.gram))
-    theta_v1inv = matmul(theta, inverse(m1))
-    u2 = Subspace(
-        2 * k, [_stack(x, matvec(theta_v1inv, x)) for x in center2.vectors()]
-    )
-    ort_left = d.h_ort1.add(
-        Subspace(k, [matvec(m1, x) for x in d.h_ort1.vectors()])
-    )
-    ort_right = d.h_ort2.add(
-        Subspace(k, [matvec(m2, x) for x in d.h_ort2.vectors()])
-    )
-    zero = tuple(frac(0) for _ in range(k))
-    u3 = Subspace(
-        2 * k,
-        [_stack(x, zero) for x in ort_left.vectors()]
-        + [_stack(zero, x) for x in ort_right.vectors()],
-    )
-    z_pair_dim = u1.intersect(u2).add(u3).dim
-
-    return PairStableSubalgebra(
-        root_set=root_set,
-        derived_dim=derived_dim,
-        center_dim=center_dim,
-        lv_center=lv_center,
-        cong_dim=cong_dim,
-        moduli_dim=moduli_dim,
-        partner_root_set=partner,
-        z_pair_dim=z_pair_dim,
-    )
+    return _Frame(rs, triple, d).pair(v1, v2)
 
 
 def _coset_space(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
@@ -340,9 +388,10 @@ def classify_gminus(
     dims = dimension_summary(rs, triple, d)
     full_h = full_h_predicate(d)
     k = rs.cartan_rank
+    frame = _Frame(rs, triple, d)
     records = []
     for v in _coset_space(rs, triple.gamma1):
-        st = stable_subalgebra_v(rs, triple, d, v)
+        st = frame.single(v)
         cong_product = st.center_dim - st.moduli_dim
         const = (
             len(d.levi1_roots)
@@ -400,10 +449,11 @@ def classify_g(
     )
     reps1 = _coset_space(rs, triple.gamma1)
     reps2 = _coset_space(rs, triple.gamma2)
+    frame = _Frame(rs, triple, d)
     records = []
     for v1 in reps1:
         for v2 in reps2:
-            st = stable_subalgebra_pair(rs, triple, d, v1, v2)
+            st = frame.pair(v1, v2)
             const = (
                 dims["dim_lprime1_a1"]
                 + 2 * dims["dim_h_ort1"]

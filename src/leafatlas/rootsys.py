@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import Lattice, Matrix, Subspace, frac, inverse, mat, matvec, vec
 
@@ -51,6 +52,9 @@ class RootSystem:
     reflections: integer matrix of each simple reflection on those
         coordinates (the torus block is fixed).
     gram_inverse: the inverse of gram.
+    gram_int, gram_inverse_int: gram and gram_inverse scaled to integer
+        matrices; gram_int_scale is the product of the two scales, so
+        gram_inverse_int·x·gram_int = gram_int_scale·gram_inverse·x·gram.
     """
 
     type_label: str
@@ -62,6 +66,9 @@ class RootSystem:
     cartan_rank: int
     reflections: tuple[tuple[tuple[int, ...], ...], ...]
     gram_inverse: Matrix
+    gram_int: tuple[tuple[int, ...], ...]
+    gram_inverse_int: tuple[tuple[int, ...], ...]
+    gram_int_scale: int
 
     @property
     def rank(self) -> int:
@@ -118,6 +125,12 @@ def _simple_reflections(gram: Matrix, rank: int) -> tuple:
         m[i] = tuple(e - int(a) for e, a in zip(ident[i], cartan))
         out.append(tuple(m))
     return tuple(out)
+
+
+def _integer_scaled(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(s·m, s) for the least s > 0 that clears every denominator of m."""
+    s = lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(int(x * s) for x in row) for row in m), s
 
 
 def _parse_label(label: str) -> tuple[tuple[tuple[str, int], ...], int]:
@@ -229,6 +242,9 @@ def build_root_system(type_label: str) -> RootSystem:
                     nxt.append(w)
         frontier = nxt
     positive = tuple(sorted(known, key=lambda v: (sum(v), v)))
+    gram_inverse = inverse(gram)
+    gram_int, s = _integer_scaled(gram)
+    gram_inverse_int, t = _integer_scaled(gram_inverse)
     return RootSystem(
         type_label=type_label.strip().replace(" ", ""),
         components=components,
@@ -238,7 +254,10 @@ def build_root_system(type_label: str) -> RootSystem:
         gram=gram,
         cartan_rank=cartan_rank,
         reflections=reflections,
-        gram_inverse=inverse(gram),
+        gram_inverse=gram_inverse,
+        gram_int=gram_int,
+        gram_inverse_int=gram_inverse_int,
+        gram_int_scale=s * t,
     )
 
 

@@ -85,10 +85,17 @@ def compose(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
-    """G^{-1}·w^T·G: w preserves the invariant form G."""
-    m = _matmul(rs.gram_inverse, _matmul(tuple(zip(*w.matrix)), rs.gram))
+    """G^{-1}·w^T·G: w preserves the invariant form G.
+
+    The product runs on the integer-scaled G and G^{-1} stored on rs and is
+    divided by their scale once, at the end.
+    """
+    m = _matmul(rs.gram_inverse_int, _matmul(tuple(zip(*w.matrix)), rs.gram_int))
+    q = rs.gram_int_scale
+    if any(x % q for row in m for x in row):
+        raise AssertionError("inverse of a Weyl element is not an integer matrix")
     return WeylElement(
-        matrix=tuple(tuple(int(x) for x in row) for row in m), length=w.length
+        matrix=tuple(tuple(x // q for x in row) for row in m), length=w.length
     )
 
 
@@ -288,6 +295,7 @@ def reduced_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
         j = right_descent(rs, cur, range(rs.rank))
         if j is None:
             raise AssertionError("non-identity element without right descent")
-        cur = compose(rs, cur, simple_reflection(rs, j))
+        # j is a right descent, so cur·s_j is one shorter
+        cur = WeylElement(_matmul(cur.matrix, rs.reflections[j]), cur.length - 1)
         word.append(j)
     return tuple(reversed(word))

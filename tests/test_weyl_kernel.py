@@ -110,6 +110,21 @@ def test_f4_reflections_and_lengths_match_references():
     assert len(elements) == 1152
     for w in elements:
         assert w.length == reference_length(rs, w.matrix)
+        assert inverse_element(rs, w).matrix == reference_inverse(rs, w.matrix)
+
+
+@pytest.mark.parametrize("label", KERNEL_LABELS + ["F4", "E6"])
+def test_integer_scaled_gram_pair(label):
+    """gram_int = s·G and gram_inverse_int = t·G^{-1}, integral, with
+    gram_int_scale = s·t."""
+    rs = build_root_system(label)
+    s = rs.gram_int[0][0] / rs.gram[0][0]
+    t = rs.gram_inverse_int[0][0] / rs.gram_inverse[0][0]
+    assert s.denominator == t.denominator == 1 and s > 0 and t > 0
+    assert rs.gram_int_scale == s * t
+    for scaled, exact, c in ((rs.gram_int, rs.gram, s), (rs.gram_inverse_int, rs.gram_inverse, t)):
+        assert all(type(x) is int for row in scaled for x in row)
+        assert [[c * x for x in row] for row in exact] == [list(row) for row in scaled]
 
 
 def test_reflect_rejects_wrong_dimension():
