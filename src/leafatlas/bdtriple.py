@@ -24,7 +24,7 @@ from .linalg import (
     matvec,
     mscale,
     msub,
-    rref,
+    solve,
     transpose,
     vec,
 )
@@ -318,18 +318,10 @@ def solve_r0(
             rows.append(row)
             rhs.append(target[r])
 
-    if unknowns:
-        aug = tuple(tuple(row) + (b,) for row, b in zip(rows, rhs))
-        red, pivots = rref(aug)
-        if len(unknowns) in pivots:
-            raise Infeasible("r0 constraint system inconsistent")
-        sol = [Fraction(0)] * len(unknowns)
-        for i, c in enumerate(pivots):
-            sol[c] = red[i][len(unknowns)]
-    else:
-        if any(b != 0 for b in rhs):
-            raise Infeasible("r0 constraint system inconsistent")
-        sol = []
+    # with no tau there are no rows, and the skew part is zero
+    sol = solve(tuple(rows), rhs) if rows else (Fraction(0),) * len(unknowns)
+    if sol is None:
+        raise Infeasible("r0 constraint system inconsistent")
 
     s = [[Fraction(0)] * k for _ in range(k)]
     for (i, j), val in zip(unknowns, sol):

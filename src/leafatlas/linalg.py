@@ -68,61 +68,73 @@ def mscale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _int_rows(a: Matrix) -> list[list[int]]:
-    # scale each row to integers; row scaling preserves rank
-    out = []
+def _int_rows(a: Matrix) -> tuple[list[list[int]], int]:
+    """Each row scaled to integers by the lcm of its denominators, and the
+    product of those scales."""
+    out, scale = [], 1
     for row in a:
         d = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * d) for x in row])
-    return out
+        out.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return out, scale
+
+
+def _echelon(a: Matrix) -> tuple[list[list[int]], list[int], int, int]:
+    """Forward fraction-free (Bareiss) elimination on the row-scaled copy.
+
+    Returns (echelon rows, pivot columns, sign of the row swaps, product of
+    the row scales).  Rows from len(pivots) on are zero.  Each pivot is a
+    minor of the row-swapped copy, so for a square matrix of full rank the
+    last pivot is its determinant.
+    """
+    m, scale = _int_rows(a)
+    nr, nc = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top, p = m[r], m[r][c]
+        for i in range(r + 1, nr):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, nc):
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = p
+        pivots.append(c)
+        r += 1
+    return m, pivots, sign, scale
 
 
 def rank(a: Matrix) -> int:
-    """Rank via fraction-free (Bareiss) elimination on a row-scaled copy."""
-    if not a or not a[0]:
-        return 0
-    m = _int_rows(a)
-    rows, cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank: the pivot count of the fraction-free echelon form."""
+    return len(_echelon(a)[1])
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    rows = [list(row) for row in a]
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    m, pivots, _, _ = _echelon(a)
+    nc = len(m[0]) if m else 0
+    # back phase: normalise each pivot row, clear the entries above it
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    for r in range(len(pivots) - 1, 0, -1):
+        c, low = pivots[r], red[r]
+        for i in range(r):
+            f = red[i][c]
+            if f:
+                red[i] = [x - f * y for x, y in zip(red[i], low)]
+    zero = (Fraction(0),) * nc
+    out = tuple(tuple(row) for row in red) + (zero,) * (len(m) - len(pivots))
+    return out, tuple(pivots)
 
 
 def solve(a: Matrix, b) -> Vector | None:
@@ -179,23 +191,10 @@ def det(a: Matrix) -> Fraction:
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return Fraction(1)
-    rows = [list(row) for row in a]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result * sign
+    rows, pivots, sign, scale = _echelon(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[-1][-1], scale)
 
 
 class Subspace:
@@ -483,8 +482,6 @@ def integer_kernel(a) -> list[list[int]]:
     n = len(rows[0]) if rows else 0
     if n == 0:
         return []
-    if not rows:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     u, d, v = smith_normal_form(rows)
     m = len(rows)
     kernel = []

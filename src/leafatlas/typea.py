@@ -335,26 +335,13 @@ def check_cybe(r: TensorElement) -> TensorElement:
 
 
 def weyl_to_perm(w: WeylElement) -> tuple[int, ...]:
-    """Permutation p with w(eps_i) = eps_{p(i)}, from the root-coordinate matrix."""
+    """Permutation p with w(eps_i) = eps_{p(i)}, from the root-coordinate matrix.
+
+    Column i of the matrix is w(alpha_i) = eps_{p(i)} - eps_{p(i+1)}.
+    """
     n = len(w.matrix)
-    cols = [tuple(w.matrix[r][i] for r in range(n)) for i in range(n)]
-
-    def eps_vector(c):
-        u = [c[0]]
-        for t in range(1, n):
-            u.append(c[t] - c[t - 1])
-        u.append(-c[n - 1])
-        return u
-
-    perm = [None] * (n + 1)
-    partial = [0] * n
-    for i in range(n):
-        partial = [x + y for x, y in zip(partial, cols[i])]
-        u = eps_vector(partial)
-        if i == 0:
-            perm[0] = u.index(1)
-        perm[i + 1] = u.index(-1)
-    return tuple(perm)
+    ends = [root_to_interval([row[i] for row in w.matrix]) for i in range(n)]
+    return (ends[0][0],) + tuple(b for _, b in ends)
 
 
 def perm_to_weyl(rs: RootSystem, perm) -> WeylElement:
@@ -375,18 +362,8 @@ def wdot_matrix(w: WeylElement) -> Matrix:
     """Determinant-one permutation-matrix representative."""
     perm = weyl_to_perm(w)
     size = len(perm)
-    sign = 1
-    seen = [False] * size
-    for i in range(size):
-        if not seen[i]:
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
+    # sign of the permutation: its inversion count is the length of w
+    sign = -1 if w.length % 2 else 1
     rows = [[Fraction(0)] * size for _ in range(size)]
     flip = next((i for i in range(size) if perm[i] != i), None)
     for i in range(size):
@@ -787,7 +764,7 @@ def normalize_coset(
         gpp = levi_projection(p2, s_next, size)
         cmat = wdot_matrix(c)
         g = matmul(
-            matmul(inverse(cmat), matmul(inverse(gpp), cmat)), gp
+            matmul(transpose(cmat), matmul(inverse(gpp), cmat)), gp
         )
         c = compose(rs, wmin, c)
         s_cur = s_next

@@ -98,6 +98,18 @@ def test_rref_pivot_columns_are_unit():
                 assert r[other][col] == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_rref_matches_sympy(rows):
+    r, pivots = rref(mat(rows))
+    expected, expected_pivots = sympy.Matrix(rows).rref()
+    assert pivots == tuple(expected_pivots)
+    assert r == tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in expected.row(i))
+        for i in range(expected.rows)
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(

@@ -171,6 +171,60 @@ def test_weyl_perm_round_trip_a3():
         assert det(wdot_matrix(w)) == 1
 
 
+def _ref_weyl_to_perm(w):
+    """The ε-vector decoding weyl_to_perm used before root_to_interval."""
+    n = len(w.matrix)
+    cols = [tuple(w.matrix[r][i] for r in range(n)) for i in range(n)]
+
+    def eps_vector(c):
+        u = [c[0]]
+        for t in range(1, n):
+            u.append(c[t] - c[t - 1])
+        u.append(-c[n - 1])
+        return u
+
+    perm = [None] * (n + 1)
+    partial = [0] * n
+    for i in range(n):
+        partial = [x + y for x, y in zip(partial, cols[i])]
+        u = eps_vector(partial)
+        if i == 0:
+            perm[0] = u.index(1)
+        perm[i + 1] = u.index(-1)
+    return tuple(perm)
+
+
+def _ref_wdot_matrix(w):
+    """wdot_matrix with the permutation sign from a cycle walk."""
+    perm = _ref_weyl_to_perm(w)
+    size = len(perm)
+    sign = 1
+    seen = [False] * size
+    for i in range(size):
+        if not seen[i]:
+            j = i
+            length = 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    flip = next((i for i in range(size) if perm[i] != i), None)
+    for i in range(size):
+        val = Fraction(-1) if (sign < 0 and i == flip) else Fraction(1)
+        rows[perm[i]][i] = val
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_perm_and_wdot_match_reference(n):
+    for w in enumerate_weyl(build_root_system(f"A{n}")):
+        assert weyl_to_perm(w) == _ref_weyl_to_perm(w)
+        assert wdot_matrix(w) == _ref_wdot_matrix(w)
+
+
 def _oracle_perm(g):
     """Bruhat cell of g through lower-left corner ranks."""
     n = len(g.entries)
