@@ -151,10 +151,9 @@ def cartan_domain(rs: RootSystem, triple: BDTriple, d: Decomposition, side: int)
 def dimension_summary(rs: RootSystem, triple: BDTriple, d: Decomposition) -> dict[str, int]:
     k = rs.cartan_rank
     dim_g = 2 * len(rs.positive_roots) + k
-    dom1 = cartan_domain(rs, triple, d, 1)
-    dom2 = cartan_domain(rs, triple, d, 2)
-    dim_la1 = len(d.levi1_roots) + dom1.dim
-    dim_la2 = len(d.levi2_roots) + dom2.dim
+    # a_i lies in span(Gamma_i)^perp, which meets span(Gamma_i) only in 0
+    dim_la1 = len(d.levi1_roots) + len(triple.gamma1) + d.a1.dim
+    dim_la2 = len(d.levi2_roots) + len(triple.gamma2) + d.a2.dim
     dim_m_plus = d.h_ort1.dim + len(d.n_plus_roots)
     dim_m_minus = d.h_ort2.dim + len(d.n_minus_roots)
     return {

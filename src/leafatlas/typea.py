@@ -683,21 +683,18 @@ def tc_orbit_dim(f: MatrixElement, twist: TwistAutomorphism, subalgebra_roots) -
     size = f.size
     fm = f.entries
     fi = inverse(fm)
-    basis: list[Matrix] = [coroot_matrix(size, i) for i in range(size - 1)]
-    for root in subalgebra_roots:
-        i, j = root_to_interval(root)
-        basis.append(unit_matrix(size, i, j))
-    images = []
-    for b in basis:
-        y = matmul(fm, matmul(twist.apply(b), fi))
-        images.append(tuple(p - q for p, q in zip(_flatten(y), _flatten(b))))
-    span_cols = [_flatten(b) for b in basis]
-    span_rank = rank(transpose(mat(span_cols)))
-    both = rank(transpose(mat(span_cols + images)))
-    if both > span_rank:
+    # coroots and distinct root vectors are independent: the span has rank len(basis)
+    intervals = dict.fromkeys(root_to_interval(root) for root in subalgebra_roots)
+    basis = [coroot_matrix(size, i) for i in range(size - 1)]
+    basis += [unit_matrix(size, i, j) for i, j in intervals]
+    span = [_flatten(b) for b in basis]
+    images = [
+        tuple(p - q for p, q in zip(_flatten(matmul(fm, matmul(twist.apply(b), fi))), row))
+        for b, row in zip(basis, span)
+    ]
+    if rank(span + images) > len(basis):
         raise SubalgebraNotPreserved("twisted image leaves the subalgebra span")
-    img_m = transpose(mat(images))
-    return rank(img_m)
+    return rank(images)
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +831,7 @@ def cg_orbit_correspondence(n: int, j: int, b: MatrixElement | None):
                 images.append(
                     tuple(u - v for u, v in zip(_flatten(y), _flatten(x)))
                 )
-        gl_dim = rank(transpose(mat(images)))
+        gl_dim = rank(images)
     v = cg_sigma(rs, j)
     twist = conjugation_twist(wdot_matrix(v))
     f = MatrixElement(f_entries, "group")

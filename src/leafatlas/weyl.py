@@ -5,9 +5,9 @@ Elements are integer matrices acting on simple-root coordinates; the torus
 block is fixed pointwise.  Every decision reads data stored on the
 RootSystem: the integer simple-reflection matrices and the inverse Gram
 matrix.  Descents are sign tests on images of simple roots.
-Enumeration is breadth-first over the simple reflections with matrix-keyed
-deduplication, records each length as the BFS depth, and has a configurable
-size bound (env var LEAFATLAS_WEYL_BOUND, default 10^6).
+W, W_J and the minimal coset representatives W^J are each one BFS over a
+Weyl orbit in fundamental-weight coordinates, with lengths as BFS depths and
+a bound on the set's size (env var LEAFATLAS_WEYL_BOUND, default 10^6).
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class WeylElement:
         return apply_matrix(self.matrix, v)
 
 
-def _identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
@@ -72,7 +68,8 @@ def make_element(rs: RootSystem, m: IntMatrix) -> WeylElement:
 
 
 def weyl_identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(matrix=_identity_matrix(rs.cartan_rank), length=0)
+    n = rs.cartan_rank
+    return WeylElement(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 0)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -104,34 +101,45 @@ def _weyl_bound() -> int:
     return int(raw) if raw else DEFAULT_BOUND
 
 
-def _closure(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
-    """The subgroup generated by the listed simple reflections, ordered
-    lexicographically by matrix.  The BFS depth at which an element is
-    first reached is its length, in W and in every standard parabolic."""
+def _orbit(rs: RootSystem, indices, lam) -> tuple[WeylElement, ...]:
+    """One element of W_I (I = indices) per point of the W_I-orbit of the
+    dominant weight lam in fundamental-weight coordinates, ordered by matrix.
+    For lam = sum of the omega_i with i not in J, these are W^J.  s_i steps
+    from mu only when mu_i > 0: that lengthens the element by one and still
+    reaches every point, so the length is the BFS depth."""
     bound = _weyl_bound()
-    generators = [simple_reflection(rs, i).matrix for i in sorted(indices)]
-    ident = _identity_matrix(rs.cartan_rank)
-    depth = {ident: 0}
-    frontier = [ident]
+    # s_i differs from the identity only in row i, and alpha_i has the weight
+    # coordinates <alpha_i, alpha_j^vee> = delta_ij - (s_j)_ji
+    gens = []
+    for i in sorted(indices):
+        alpha = [int(i == j) - rs.reflections[j][j][i] for j in range(rs.rank)]
+        gens.append((i, simple_reflection(rs, i).matrix[i], alpha))
+    found = {tuple(lam): weyl_identity(rs)}
+    frontier = list(found)
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in generators:
-                p = _matmul(m, g)
-                if p not in depth:
-                    depth[p] = depth[m] + 1
-                    if len(depth) > bound:
-                        raise ValueError(
-                            f"Weyl enumeration exceeded bound {bound}"
-                        )
-                    nxt.append(p)
+        for mu in frontier:
+            w = found[mu]
+            cols = tuple(zip(*w.matrix))
+            for i, s_row, alpha in gens:
+                if mu[i] > 0:
+                    nu = tuple(x - mu[i] * a for x, a in zip(mu, alpha))
+                    if nu not in found:
+                        # row i of s_i·w; the other rows are those of w
+                        row = tuple(sum(c * x for c, x in zip(s_row, col)) for col in cols)
+                        m = w.matrix[:i] + (row,) + w.matrix[i + 1 :]
+                        found[nu] = WeylElement(m, w.length + 1)
+                        if len(found) > bound:
+                            raise ValueError(f"Weyl enumeration exceeded bound {bound}")
+                        nxt.append(nu)
         frontier = nxt
-    return tuple(WeylElement(matrix=m, length=depth[m]) for m in sorted(depth))
+    return tuple(sorted(found.values(), key=lambda w: w.matrix))
 
 
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, ordered lexicographically by matrix."""
-    return _closure(rs, range(rs.rank))
+    """All Weyl group elements, ordered lexicographically by matrix: the
+    orbit of rho, whose stabilizer is trivial."""
+    return _orbit(rs, range(rs.rank), (1,) * rs.rank)
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,7 @@ class ParabolicSubgroup:
 
 
 def parabolic_elements(rs: RootSystem, p: ParabolicSubgroup) -> tuple[WeylElement, ...]:
-    return _closure(rs, p.generators)
+    return _orbit(rs, p.generators, (1,) * rs.rank)
 
 
 def longest_element(rs: RootSystem, parabolic: ParabolicSubgroup) -> WeylElement:
@@ -180,17 +188,12 @@ def minimal_coset_reps(
 ) -> tuple[WeylElement, ...]:
     """Unique minimal-length representatives of the double cosets W_L\\W/W_R.
 
-    A representative w is characterized by w^{-1}(alpha) positive for the
-    simple roots alpha of the left side and w(beta) positive for those of
-    the right side.
+    W^R is the orbit of the sum of the fundamental weights outside R; a
+    representative is the element of W^R with no left descent in L.
     """
-    # the right test is O(rank); the left one builds w^{-1}, so it runs last
-    return tuple(
-        w
-        for w in enumerate_weyl(rs)
-        if right_descent(rs, w, right.generators) is None
-        and left_descent(rs, w, left.generators) is None
-    )
+    lam = tuple(int(i not in right.generators) for i in range(rs.rank))
+    reps = _orbit(rs, range(rs.rank), lam)
+    return tuple(w for w in reps if left_descent(rs, w, left.generators) is None)
 
 
 def in_parabolic(rs: RootSystem, w: WeylElement, p: ParabolicSubgroup) -> bool:

@@ -295,3 +295,26 @@ def test_main_internal_error_exits_three(tmp_path, capsys, monkeypatch):
     assert main([path]) == 3
     out = capsys.readouterr().out
     assert "[classification] AssertionError: invariant broke" in out
+
+
+# the Cremmer-Gervais triple on A3: |W(A3)| = 24, |W^{Gamma1}| = 24/|W(A2)| = 4
+CG_A3_ARGS = [
+    "--root-system", "A3", "--gamma1", "1,2", "--gamma2", "2,3",
+    "--tau", "1:2,2:3", "--mode", "gminus", "--format", "machine",
+]
+
+
+def test_weyl_bound_caps_the_coset_space_not_the_group(capsys, monkeypatch):
+    monkeypatch.setenv("LEAFATLAS_WEYL_BOUND", "10")
+    assert main(CG_A3_ARGS) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["errors"] == []
+    assert len(doc["records"]) == 4
+
+
+def test_weyl_bound_below_the_coset_space_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("LEAFATLAS_WEYL_BOUND", "3")
+    assert main(CG_A3_ARGS) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["stage"] for e in doc["errors"]] == ["classification"]
+    assert "exceeded bound 3" in doc["errors"][0]["detail"]

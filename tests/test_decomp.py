@@ -9,11 +9,13 @@ from leafatlas import (
     cg_triple,
     compute_decomposition,
     dimension_summary,
+    enumerate_valid_triples,
     full_h_predicate,
     solve_r0,
     validate_triple,
 )
 from leafatlas.bdtriple import CartanTerm
+from leafatlas.decomp import cartan_domain
 from leafatlas.linalg import matmul, matvec, transpose
 
 
@@ -123,10 +125,26 @@ def test_singular_cayley_transform_is_degenerate():
         )
 
 
-def test_dimension_summary_counts_are_consistent():
+# every valid triple of these systems also goes through the consistency checks
+_SUMMARY_SYSTEMS = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2",
+    "A1xA1", "A2xA1", "A2+T1", "F4",
+)
+
+
+def _summary_inputs():
     for label, gamma in (("A3", "cg"), ("A3", "std"), ("B3", "std")):
         rs = build_root_system(label)
-        t = cg_triple(rs) if gamma == "cg" else validate_triple(rs, (), (), {})
+        yield rs, cg_triple(rs) if gamma == "cg" else validate_triple(rs, (), (), {})
+    for label in _SUMMARY_SYSTEMS:
+        rs = build_root_system(label)
+        for t in enumerate_valid_triples(rs):
+            yield rs, t
+
+
+def test_dimension_summary_counts_are_consistent():
+    sides = 0
+    for rs, t in _summary_inputs():
         d = compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
         dims = dimension_summary(rs, t, d)
         n_roots = 2 * len(rs.positive_roots)
@@ -134,3 +152,9 @@ def test_dimension_summary_counts_are_consistent():
         assert dims["dim_g_plus"] + dims["dim_m_minus"] == dims["dim_g"]
         assert dims["dim_g_minus"] + dims["dim_m_plus"] == dims["dim_g"]
         assert dims["dim_m_plus"] == dims["dim_h_ort1"] + dims["dim_n_plus"]
+        # l'_i + a_i counted from the Cartan domain subspace itself
+        for side, levi in ((1, d.levi1_roots), (2, d.levi2_roots)):
+            dom = cartan_domain(rs, t, d, side)
+            assert dims[f"dim_lprime{side}_a{side}"] == len(levi) + dom.dim, (t, side)
+            sides += 1
+    assert sides == 2 * 3 + 202

@@ -401,6 +401,8 @@ def test_orbit_dim_constant_along_the_orbit():
     roots = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)]
     f = MatrixElement([[2, 1, 0], [0, 1, 3], [0, 0, F(1, 2)]], "group")
     base = tc_orbit_dim(f, identity_twist(), roots)
+    # a repeated root adds nothing to the span
+    assert tc_orbit_dim(f, identity_twist(), roots + roots[:3]) == base
     for _ in range(5):
         t = _random_sl(3, rng)
         moved = MatrixElement(
@@ -416,12 +418,19 @@ def _inv(m):
 
 
 def test_orbit_dim_rejects_unstable_subalgebra():
-    # conjugation by this cycle moves the first block span away from itself
+    # conjugation by this cycle moves the first block span away from itself,
+    # whether it comes from f or from the twist (with f = 1)
     rs = build_root_system("A2")
     w = perm_to_weyl(rs, (1, 2, 0))
     f = MatrixElement(wdot_matrix(w), "group")
     with pytest.raises(SubalgebraNotPreserved):
         tc_orbit_dim(f, identity_twist(), [(1, 0), (-1, 0)])
+    one = MatrixElement(identity(3), "group")
+    cycle = conjugation_twist(wdot_matrix(w))
+    # repeated roots must not inflate the span rank the check compares against
+    for roots in ([(1, 0), (-1, 0)], [(1, 0), (-1, 0)] * 2):
+        with pytest.raises(SubalgebraNotPreserved):
+            tc_orbit_dim(one, cycle, roots)
 
 
 def test_cg_orbit_correspondence_fixed_points():

@@ -47,6 +47,19 @@ def test_enumeration_bound_env(monkeypatch):
     rs = build_root_system("B3")
     with pytest.raises(ValueError):
         enumerate_weyl(rs)
+    # the bound caps the set being built: |W^J| = 48/|W(A2)| = 8 fits
+    reps = minimal_coset_reps(rs, ParabolicSubgroup.of(()), ParabolicSubgroup.of((0, 1)))
+    assert len(reps) == 8
+
+
+def test_e7_coset_space_under_the_default_bound(monkeypatch):
+    # |W(E7)| = 2903040 exceeds the default bound; J = Bourbaki {1,3,4,5,6}
+    # is of type A5, so |W^J| = 2903040/720
+    monkeypatch.delenv("LEAFATLAS_WEYL_BOUND", raising=False)
+    rs = build_root_system("E7")
+    reps = minimal_coset_reps(rs, ParabolicSubgroup.of(()), ParabolicSubgroup.of((0, 2, 3, 4, 5)))
+    assert len(reps) == 4032
+    assert max(w.length for w in reps) == len(rs.positive_roots) - 15
 
 
 def test_longest_element_properties():
