@@ -59,10 +59,7 @@ from .typea import (
     NotInLevi,
     SubalgebraNotPreserved,
     TensorElement,
-    ThetaPrime,
-    TwistAutomorphism,
     bruhat_decompose,
-    build_theta_prime,
     casimir_tensor,
     cg_orbit_correspondence,
     check_cybe,

@@ -27,7 +27,6 @@ from .linalg import (
     inverse,
     mat,
     matmul,
-    matvec,
     rank,
     transpose,
 )
@@ -44,12 +43,9 @@ from .weyl import (
 __all__ = [
     "MatrixElement",
     "TensorElement",
-    "TwistAutomorphism",
-    "ThetaPrime",
     "ParabolicBlocks",
     "SubalgebraNotPreserved",
     "NotInLevi",
-    "matrix_element",
     "matrix_from_text",
     "matrix_to_text",
     "realize_r",
@@ -60,7 +56,6 @@ __all__ = [
     "perm_to_weyl",
     "wdot_matrix",
     "bruhat_decompose",
-    "build_theta_prime",
     "conjugation_twist",
     "identity_twist",
     "tc_orbit_dim",
@@ -106,10 +101,6 @@ class MatrixElement:
         return len(self.entries)
 
 
-def matrix_element(rows, kind: str) -> MatrixElement:
-    return MatrixElement(entries=mat(rows), kind=kind)
-
-
 def matrix_from_text(text: str, kind: str) -> MatrixElement:
     rows = []
     for line in text.splitlines():
@@ -117,7 +108,7 @@ def matrix_from_text(text: str, kind: str) -> MatrixElement:
         if not line or line.startswith("#"):
             continue
         rows.append(tuple(Fraction(tok) for tok in line.split()))
-    return matrix_element(rows, kind)
+    return MatrixElement(rows, kind)
 
 
 def matrix_to_text(m: MatrixElement | Matrix) -> str:
@@ -192,7 +183,7 @@ class TensorElement:
 
 
 # ---------------------------------------------------------------------------
-# roots as intervals, diagonals as coroot coordinates
+# roots as intervals, coroots and matrix units
 
 
 def root_to_interval(root) -> tuple[int, int]:
@@ -219,25 +210,6 @@ def unit_matrix(size: int, i: int, j: int) -> Matrix:
     rows = [[Fraction(0)] * size for _ in range(size)]
     rows[i][j] = Fraction(1)
     return tuple(tuple(r) for r in rows)
-
-
-def diag_to_coroot_coords(diag) -> tuple[Fraction, ...]:
-    acc = Fraction(0)
-    out = []
-    for x in diag[:-1]:
-        acc += frac(x)
-        out.append(acc)
-    return tuple(out)
-
-
-def coroot_coords_to_diag(coords) -> tuple[Fraction, ...]:
-    prev = Fraction(0)
-    out = []
-    for c in coords:
-        out.append(frac(c) - prev)
-        prev = frac(c)
-    out.append(-prev)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -517,182 +489,57 @@ def bruhat_decompose(
 
 
 # ---------------------------------------------------------------------------
-# the Levi isomorphism induced by tau, and twist automorphisms
-
-
-@dataclass(frozen=True, eq=False)
-class ThetaPrime:
-    """Exact realization of the Levi isomorphism on sl(n+1).
-
-    Root vectors map by the tau-interval with a bracket-consistent sign;
-    the diagonal part maps through the Cartan Cayley-transform matrix in
-    coroot coordinates.
-    """
-
-    size: int
-    root_images: dict
-    cartan: Matrix
-    cartan_inverse: Matrix
-
-    def _apply(self, x: Matrix, direction: int) -> Matrix:
-        size = self.size
-        images = self.root_images if direction > 0 else self._inverse_images()
-        cart = self.cartan if direction > 0 else self.cartan_inverse
-        out = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                if i == j or x[i][j] == 0:
-                    continue
-                hit = images.get((i, j))
-                if hit is None:
-                    raise SubalgebraNotPreserved(
-                        f"entry ({i}, {j}) outside the isomorphism domain"
-                    )
-                (p, q), s = hit
-                out[p][q] += x[i][j] * s
-        diag = [x[i][i] for i in range(size)]
-        if any(d != 0 for d in diag):
-            coords = diag_to_coroot_coords(diag)
-            new_diag = coroot_coords_to_diag(matvec(cart, coords))
-            for i in range(size):
-                out[i][i] += new_diag[i]
-        return tuple(tuple(row) for row in out)
-
-    def _inverse_images(self) -> dict:
-        inv = {}
-        for (i, j), ((p, q), s) in self.root_images.items():
-            inv[(p, q)] = ((i, j), s)
-        return inv
-
-    def apply(self, x: Matrix) -> Matrix:
-        return self._apply(x, 1)
-
-    def apply_inverse(self, x: Matrix) -> Matrix:
-        return self._apply(x, -1)
-
-
-def build_theta_prime(rs: RootSystem, triple: BDTriple, d: Decomposition) -> ThetaPrime:
-    size = rs.rank + 1
-    tmap = triple.tau_map
-    images: dict = {}
-    # simple roots first, then longer intervals by bracket induction
-    pos = sorted(
-        (root_to_interval(a) for a in d.levi1_roots if all(x >= 0 for x in a)),
-        key=lambda ij: ij[1] - ij[0],
-    )
-    for i, j in pos:
-        if j == i + 1:
-            t = tmap[i]
-            images[(i, j)] = ((t, t + 1), 1)
-        else:
-            (p1, q1), s1 = images[(i, j - 1)]
-            (p2, q2), s2 = images[(j - 1, j)]
-            terms = _bracket_units((p1, q1), (p2, q2))
-            if len(terms) != 1:
-                raise AssertionError("interval image bracket is not a single unit")
-            (u, s) = terms[0]
-            images[(i, j)] = (u, s1 * s2 * s)
-    for (i, j), ((p, q), s) in list(images.items()):
-        images[(j, i)] = ((q, p), s)
-    tp = ThetaPrime(
-        size=size,
-        root_images=images,
-        cartan=d.theta_cartan,
-        cartan_inverse=inverse(d.theta_cartan),
-    )
-    _validate_theta_prime(rs, d, tp)
-    return tp
-
-
-def _validate_theta_prime(rs: RootSystem, d: Decomposition, tp: ThetaPrime):
-    """Bracket preservation over all pairs of Levi root vectors."""
-    size = tp.size
-    units = [
-        root_to_interval(a) for a in d.levi1_roots
-    ]
-    mats = {ij: unit_matrix(size, *ij) for ij in units}
-
-    def bracket(a: Matrix, b: Matrix) -> Matrix:
-        return tuple(
-            tuple(x - y for x, y in zip(ra, rb))
-            for ra, rb in zip(matmul(a, b), matmul(b, a))
-        )
-
-    for ij in units:
-        for kl in units:
-            lhs = bracket(mats[ij], mats[kl])
-            if not _in_domain(lhs, tp):
-                raise AssertionError("Levi bracket left the isomorphism domain")
-            got = tp.apply(lhs)
-            want = bracket(tp.apply(mats[ij]), tp.apply(mats[kl]))
-            if got != want:
-                raise AssertionError(
-                    f"bracket preservation fails on {ij}, {kl}"
-                )
-
-
-def _in_domain(x: Matrix, tp: ThetaPrime) -> bool:
-    for i in range(tp.size):
-        for j in range(tp.size):
-            if i != j and x[i][j] != 0 and (i, j) not in tp.root_images:
-                return False
-    return True
-
-
-@dataclass(frozen=True, eq=False)
-class TwistAutomorphism:
-    """Composition of conjugations and Levi-isomorphism applications."""
-
-    steps: tuple
-
-    def apply(self, x: Matrix) -> Matrix:
-        cur = mat(x)
-        for step in self.steps:
-            if step[0] == "ad":
-                _, g, g_inv = step
-                cur = matmul(g, matmul(cur, g_inv))
-            else:
-                _, tp, direction = step
-                cur = tp.apply(cur) if direction > 0 else tp.apply_inverse(cur)
-        return cur
-
-
-def identity_twist() -> TwistAutomorphism:
-    return TwistAutomorphism(steps=())
-
-
-def conjugation_twist(g: MatrixElement | Matrix) -> TwistAutomorphism:
-    m = g.entries if isinstance(g, MatrixElement) else mat(g)
-    return TwistAutomorphism(steps=(("ad", m, inverse(m)),))
-
-
-# ---------------------------------------------------------------------------
 # twisted-conjugation orbit dimension
+
+
+def identity_twist() -> None:
+    """The trivial twist: tc_orbit_dim conjugates by f alone."""
+    return None
+
+
+def conjugation_twist(g: MatrixElement | Matrix) -> Matrix:
+    """The twist x -> g x g^{-1}, represented by its conjugating matrix."""
+    return g.entries if isinstance(g, MatrixElement) else mat(g)
 
 
 def _flatten(m: Matrix) -> tuple[Fraction, ...]:
     return tuple(x for row in m for x in row)
 
 
-def tc_orbit_dim(f: MatrixElement, twist: TwistAutomorphism, subalgebra_roots) -> int:
-    """Rank of x -> f twist(x) f^{-1} - x over the stable subalgebra span.
+def _conjugation_images(h: Matrix, intervals) -> tuple[list, list]:
+    """Flattened basis (coroots, then the root vectors E_ij of the given
+    intervals) of a subspace of sl(len(h)), and the images of that basis
+    under x -> h x h^{-1} - x."""
+    size = len(h)
+    hi = inverse(h)
+    basis = [coroot_matrix(size, i) for i in range(size - 1)]
+    basis += [unit_matrix(size, i, j) for i, j in intervals]
+    span = [_flatten(b) for b in basis]
+    images = [
+        tuple(p - q for p, q in zip(_flatten(matmul(h, matmul(b, hi))), row))
+        for b, row in zip(basis, span)
+    ]
+    return span, images
+
+
+def tc_orbit_dim(f: MatrixElement, twist: Matrix | None, subalgebra_roots) -> int:
+    """Rank of x -> f g x g^{-1} f^{-1} - x over the stable subalgebra span,
+    with g the twist's conjugating matrix (none for the identity twist).
 
     The span is the full Cartan plus the root vectors of the given roots;
     central directions therefore contribute alongside the derived part.
     """
     size = f.size
-    fm = f.entries
-    fi = inverse(fm)
-    # coroots and distinct root vectors are independent: the span has rank len(basis)
-    intervals = dict.fromkeys(root_to_interval(root) for root in subalgebra_roots)
-    basis = [coroot_matrix(size, i) for i in range(size - 1)]
-    basis += [unit_matrix(size, i, j) for i, j in intervals]
-    span = [_flatten(b) for b in basis]
-    images = [
-        tuple(p - q for p, q in zip(_flatten(matmul(fm, matmul(twist.apply(b), fi))), row))
-        for b, row in zip(basis, span)
-    ]
-    if rank(span + images) > len(basis):
+    roots = list(subalgebra_roots)
+    if any(len(root) != size - 1 for root in roots):
+        raise ValueError(f"a {size}x{size} matrix needs roots of A{size - 1}")
+    # f (g x g^{-1}) f^{-1} = (fg) x (fg)^{-1}
+    h = f.entries if twist is None else matmul(f.entries, twist)
+    # coroots and distinct root vectors are independent: the span has rank len(span)
+    span, images = _conjugation_images(
+        h, dict.fromkeys(root_to_interval(root) for root in roots)
+    )
+    if rank(span + images) > len(span):
         raise SubalgebraNotPreserved("twisted image leaves the subalgebra span")
     return rank(images)
 
@@ -822,16 +669,10 @@ def cg_orbit_correspondence(n: int, j: int, b: MatrixElement | None):
             rows[t][t] = Fraction(1)
         rows[size - 1][size - 1] = 1 / bdet
         f_entries = tuple(tuple(r) for r in rows)
-        bi = inverse(bm)
-        images = []
-        for p in range(j):
-            for q in range(j):
-                x = unit_matrix(j, p, q)
-                y = matmul(bm, matmul(x, bi))
-                images.append(
-                    tuple(u - v for u, v in zip(_flatten(y), _flatten(x)))
-                )
-        gl_dim = rank(images)
+        # conjugation fixes the identity, so the rank over gl(j) is the
+        # rank over the sl(j) basis
+        off_diagonal = [(p, q) for p in range(j) for q in range(j) if p != q]
+        gl_dim = rank(_conjugation_images(bm, off_diagonal)[1])
     v = cg_sigma(rs, j)
     twist = conjugation_twist(wdot_matrix(v))
     f = MatrixElement(f_entries, "group")

@@ -215,6 +215,30 @@ def test_missing_sample_file_fails_only_that_stage(tmp_path):
     assert report.records
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "1 1 0\n0 1 0\n0 0 1\n",
+        "1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n0 0 0 2 1\n0 0 0 1 1\n",
+    ],
+    ids=["3x3", "5x5"],
+)
+def test_orbit_sample_of_the_wrong_size_is_an_input_error(tmp_path, capsys, rows):
+    # A3 needs 4x4 samples; a smaller one used to crash, a larger one to
+    # report a meaningless orbit dimension
+    f = tmp_path / "f.mat"
+    f.write_text(rows)
+    args = ["--root-system", "A3", "--typea-checks", "true"]
+    args += ["--orbit-sample", str(f), "--format", "machine"]
+    assert main(args) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [(e["stage"], e["error"], e["severity"]) for e in doc["errors"]] == [
+        ("typea", "ValueError", "input")
+    ]
+    assert "roots of A" in doc["errors"][0]["detail"]
+    assert doc["verification"]["orbit_samples"] == []
+
+
 def test_typea_checks_need_a_type():
     cfg = JobConfig(root_system="B2", typea_checks=True)
     report = run_job(cfg)

@@ -27,7 +27,6 @@ from leafatlas.typea import (
     ParabolicBlocks,
     SubalgebraNotPreserved,
     TensorElement,
-    build_theta_prime,
     bruhat_decompose,
     casimir_tensor,
     cg_orbit_correspondence,
@@ -35,9 +34,7 @@ from leafatlas.typea import (
     check_cybe,
     check_symmetric_part,
     conjugation_twist,
-    coroot_coords_to_diag,
     coroot_matrix,
-    diag_to_coroot_coords,
     identity_twist,
     matrix_from_text,
     matrix_to_text,
@@ -46,7 +43,6 @@ from leafatlas.typea import (
     realize_r,
     root_to_interval,
     tc_orbit_dim,
-    unit_matrix,
     wdot_matrix,
     weyl_to_perm,
 )
@@ -102,14 +98,6 @@ def test_root_to_interval_both_signs():
     assert root_to_interval((1, 1)) == (0, 2)
     assert root_to_interval((0, -1)) == (2, 1)
     assert root_to_interval((-1, -1)) == (2, 0)
-
-
-def test_diag_coroot_coordinate_round_trip():
-    diag = (F(3), F(-1), F(-2))
-    coords = diag_to_coroot_coords(diag)
-    assert coroot_coords_to_diag(coords) == diag
-    # simple coroots map to unit coordinate vectors
-    assert diag_to_coroot_coords((1, -1, 0)) == (F(1), F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -333,57 +321,7 @@ def test_bruhat_lower_pair_and_mixed_rejection():
 
 
 # ---------------------------------------------------------------------------
-# the Levi isomorphism and twisted conjugation
-
-
-def _cg_setup(label):
-    rs = build_root_system(label)
-    t = cg_triple(rs)
-    d = compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
-    return rs, t, d
-
-
-def test_theta_prime_cg_a2_images():
-    rs, t, d = _cg_setup("A2")
-    tp = build_theta_prime(rs, t, d)
-    e01 = mat(unit_matrix(3, 0, 1))
-    assert tp.apply(e01) == mat(unit_matrix(3, 1, 2))
-    e10 = mat(unit_matrix(3, 1, 0))
-    assert tp.apply(e10) == mat(unit_matrix(3, 2, 1))
-
-
-def test_theta_prime_cg_a2_cartan_is_a_shift():
-    rs, t, d = _cg_setup("A2")
-    tp = build_theta_prime(rs, t, d)
-    before = [[F(2), 0, 0], [0, F(5), 0], [0, 0, F(-7)]]
-    got = tp.apply(mat(before))
-    assert got == mat([[F(-7), 0, 0], [0, F(2), 0], [0, 0, F(5)]])
-
-
-def test_theta_prime_preserves_brackets_on_the_levi():
-    rs, t, d = _cg_setup("A3")
-    tp = build_theta_prime(rs, t, d)
-    x = mat(unit_matrix(4, 0, 1))
-    y = mat(unit_matrix(4, 1, 2))
-    xy = matmul(x, y)
-    yx = matmul(y, x)
-    br = tuple(
-        tuple(xy[i][j] - yx[i][j] for j in range(4)) for i in range(4)
-    )
-    tx, ty = tp.apply(x), tp.apply(y)
-    txy = matmul(tx, ty)
-    tyx = matmul(ty, tx)
-    tbr = tuple(
-        tuple(txy[i][j] - tyx[i][j] for j in range(4)) for i in range(4)
-    )
-    assert tp.apply(br) == tbr
-
-
-def test_theta_prime_rejects_entries_outside_the_levi():
-    rs, t, d = _cg_setup("A2")
-    tp = build_theta_prime(rs, t, d)
-    with pytest.raises(SubalgebraNotPreserved):
-        tp.apply(mat(unit_matrix(3, 0, 2)))
+# twisted conjugation
 
 
 def test_plain_conjugation_orbit_dims_sl2():
@@ -441,6 +379,13 @@ def test_cg_orbit_correspondence_fixed_points():
 
 # ---------------------------------------------------------------------------
 # coset normalization
+
+
+def _cg_setup(label):
+    rs = build_root_system(label)
+    t = cg_triple(rs)
+    d = compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
+    return rs, t, d
 
 
 def test_normalize_rejects_bad_inputs():
