@@ -526,7 +526,11 @@ def main(argv=None) -> int:
     report = run_job(cfg)
     text = emit(report, cfg.format)
     if cfg.out:
-        Path(cfg.out).write_text(text)
+        try:
+            Path(cfg.out).write_text(text)
+        except OSError as e:
+            print(f"leafatlas: cannot write {cfg.out}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
 

@@ -502,24 +502,24 @@ def conjugation_twist(g: MatrixElement | Matrix) -> Matrix:
     return g.entries if isinstance(g, MatrixElement) else mat(g)
 
 
-def _flatten(m: Matrix) -> tuple[Fraction, ...]:
-    return tuple(x for row in m for x in row)
-
-
 def _conjugation_images(h: Matrix, intervals) -> tuple[list, list]:
     """Flattened basis (coroots, then the root vectors E_ij of the given
     intervals) of a subspace of sl(len(h)), and the images of that basis
     under x -> h x h^{-1} - x."""
     size = len(h)
     hi = inverse(h)
-    basis = [coroot_matrix(size, i) for i in range(size - 1)]
-    basis += [unit_matrix(size, i, j) for i, j in intervals]
-    span = [_flatten(b) for b in basis]
-    images = [
-        tuple(p - q for p, q in zip(_flatten(matmul(h, matmul(b, hi))), row))
-        for b, row in zip(basis, span)
-    ]
-    return span, images
+
+    def term(i, j):
+        # E_ij and h E_ij h^{-1}, column i of h times row j of h^{-1}, flattened
+        e = [Fraction(int(k == i * size + j)) for k in range(size * size)]
+        return e, [row[i] * x for row in h for x in hi[j]]
+
+    def diff(a, b):
+        return tuple(p - q for p, q in zip(a, b))
+
+    pairs = [tuple(map(diff, term(i, i), term(i + 1, i + 1))) for i in range(size - 1)]
+    pairs += [term(i, j) for i, j in intervals]
+    return [tuple(b) for b, _ in pairs], [diff(m, b) for b, m in pairs]
 
 
 def tc_orbit_dim(f: MatrixElement, twist: Matrix | None, subalgebra_roots) -> int:

@@ -8,6 +8,8 @@ matrix.  Descents are sign tests on images of simple roots.
 W, W_J and the minimal coset representatives W^J are each one BFS over a
 Weyl orbit in fundamental-weight coordinates, with lengths as BFS depths and
 a bound on the set's size (env var LEAFATLAS_WEYL_BOUND, default 10^6).
+Reduced words and the factorization u = w1·w·w2 strip right descents one
+at a time, with lengths stepped down by one.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "weyl_identity",
     "compose",
     "inverse_element",
-    "cross_parabolic",
     "reduced_word",
 ]
 
@@ -207,22 +208,16 @@ def in_parabolic(rs: RootSystem, w: WeylElement, p: ParabolicSubgroup) -> bool:
     return True
 
 
-def cross_parabolic(
-    rs: RootSystem, w: WeylElement, left: ParabolicSubgroup, right: ParabolicSubgroup
-) -> ParabolicSubgroup:
-    """The absorbing parabolic W_L ∩ w·W_R·w^{-1} of a double-minimal w.
-
-    Generated by the simple roots alpha of the left subsystem whose image
-    w^{-1}(alpha) is a root of the right subsystem.
-    """
-    winv_m = inverse_element(rs, w).matrix
-    gens = set()
-    for i in left.generators:
-        img = apply_matrix(winv_m, rs.simple_roots[i])
-        support = {t for t, x in enumerate(img) if x != 0}
-        if support <= right.generators:
-            gens.add(i)
-    return ParabolicSubgroup.of(gens)
+def _strip(rs: RootSystem, w: WeylElement, indices) -> tuple[WeylElement, list[int]]:
+    """Remove right descents in indices, smallest first, one at a time: the
+    result x and the word [j1, ..., jk] with w = x·s_jk·...·s_j1 reduced."""
+    word: list[int] = []
+    cur = w
+    while (j := right_descent(rs, cur, indices)) is not None:
+        # j is a right descent, so cur·s_j is one shorter
+        cur = WeylElement(_matmul(cur.matrix, rs.reflections[j]), cur.length - 1)
+        word.append(j)
+    return cur, word
 
 
 def decompose_min(
@@ -234,71 +229,29 @@ def decompose_min(
     """Write u = w1·w·w2 with additive lengths.
 
     w is the minimal double-coset representative, w1 the minimal
-    representative of its coset modulo the absorbing parabolic, w2 in the
-    right parabolic subgroup.  The decomposition is unique.
+    representative of its coset modulo the absorbing parabolic
+    W_L ∩ w·W_R·w^{-1}, w2 in the right parabolic subgroup.  The
+    decomposition is unique.  Stripping u on the right by R gives
+    u = x·w2 with x in W^R; stripping x^{-1} on the right by L gives
+    x = w1·w.  Left descents keep x in W^R, and Kilmoyer's theorem makes
+    w1 minimal modulo the absorbing parabolic (Björner–Brenti §2.4).
     """
-    ident = weyl_identity(rs)
-
-    # minimal double-coset representative by greedy descent on both sides
-    w = u
-    while True:
-        i = left_descent(rs, w, left.generators)
-        if i is not None:
-            w = compose(rs, simple_reflection(rs, i), w)
-            continue
-        j = right_descent(rs, w, right.generators)
-        if j is not None:
-            w = compose(rs, w, simple_reflection(rs, j))
-            continue
-        break
-
-    # split u = a·x with x minimal in W_L·u
-    a = ident
-    x = u
-    while True:
-        i = left_descent(rs, x, left.generators)
-        if i is None:
-            break
-        s = simple_reflection(rs, i)
-        x = compose(rs, s, x)
-        a = compose(rs, a, s)
-    # x lies in w·W_R with additive lengths
-    w_inv = inverse_element(rs, w)
-    b = compose(rs, w_inv, x)
-    if not in_parabolic(rs, b, right):
-        raise AssertionError("double-coset reduction failed to land in W_R")
-    if x.length != w.length + b.length:
-        raise AssertionError("length additivity failed in coset splitting")
-
-    # push a to the minimal representative of a·W^w, transferring across w
-    j_par = cross_parabolic(rs, w, left, right)
-    while True:
-        j = right_descent(rs, a, j_par.generators)
-        if j is None:
-            break
-        s = simple_reflection(rs, j)
-        a = compose(rs, a, s)
-        # s transfers across w as the reflection through w^{-1}(alpha_j)
-        t = compose(rs, compose(rs, w_inv, s), w)
-        b = compose(rs, t, b)
-
-    if u.length != a.length + w.length + b.length:
-        raise AssertionError("length additivity failed in decompose_min")
-    recombined = compose(rs, compose(rs, a, w), b)
-    if recombined.matrix != u.matrix:
+    x, word2 = _strip(rs, u, right.generators)
+    x_inv = inverse_element(rs, x)
+    w_inv, word1 = _strip(rs, x_inv, left.generators)
+    w = inverse_element(rs, w_inv)
+    w1 = WeylElement(_matmul(x.matrix, w_inv.matrix), len(word1))
+    w2 = WeylElement(_matmul(x_inv.matrix, u.matrix), len(word2))
+    if right_descent(rs, w, right.generators) is not None:
+        raise AssertionError("decompose_min representative left W^R")
+    if _matmul(_matmul(w1.matrix, w.matrix), w2.matrix) != u.matrix:
         raise AssertionError("decompose_min product mismatch")
-    return a, w, b
+    return w1, w, w2
 
 
 def reduced_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
     """A reduced word (s_{i1}·...·s_{il} = w), chosen deterministically."""
-    word: list[int] = []
-    cur = w
-    while cur.length > 0:
-        j = right_descent(rs, cur, range(rs.rank))
-        if j is None:
-            raise AssertionError("non-identity element without right descent")
-        # j is a right descent, so cur·s_j is one shorter
-        cur = WeylElement(_matmul(cur.matrix, rs.reflections[j]), cur.length - 1)
-        word.append(j)
+    rest, word = _strip(rs, w, range(rs.rank))
+    if rest.length:
+        raise AssertionError("non-identity element without right descent")
     return tuple(reversed(word))

@@ -300,6 +300,13 @@ def test_main_invalid_config_exits_two(tmp_path, capsys):
     assert "leafatlas: invalid input: line 2: unknown key 'bogus'" in err
 
 
+def test_main_unwritable_out_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.txt"
+    assert main(["--root-system", "A2", "--out", str(out)]) == 2
+    assert f"leafatlas: cannot write {out}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_reported_input_error_exits_two(tmp_path, capsys):
     path = _write_cfg(
         tmp_path, "root_system = B2\ngamma1 = 1\ngamma2 = 2\ntau = 1:2\n"

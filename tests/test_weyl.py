@@ -14,7 +14,6 @@ from leafatlas import (
 )
 from leafatlas.weyl import (
     compose,
-    cross_parabolic,
     in_parabolic,
     inverse_element,
     left_descent,
@@ -170,22 +169,3 @@ def test_minimal_reps_partition_the_group():
         for a in parabolic_elements(rs, p):
             covered.add(compose(rs, a, r).matrix)
     assert len(covered) == len(enumerate_weyl(rs))
-
-
-def test_cross_parabolic_absorbing_generators():
-    rs = build_root_system("A3")
-    e = weyl_identity(rs)
-    got = cross_parabolic(
-        rs, e, ParabolicSubgroup.of((0, 1)), ParabolicSubgroup.of((1, 2))
-    )
-    assert got.generators == frozenset({1})
-    # the rotation carries the last block back onto the first
-    w = compose(
-        rs,
-        compose(rs, simple_reflection(rs, 0), simple_reflection(rs, 1)),
-        simple_reflection(rs, 2),
-    )
-    got = cross_parabolic(
-        rs, w, ParabolicSubgroup.of((1, 2)), ParabolicSubgroup.of((0, 1))
-    )
-    assert got.generators == frozenset({1, 2})
