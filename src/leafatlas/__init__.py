@@ -43,7 +43,6 @@ from .leafclass import (
     NonCommensurableLattices,
     NotMinimalRep,
     PairStableSubalgebra,
-    SimplifiedPathUnavailable,
     StableSubalgebra,
     ThetaMinusOneSingular,
     classify_g,

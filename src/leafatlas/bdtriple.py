@@ -177,19 +177,14 @@ def validate_triple(rs: RootSystem, gamma1, gamma2, tau) -> BDTriple:
 
 
 def tau_linear_matrix(rs: RootSystem, triple: BDTriple) -> Matrix:
-    """Linear extension of tau to root coordinates (e_i -> e_tau(i)).
+    """Linear extension of tau to root coordinates (e_i -> e_tau(i)), as a
+    0/1 integer matrix.
 
     Only meaningful on vectors supported on gamma1.
     """
     k = rs.cartan_rank
-    cols = []
     tmap = triple.tau_map
-    for j in range(k):
-        if j in tmap:
-            cols.append(tuple(1 if t == tmap[j] else 0 for t in range(k)))
-        else:
-            cols.append(tuple(0 for _ in range(k)))
-    return mat(tuple(tuple(cols[j][t] for j in range(k)) for t in range(k)))
+    return tuple(tuple(int(tmap.get(j) == t) for j in range(k)) for t in range(k))
 
 
 def _supported_on(v, indices: set[int]) -> bool:
@@ -208,7 +203,7 @@ def partial_order_pairs(rs: RootSystem, triple: BDTriple):
     for alpha in filter(rs.is_positive_root, levi_roots(rs, g1)):
         cur = alpha
         while _supported_on(cur, g1):
-            nxt = tuple(int(x) for x in matvec(tlin, vec(cur)))
+            nxt = matvec(tlin, cur)
             if not rs.is_positive_root(nxt):
                 raise AssertionError("tau image of a positive root is not a root")
             pairs.append((alpha, nxt))

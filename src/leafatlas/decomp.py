@@ -21,7 +21,6 @@ from .linalg import (
     matmul,
     matvec,
     msub,
-    vec,
 )
 from .rootsys import RootSystem, levi_roots
 
@@ -59,8 +58,7 @@ class Decomposition:
 
 
 def simple_span(rs: RootSystem, indices) -> Subspace:
-    cols = [vec(rs.simple_roots[i]) for i in sorted(indices)]
-    return Subspace(rs.cartan_rank, cols)
+    return Subspace(rs.cartan_rank, [rs.simple_roots[i] for i in sorted(indices)])
 
 
 def form_perp_of_simples(rs: RootSystem, indices) -> Subspace:
@@ -114,7 +112,7 @@ def compute_decomposition(
 
     tlin = tau_linear_matrix(rs, triple)
     theta_roots = tuple(
-        sorted((a, tuple(int(x) for x in matvec(tlin, vec(a)))) for a in l1)
+        sorted((a, matvec(tlin, a)) for a in l1)
     )
 
     return Decomposition(

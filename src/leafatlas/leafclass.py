@@ -25,10 +25,9 @@ from .linalg import (
     Lattice,
     Matrix,
     Subspace,
-    frac,
+    _int_rows,
+    _integer_scaled,
     identity,
-    inverse,
-    mat,
     matmul,
     matvec,
     msub,
@@ -53,7 +52,6 @@ __all__ = [
     "FiniteAbelianGroup",
     "AffineDim",
     "NotMinimalRep",
-    "SimplifiedPathUnavailable",
     "ThetaMinusOneSingular",
     "NonCommensurableLattices",
     "stable_roots",
@@ -66,10 +64,6 @@ __all__ = [
 
 
 class NotMinimalRep(ValueError):
-    pass
-
-
-class SimplifiedPathUnavailable(ValueError):
     pass
 
 
@@ -198,10 +192,10 @@ def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
 class _Frame:
     """What the records of one (rs, triple, d) share.
 
-    The Cartan domain of the first side, theta and the tau maps are built
-    once.  Data that depends on one representative, on one stable root set,
-    or on a first-side representative and a root set is memoized on first
-    use, so the per-record work is the stable-root walk and a few ranks.
+    The Cartan domain of the first side and the tau maps are built once.
+    Data that depends on one representative, on one stable root set, or on
+    a first-side representative and a root set is memoized on first use, so
+    the per-record work is the stable-root walk and a few integer ranks.
     """
 
     def __init__(self, rs: RootSystem, triple: BDTriple, d: Decomposition):
@@ -209,9 +203,8 @@ class _Frame:
         self.triple = triple
         self.d = d
         self.k = rs.cartan_rank
-        self.zero = tuple(frac(0) for _ in range(self.k))
+        self.zero = (0,) * self.k
         self.dom1 = cartan_domain(rs, triple, d, 1)
-        self.theta = d.theta_cartan
         # tau maps the first Levi's roots onto the second's
         self.tau = dict(d.theta_roots)
         self.tau_inv = {b: a for a, b in d.theta_roots}
@@ -222,50 +215,50 @@ class _Frame:
         self._meets = {}
 
     @cached_property
-    def theta_inv(self) -> Matrix:
-        # built on first use: one-sided records never need it, and theta is
-        # singular on a degenerate (unvalidated) Cartan term
-        return inverse(self.theta)
+    def theta_scaled(self) -> Matrix:
+        # c·theta for the lcm c of theta's denominators, built on first use:
+        # one-sided records never need it, and the two-sided ranks need it
+        # invertible, which it is not on a degenerate (unvalidated) Cartan term
+        big, _ = _integer_scaled(self.d.theta_cartan)
+        if rank(big) < self.k:
+            raise ValueError("singular matrix")
+        return big
 
     def _moved(self, m: Matrix, space: Subspace) -> Subspace:
         return Subspace(self.k, [matvec(m, x) for x in space.vectors()])
 
     def left(self, v: WeylElement, label: str):
-        """v as a rational matrix and a basis of h_ort1 + v·h_ort1."""
+        """A basis of h_ort1 + v·h_ort1."""
         hit = self._left.get(v)
         if hit is None:
             _require_coset_minimal(self.rs, v, self.triple.gamma1, label)
-            m = mat(v.matrix)
-            ort = self.d.h_ort1.add(self._moved(m, self.d.h_ort1))
-            hit = self._left[v] = (m, ort.vectors())
+            ort = self.d.h_ort1.add(self._moved(v.matrix, self.d.h_ort1))
+            hit = self._left[v] = ort.vectors()
         return hit
 
     def left_pair(self, v1: WeylElement):
-        """The two-sided extras of v1: v1·dom1, theta·v1^{-1} and the
-        u3 rows (x, 0) for x in h_ort1 + v1·h_ort1."""
+        """The two-sided extras of v1: v1·dom1, Theta·v1^{-1}, its image of
+        h_ort1 + v1·h_ort1, and the u3 rows (x, 0) for x in that sum."""
         hit = self._left_pair.get(v1)
         if hit is None:
-            m1, ort = self.left(v1, "v1")
-            v1_inv = mat(inverse_element(self.rs, v1).matrix)
+            ort = self.left(v1, "v1")
+            theta_v1inv = matmul(self.theta_scaled, inverse_element(self.rs, v1).matrix)
             hit = self._left_pair[v1] = (
-                self._moved(m1, self.dom1),
-                matmul(self.theta, v1_inv),
+                self._moved(v1.matrix, self.dom1),
+                theta_v1inv,
+                tuple(matvec(theta_v1inv, x) for x in ort),
                 tuple(x + self.zero for x in ort),
             )
         return hit
 
     def right(self, v2: WeylElement):
-        """v2·theta, theta^{-1}·v2·theta and the u3 rows (0, y) for y in
-        h_ort2 + v2·h_ort2."""
+        """v2·Theta and the u3 rows (0, y) for y in h_ort2 + v2·h_ort2."""
         hit = self._right.get(v2)
         if hit is None:
             _require_coset_minimal(self.rs, v2, self.triple.gamma2, "v2")
-            m2 = mat(v2.matrix)
-            v2theta = matmul(m2, self.theta)
-            ort = self.d.h_ort2.add(self._moved(m2, self.d.h_ort2))
+            ort = self.d.h_ort2.add(self._moved(v2.matrix, self.d.h_ort2))
             hit = self._right[v2] = (
-                v2theta,
-                matmul(self.theta_inv, v2theta),
+                matmul(v2.matrix, self.theta_scaled),
                 tuple(self.zero + y for y in ort.vectors()),
             )
         return hit
@@ -275,7 +268,7 @@ class _Frame:
         hit = self._spans.get(root_set)
         if hit is None:
             _assert_simple_generated(self.rs, root_set)
-            span = Subspace(self.k, [tuple(map(frac, a)) for a in root_set])
+            span = Subspace(self.k, root_set)
             perp = span.perp(self.rs.gram)
             hit = self._spans[root_set] = (
                 span.dim,
@@ -294,19 +287,19 @@ class _Frame:
             hit = self._meets[key] = lv_center.intersect(center2)
         return hit
 
-    def cong(self, moved: Matrix, lv_center: Subspace, center_dim: int, ort):
-        """Rank of (twist - 1) on the center and the codimension of its
-        image plus h_ort1 + v1·h_ort1, from moved = twist·lv_center.basis."""
-        image = transpose(msub(moved, lv_center.basis))
-        return rank(image), center_dim - rank(image + ort)
+    def cong(self, image: Matrix, center_dim: int, ort):
+        """Rank of image and the codimension in the center of its column
+        span plus the span of ort."""
+        rows = transpose(image)
+        return rank(rows), center_dim - rank(rows + ort)
 
     def single(self, v: WeylElement) -> StableSubalgebra:
-        m, ort = self.left(v, "v")
+        ort = self.left(v, "v")
         root_set = stable_roots(self.d.levi1_roots, v)
         span_dim, _, lv_center = self.span_data(root_set)
         center_dim = self.k - span_dim
         cong_dim, moduli_dim = self.cong(
-            matmul(m, lv_center.basis), lv_center, center_dim, ort
+            msub(matmul(v.matrix, lv_center.basis), lv_center.basis), center_dim, ort
         )
         return StableSubalgebra(
             root_set=root_set,
@@ -318,8 +311,9 @@ class _Frame:
         )
 
     def pair(self, v1: WeylElement, v2: WeylElement) -> PairStableSubalgebra:
-        m1, ort1 = self.left(v1, "v1")
-        v2theta, conj, u3_right = self.right(v2)
+        self.left(v1, "v1")  # v1 is checked before v2
+        v2theta, u3_right = self.right(v2)
+        _, theta_v1inv, moved_ort, u3_left = self.left_pair(v1)
         tau, tau_inv = self.tau, self.tau_inv
 
         def phi(a):
@@ -329,17 +323,18 @@ class _Frame:
         root_set = stable_roots(self.d.levi1_roots, phi)
         span_dim, _, lv_center = self.span_data(root_set)
         center_dim = self.k - span_dim
-        # the twist psi = v1·theta^-1·v2·theta is only ever applied to lv_center
-        moved = matmul(m1, matmul(conj, lv_center.basis))
-        cong_dim, moduli_dim = self.cong(moved, lv_center, center_dim, ort1)
+        # D = v2·Theta - Theta·v1^-1 is c·theta·v1^-1·(psi - 1) for the twist
+        # psi = v1·theta^-1·v2·theta, and c·theta·v1^-1 is invertible, so D keeps
+        # the ranks of psi - 1 when h_ort1 + v1·h_ort1 is moved by Theta·v1^-1 too
+        diff = msub(v2theta, theta_v1inv)
+        cong_dim, moduli_dim = self.cong(matmul(diff, lv_center.basis), center_dim, moved_ort)
 
         # u1 = graph(v2theta | lv_center), u2 = graph(theta·v1^-1 | center2), so
-        # u1 ∩ u2 = graph(v2theta | ker(v2theta - theta·v1^-1) on lv_center ∩ center2)
-        _, theta_v1inv, u3_left = self.left_pair(v1)
+        # u1 ∩ u2 = graph(v2theta | ker D on lv_center ∩ center2); integer kernel
+        # vectors and (a, b) -> (a, c·b), which maps u3 onto itself, keep it integral
         meet = self.meet(v1, root_set).basis
-        kernel = nullspace(matmul(msub(v2theta, theta_v1inv), meet))
         graph = []
-        for c in kernel:
+        for c in _int_rows(nullspace(matmul(diff, meet)))[0]:
             x = matvec(meet, c)
             graph.append(x + matvec(v2theta, x))
         return PairStableSubalgebra(
@@ -427,13 +422,8 @@ def classify_g(
     rs: RootSystem,
     triple: BDTriple,
     d: Decomposition,
-    simplified: bool = False,
 ) -> tuple[LeafRecord, ...]:
     """One record per pair of minimal coset representatives."""
-    if simplified and not full_h_predicate(d):
-        raise SimplifiedPathUnavailable(
-            "simplified formulas need vanishing orthogonal complements"
-        )
     dims = dimension_summary(rs, triple, d)
     full_h = full_h_predicate(d)
     k = rs.cartan_rank

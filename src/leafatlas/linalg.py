@@ -1,8 +1,8 @@
 """Exact rational linear algebra.
 
 Everything downstream needs exact zeros, so matrices are tuples of tuples of
-``Fraction`` and all elimination is done over Q (or fraction-free over Z).
-No floating point anywhere.
+ints or ``Fraction``s (integer data stays integer), and all elimination is
+done over Q (or fraction-free over Z).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -77,6 +77,12 @@ def _int_rows(a: Matrix) -> tuple[list[list[int]], int]:
         out.append([x.numerator * (d // x.denominator) for x in row])
         scale *= d
     return out, scale
+
+
+def _integer_scaled(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(s·m, s) for the least s > 0 that clears every denominator of m."""
+    s = lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(x.numerator * (s // x.denominator) for x in row) for row in m), s
 
 
 def _echelon(a: Matrix) -> tuple[list[list[int]], list[int], int, int]:
@@ -198,25 +204,26 @@ def det(a: Matrix) -> Fraction:
 
 
 class Subspace:
-    """Rational subspace of Q^ambient with a canonical reduced basis.
+    """Rational subspace of Q^ambient with a canonical primitive integer basis.
 
-    The basis is stored as a matrix whose columns span the subspace; it is
-    canonicalized through row reduction of the transposed generator list, so
-    equal subspaces compare equal.
+    Generators may have int or ``Fraction`` entries.  The basis is stored as
+    a matrix whose columns span the subspace: the nonzero rows of the RREF of
+    the generator list, each scaled by the lcm of its denominators, so every
+    column is a primitive integer vector and equal subspaces compare equal.
     """
 
     __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, vectors=()):
         self.ambient = ambient
-        rows = [vec(v) for v in vectors]
+        rows = tuple(vectors)
         for v in rows:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
         if rows:
-            r, pivots = rref(tuple(rows))
-            rows = [r[i] for i in range(len(pivots))]
-        self.basis: Matrix = transpose(tuple(rows)) if rows else tuple(() for _ in range(ambient))
+            r, pivots = rref(rows)
+            rows = tuple(map(tuple, _int_rows(r[: len(pivots)])[0]))
+        self.basis: Matrix = transpose(rows) if rows else tuple(() for _ in range(ambient))
 
     @property
     def dim(self) -> int:
@@ -253,7 +260,7 @@ class Subspace:
             for i in range(self.ambient)
         )
         sols = nullspace(stacked)
-        vecs = [matvec(self.basis, s[: self.dim]) for s in sols]
+        vecs = [matvec(self.basis, s[: self.dim]) for s in _int_rows(sols)[0]]
         return Subspace(self.ambient, vecs)
 
     def perp(self, gram: Matrix) -> "Subspace":

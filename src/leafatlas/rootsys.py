@@ -13,9 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .linalg import Lattice, Matrix, Subspace, frac, inverse, mat, matvec, vec
+from .linalg import Lattice, Matrix, Subspace, _integer_scaled, frac, inverse, mat, matvec, vec
 
 __all__ = [
     "RootSystem",
@@ -125,12 +124,6 @@ def _simple_reflections(gram: Matrix, rank: int) -> tuple:
         m[i] = tuple(e - int(a) for e, a in zip(ident[i], cartan))
         out.append(tuple(m))
     return tuple(out)
-
-
-def _integer_scaled(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(s·m, s) for the least s > 0 that clears every denominator of m."""
-    s = lcm(*(x.denominator for row in m for x in row))
-    return tuple(tuple(int(x * s) for x in row) for row in m), s
 
 
 def _parse_label(label: str) -> tuple[tuple[tuple[str, int], ...], int]:

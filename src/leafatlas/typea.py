@@ -199,19 +199,6 @@ def root_to_interval(root) -> tuple[int, int]:
     return j, i
 
 
-def coroot_matrix(size: int, i: int) -> Matrix:
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    rows[i][i] = Fraction(1)
-    rows[i + 1][i + 1] = Fraction(-1)
-    return tuple(tuple(r) for r in rows)
-
-
-def unit_matrix(size: int, i: int, j: int) -> Matrix:
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    rows[i][j] = Fraction(1)
-    return tuple(tuple(r) for r in rows)
-
-
 # ---------------------------------------------------------------------------
 # r-matrix realization and the classical Yang-Baxter check
 

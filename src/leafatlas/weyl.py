@@ -99,7 +99,11 @@ def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
 
 def _weyl_bound() -> int:
     raw = os.environ.get("LEAFATLAS_WEYL_BOUND")
-    return int(raw) if raw else DEFAULT_BOUND
+    if not raw:
+        return DEFAULT_BOUND
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise ValueError(f"LEAFATLAS_WEYL_BOUND must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _orbit(rs: RootSystem, indices, lam) -> tuple[WeylElement, ...]:
@@ -195,17 +199,6 @@ def minimal_coset_reps(
     lam = tuple(int(i not in right.generators) for i in range(rs.rank))
     reps = _orbit(rs, range(rs.rank), lam)
     return tuple(w for w in reps if left_descent(rs, w, left.generators) is None)
-
-
-def in_parabolic(rs: RootSystem, w: WeylElement, p: ParabolicSubgroup) -> bool:
-    """Membership test: all inversions of w lie in the parabolic subsystem."""
-    gens = p.generators
-    for alpha in rs.positive_roots:
-        img = w(alpha)
-        if all(x <= 0 for x in img):
-            if any(alpha[t] != 0 for t in range(len(alpha)) if t not in gens):
-                return False
-    return True
 
 
 def _strip(rs: RootSystem, w: WeylElement, indices) -> tuple[WeylElement, list[int]]:

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
+from helpers import in_parabolic
 from leafatlas import (
     build_root_system,
     cg_triple,
@@ -55,7 +56,6 @@ from leafatlas.weyl import (
     compose,
     decompose_min,
     enumerate_weyl,
-    in_parabolic,
     minimal_coset_reps,
     simple_reflection,
 )

@@ -82,6 +82,25 @@ def test_cg_a2_full_h_and_subspaces():
         assert d.a2.contains(matvec(d.theta_cartan, x))
 
 
+# simply- and non-simply-laced systems up to rank 4, products and a torus:
+# 88 canonical triples on the first ten labels, 3 on each of the last two
+THETA_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4", "A2xA1", "A1xA1", "A2+T1"]
+
+
+def test_theta_is_an_isometry_extending_tau_on_every_canonical_triple():
+    """theta^T G theta = G, and theta(alpha_i) = alpha_tau(i) for i in Gamma1."""
+    checked = 0
+    for label in THETA_LABELS:
+        rs = build_root_system(label)
+        for t in enumerate_valid_triples(rs):
+            theta = compute_decomposition(rs, t, solve_r0(rs, t, "canonical")).theta_cartan
+            assert matmul(matmul(transpose(theta), rs.gram), theta) == rs.gram, (label, t)
+            for i, j in t.tau:
+                assert matvec(theta, rs.simple_roots[i]) == rs.simple_roots[j], (label, t, i)
+            checked += 1
+    assert checked == 94
+
+
 def test_standard_theta_is_minus_one():
     for label in ("A1", "A2", "B2"):
         rs = build_root_system(label)

@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs against the checkout's src/."""
+"""Every demo script runs against the checkout's src/ and prints exactly its
+pinned output in tests/data/demos/<stem>.txt."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "data" / "demos"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
@@ -23,4 +25,4 @@ def test_demo_runs(script):
         [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (EXPECTED / f"{script.stem}.txt").read_text()

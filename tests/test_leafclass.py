@@ -37,7 +37,6 @@ from leafatlas import (
 from leafatlas.leafclass import (
     NonCommensurableLattices,
     NotMinimalRep,
-    SimplifiedPathUnavailable,
     ThetaMinusOneSingular,
 )
 from leafatlas.linalg import Lattice, identity, mat, msub, rank, solve
@@ -123,20 +122,8 @@ def test_simplified_path_agrees_when_available():
     rs, t, d = _setup("A3", "cg")
     for r in classify_gminus(rs, t, d):
         assert r.simplified_leaf_dim == r.leaf_dim
-    for r in classify_g(rs, t, d, simplified=True):
+    for r in classify_g(rs, t, d):
         assert r.simplified_leaf_dim == r.leaf_dim
-
-
-def test_simplified_path_unavailable_without_full_h():
-    from leafatlas.bdtriple import CartanTerm
-
-    rs = build_root_system("A1xA1")
-    t = validate_triple(rs, (), (), {})
-    d = compute_decomposition(
-        rs, t, CartanTerm(((Fraction(1, 4), Fraction(0)), (Fraction(0), Fraction(0))))
-    )
-    with pytest.raises(SimplifiedPathUnavailable):
-        classify_g(rs, t, d, simplified=True)
 
 
 def test_full_trivial_triple_sl2_table():

@@ -1,6 +1,7 @@
 """Exact linear algebra cross-checked against sympy."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -168,6 +169,27 @@ def test_quotient_invariants_simple_cases():
     assert quotient_invariants(z2, Lattice(2, [[1, 0], [0, 6]])) == ((6,), 0)
     # corank one sublattice leaves a free factor
     assert quotient_invariants(z2, Lattice(2, [[3, 0]])) == ((3,), 1)
+
+
+def test_subspace_basis_is_primitive_integer():
+    s = Subspace(3, [(Fraction(1, 2), Fraction(1, 3), 0), (0, Fraction(2, 7), 4)])
+    assert s.dim == 2
+    for col in s.vectors():
+        assert all(type(x) is int for x in col)
+        assert gcd(*col) == 1
+    # the span of the basis is the span of the generators
+    assert s.contains((Fraction(1, 2), Fraction(1, 3), 0))
+    assert s.contains((0, Fraction(2, 7), 4))
+
+
+def test_equal_spans_from_different_generators_are_equal():
+    a = Subspace(4, [(1, 2, 0, 3), (0, 1, 1, 1)])
+    b = Subspace(4, [(Fraction(2), Fraction(5), Fraction(1), Fraction(7)), (-3, -6, 0, -9), (0, 0, 0, 0)])
+    c = Subspace(4, [(Fraction(1, 3), Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3)), (0, 5, 5, 5)])
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert a.basis == b.basis == c.basis
+    assert a != Subspace(4, [(1, 2, 0, 3)])
 
 
 def test_subspace_operations():

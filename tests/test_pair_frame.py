@@ -10,7 +10,9 @@ centre graphs in h x h.  They are kept here only as oracles.
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -212,6 +214,23 @@ def test_pair_frame_matches_reference_on_a3_benchmark_triples():
         t = validate_triple(rs, g1, g2, {g1[0]: g2[0]})
         checked += _check_pairs(rs, t, _decomposition(rs, t))
     assert checked == 432
+
+
+# A4 triples (0-based tau) whose theta has the largest denominators c; the
+# frame scales theta by c, while the small systems above only reach c <= 3
+A4_SCALED = [({1: 2, 2: 3}, 8), ({0: 2, 1: 3}, 12), ({0: 3, 2: 1}, 21)]
+
+
+@pytest.mark.parametrize("tau,c", A4_SCALED, ids=[str(c) for _, c in A4_SCALED])
+def test_pair_frame_matches_reference_on_a4_samples(tau, c):
+    rs = build_root_system("A4")
+    t = validate_triple(rs, tau.keys(), tau.values(), tau)
+    d = _decomposition(rs, t)
+    assert lcm(*(x.denominator for row in d.theta_cartan for x in row)) == c
+    records = classify_g(rs, t, d)
+    assert len(records) == _coset_count(rs, t.gamma1) * _coset_count(rs, t.gamma2)
+    for r in random.Random(c).sample(records, 120):
+        _assert_same(r.stable, reference_pair(rs, t, d, r.v1, r.v2), (t, r.v1, r.v2))
 
 
 def test_single_frame_matches_reference_on_every_small_triple():

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import test_acceptance
+from helpers import coroot_matrix, unit_matrix
 from leafatlas import build_root_system
 from leafatlas.linalg import det, identity, inverse, mat, matmul, rank
 from leafatlas.rootsys import levi_roots
@@ -21,12 +22,10 @@ from leafatlas.typea import (
     cg_orbit_correspondence,
     cg_sigma,
     conjugation_twist,
-    coroot_matrix,
     identity_twist,
     perm_to_weyl,
     root_to_interval,
     tc_orbit_dim,
-    unit_matrix,
     wdot_matrix,
 )
 from leafatlas.weyl import enumerate_weyl

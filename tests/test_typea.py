@@ -34,7 +34,6 @@ from leafatlas.typea import (
     check_cybe,
     check_symmetric_part,
     conjugation_twist,
-    coroot_matrix,
     identity_twist,
     matrix_from_text,
     matrix_to_text,

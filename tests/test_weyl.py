@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from helpers import in_parabolic
 from leafatlas import (
     ParabolicSubgroup,
     build_root_system,
@@ -14,7 +15,6 @@ from leafatlas import (
 )
 from leafatlas.weyl import (
     compose,
-    in_parabolic,
     inverse_element,
     left_descent,
     parabolic_elements,
@@ -49,6 +49,14 @@ def test_enumeration_bound_env(monkeypatch):
     # the bound caps the set being built: |W^J| = 48/|W(A2)| = 8 fits
     reps = minimal_coset_reps(rs, ParabolicSubgroup.of(()), ParabolicSubgroup.of((0, 1)))
     assert len(reps) == 8
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_enumeration_bound_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("LEAFATLAS_WEYL_BOUND", raw)
+    with pytest.raises(ValueError) as err:
+        enumerate_weyl(build_root_system("A1"))
+    assert str(err.value) == f"LEAFATLAS_WEYL_BOUND must be a positive integer, got {raw!r}"
 
 
 def test_e7_coset_space_under_the_default_bound(monkeypatch):
