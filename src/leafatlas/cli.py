@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +38,7 @@ from .typea import (
     tc_orbit_dim,
     weyl_to_perm,
 )
-from .weyl import WeylElement, reduced_word
+from .weyl import WeylElement, _weyl_bound, reduced_word
 
 CONVENTION_NOTE = (
     "convention: the symmetric part of the Cartan term r0 is fixed to half "
@@ -200,11 +201,6 @@ def _is_pure_type_a(rs) -> bool:
     )
 
 
-def _word(rs, w) -> str:
-    word = reduced_word(rs, w)
-    return " ".join(f"s{i + 1}" for i in word) if word else "e"
-
-
 def _record_dict(word, rec, pure_a: bool) -> dict:
     stable = rec.stable
     out = {
@@ -280,6 +276,11 @@ def run_job(cfg: JobConfig) -> Report:
     except ValueError as e:
         fail("validate", e, config_to_text(cfg).strip())
         return report
+    try:
+        _weyl_bound()
+    except ValueError as e:
+        fail("validate", e, f"LEAFATLAS_WEYL_BOUND = {os.environ['LEAFATLAS_WEYL_BOUND']}")
+        return report
 
     # r0
     r0 = None
@@ -332,7 +333,7 @@ def run_job(cfg: JobConfig) -> Report:
 
         def word(w: WeylElement) -> str:
             if w not in words:
-                words[w] = _word(rs, w)
+                words[w] = " ".join(f"s{i + 1}" for i in reduced_word(rs, w)) or "e"
             return words[w]
 
         try:

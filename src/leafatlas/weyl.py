@@ -2,14 +2,15 @@
 minimal-length (double) coset representatives.
 
 Elements are integer matrices acting on simple-root coordinates; the torus
-block is fixed pointwise.  Every decision reads data stored on the
-RootSystem: the integer simple-reflection matrices and the inverse Gram
-matrix.  Descents are sign tests on images of simple roots.
-W, W_J and the minimal coset representatives W^J are each one BFS over a
-Weyl orbit in fundamental-weight coordinates, with lengths as BFS depths and
-a bound on the set's size (env var LEAFATLAS_WEYL_BOUND, default 10^6).
-Reduced words and the factorization u = w1·w·w2 strip right descents one
-at a time, with lengths stepped down by one.
+block is fixed pointwise.  Every decision reads the integer simple-reflection
+matrices and the inverse Gram matrix stored on the RootSystem.  Descents are
+sign reads: w has a right descent at i when column i of w, w(alpha_i), is
+negative.  W, W_J and the minimal coset representatives W^J are each one BFS
+over a Weyl orbit in fundamental-weight coordinates, with lengths as BFS
+depths and a bound on the set's size (env var LEAFATLAS_WEYL_BOUND, default
+10^6); the double-coset representatives W_L\\W/W_R are the orbit points of
+W^R that are dominant for L.  Lengths, reduced words and the factorization
+u = w1·w·w2 strip right descents, each step w·s_j a column update.
 """
 
 from __future__ import annotations
@@ -54,18 +55,9 @@ def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def element_length(rs: RootSystem, m: IntMatrix) -> int:
-    """Count of positive roots mapped to negative roots."""
-    count = 0
-    for alpha in rs.positive_roots:
-        img = apply_matrix(m, alpha)
-        if all(x <= 0 for x in img):
-            count += 1
-    return count
-
-
 def make_element(rs: RootSystem, m: IntMatrix) -> WeylElement:
-    return WeylElement(matrix=m, length=element_length(rs, m))
+    """m with its length: the number of right descents stripped to reach e."""
+    return WeylElement(matrix=m, length=len(_strip(rs, m, range(rs.rank))[1]))
 
 
 def weyl_identity(rs: RootSystem) -> WeylElement:
@@ -78,8 +70,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 
 def compose(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
-    m = _matmul(a.matrix, b.matrix)
-    return make_element(rs, m)
+    return make_element(rs, _matmul(a.matrix, b.matrix))
 
 
 def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
@@ -92,9 +83,7 @@ def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
     q = rs.gram_int_scale
     if any(x % q for row in m for x in row):
         raise AssertionError("inverse of a Weyl element is not an integer matrix")
-    return WeylElement(
-        matrix=tuple(tuple(x // q for x in row) for row in m), length=w.length
-    )
+    return WeylElement(tuple(tuple(x // q for x in row) for row in m), w.length)
 
 
 def _weyl_bound() -> int:
@@ -106,12 +95,14 @@ def _weyl_bound() -> int:
     return int(raw)
 
 
-def _orbit(rs: RootSystem, indices, lam) -> tuple[WeylElement, ...]:
+def _orbit(rs: RootSystem, indices, lam, dominant=()) -> tuple[WeylElement, ...]:
     """One element of W_I (I = indices) per point of the W_I-orbit of the
-    dominant weight lam in fundamental-weight coordinates, ordered by matrix.
-    For lam = sum of the omega_i with i not in J, these are W^J.  s_i steps
-    from mu only when mu_i > 0: that lengthens the element by one and still
-    reaches every point, so the length is the BFS depth."""
+    dominant weight lam in fundamental-weight coordinates, ordered by matrix,
+    keeping the points with no negative coordinate in dominant.  For lam =
+    sum of the omega_i with i not in J, these are W^J, and s_i·w < w for w
+    in W^J exactly when mu_i < 0 (Deodhar's lemma).  s_i steps from mu only
+    when mu_i > 0: that lengthens the element by one and still reaches every
+    point, so the length is the BFS depth."""
     bound = _weyl_bound()
     # s_i differs from the identity only in row i, and alpha_i has the weight
     # coordinates <alpha_i, alpha_j^vee> = delta_ij - (s_j)_ji
@@ -138,7 +129,8 @@ def _orbit(rs: RootSystem, indices, lam) -> tuple[WeylElement, ...]:
                             raise ValueError(f"Weyl enumeration exceeded bound {bound}")
                         nxt.append(nu)
         frontier = nxt
-    return tuple(sorted(found.values(), key=lambda w: w.matrix))
+    kept = (w for mu, w in found.items() if all(mu[i] >= 0 for i in dominant))
+    return tuple(sorted(kept, key=lambda w: w.matrix))
 
 
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -174,18 +166,28 @@ def longest_element(rs: RootSystem, parabolic: ParabolicSubgroup) -> WeylElement
 
 def left_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:
     """i with l(s_i·w) < l(w): a right descent of w^{-1}."""
-    if not indices:
-        return None
-    return right_descent(rs, inverse_element(rs, w), indices)
+    return right_descent(rs, inverse_element(rs, w), indices) if indices else None
 
 
 def right_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:
-    """i with l(w·s_i) < l(w): holds iff w(alpha_i) is negative."""
-    for i in sorted(indices):
-        img = apply_matrix(w.matrix, rs.simple_roots[i])
-        if all(x <= 0 for x in img):
-            return i
-    return None
+    """i with l(w·s_i) < l(w): holds iff w(alpha_i), column i of w, is negative."""
+    return _descent(w.matrix, indices)
+
+
+def _descent(m: IntMatrix, indices) -> int | None:
+    return next((i for i in sorted(indices) if all(row[i] <= 0 for row in m)), None)
+
+
+def _right_step(rs: RootSystem, m: IntMatrix, j: int) -> IntMatrix:
+    """m·s_j.  s_j differs from the identity only in row j, so column k of m
+    gains (s_j)_jk - delta_jk = -<alpha_k, alpha_j^vee> times column j: -2 for
+    k = j, nonzero only for the Dynkin neighbours k of j otherwise."""
+    coef = [(k, c - (k == j)) for k, c in enumerate(rs.reflections[j][j]) if c != (k == j)]
+    rows = [list(row) for row in m]
+    for r, row in zip(rows, m):
+        for k, c in coef:
+            r[k] += c * row[j]
+    return tuple(map(tuple, rows))
 
 
 def minimal_coset_reps(
@@ -194,23 +196,20 @@ def minimal_coset_reps(
     """Unique minimal-length representatives of the double cosets W_L\\W/W_R.
 
     W^R is the orbit of the sum of the fundamental weights outside R; a
-    representative is the element of W^R with no left descent in L.
+    representative is a point of it that is dominant for L.
     """
     lam = tuple(int(i not in right.generators) for i in range(rs.rank))
-    reps = _orbit(rs, range(rs.rank), lam)
-    return tuple(w for w in reps if left_descent(rs, w, left.generators) is None)
+    return _orbit(rs, range(rs.rank), lam, left.generators)
 
 
-def _strip(rs: RootSystem, w: WeylElement, indices) -> tuple[WeylElement, list[int]]:
+def _strip(rs: RootSystem, m: IntMatrix, indices) -> tuple[IntMatrix, list[int]]:
     """Remove right descents in indices, smallest first, one at a time: the
-    result x and the word [j1, ..., jk] with w = x·s_jk·...·s_j1 reduced."""
+    matrix x and the word [j1, ..., jk] with m = x·s_jk·...·s_j1 reduced."""
     word: list[int] = []
-    cur = w
-    while (j := right_descent(rs, cur, indices)) is not None:
-        # j is a right descent, so cur·s_j is one shorter
-        cur = WeylElement(_matmul(cur.matrix, rs.reflections[j]), cur.length - 1)
+    while (j := _descent(m, indices)) is not None:
+        m = _right_step(rs, m, j)
         word.append(j)
-    return cur, word
+    return m, word
 
 
 def decompose_min(
@@ -229,11 +228,11 @@ def decompose_min(
     x = w1·w.  Left descents keep x in W^R, and Kilmoyer's theorem makes
     w1 minimal modulo the absorbing parabolic (Björner–Brenti §2.4).
     """
-    x, word2 = _strip(rs, u, right.generators)
-    x_inv = inverse_element(rs, x)
-    w_inv, word1 = _strip(rs, x_inv, left.generators)
-    w = inverse_element(rs, w_inv)
-    w1 = WeylElement(_matmul(x.matrix, w_inv.matrix), len(word1))
+    x, word2 = _strip(rs, u.matrix, right.generators)
+    x_inv = inverse_element(rs, WeylElement(x, u.length - len(word2)))
+    w_inv, word1 = _strip(rs, x_inv.matrix, left.generators)
+    w = inverse_element(rs, WeylElement(w_inv, x_inv.length - len(word1)))
+    w1 = WeylElement(_matmul(x, w_inv), len(word1))
     w2 = WeylElement(_matmul(x_inv.matrix, u.matrix), len(word2))
     if right_descent(rs, w, right.generators) is not None:
         raise AssertionError("decompose_min representative left W^R")
@@ -244,7 +243,7 @@ def decompose_min(
 
 def reduced_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
     """A reduced word (s_{i1}·...·s_{il} = w), chosen deterministically."""
-    rest, word = _strip(rs, w, range(rs.rank))
-    if rest.length:
-        raise AssertionError("non-identity element without right descent")
+    word = _strip(rs, w.matrix, range(rs.rank))[1]
+    if len(word) != w.length:
+        raise AssertionError("reduced word is not as long as the element")
     return tuple(reversed(word))

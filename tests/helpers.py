@@ -20,6 +20,15 @@ def in_parabolic(rs, w, p) -> bool:
     return True
 
 
+def element_length(rs, m) -> int:
+    """Count of positive roots mapped to negative roots: the length of the
+    Weyl element with matrix m, by its definition."""
+    return sum(
+        1 for alpha in rs.positive_roots
+        if all(sum(r * a for r, a in zip(row, alpha)) <= 0 for row in m)
+    )
+
+
 def coroot_matrix(size: int, i: int):
     """E_ii - E_{i+1,i+1} in sl(size), as a Fraction matrix."""
     rows = [[Fraction(0)] * size for _ in range(size)]

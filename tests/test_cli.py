@@ -343,6 +343,18 @@ def test_weyl_bound_caps_the_coset_space_not_the_group(capsys, monkeypatch):
     assert len(doc["records"]) == 4
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_weyl_bound_that_is_not_a_positive_integer_fails_validation(capsys, monkeypatch, raw):
+    # reported before r0, the decomposition and the classification run
+    monkeypatch.setenv("LEAFATLAS_WEYL_BOUND", raw)
+    assert main(CG_A3_ARGS) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [(e["stage"], e["input"]) for e in doc["errors"]] == [
+        ("validate", f"LEAFATLAS_WEYL_BOUND = {raw}")
+    ]
+    assert doc["decomposition"] is None and doc["records"] == []
+
+
 def test_weyl_bound_below_the_coset_space_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("LEAFATLAS_WEYL_BOUND", "3")
     assert main(CG_A3_ARGS) == 2

@@ -14,12 +14,11 @@ import random
 
 import pytest
 
-from helpers import in_parabolic
+from helpers import element_length, in_parabolic
 from leafatlas import ParabolicSubgroup, build_root_system, decompose_min, enumerate_weyl
 from leafatlas.rootsys import _apply as apply_matrix
 from leafatlas.weyl import (
     compose,
-    element_length,
     inverse_element,
     left_descent,
     right_descent,

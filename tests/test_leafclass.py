@@ -40,7 +40,7 @@ from leafatlas.leafclass import (
     ThetaMinusOneSingular,
 )
 from leafatlas.linalg import Lattice, identity, mat, msub, rank, solve
-from leafatlas.weyl import simple_reflection
+from leafatlas.weyl import ParabolicSubgroup, enumerate_weyl, parabolic_elements, simple_reflection
 
 
 def _setup(label, kind):
@@ -301,3 +301,31 @@ def test_leaf_dimension_constants_are_even(label):
             assert rec.leaf_dim.constant % 2 == 0, (t, rec.v, rec.v1, rec.v2)
         checked += len(records)
     assert checked > 0
+
+
+def _coset_count(rs, gamma):
+    # |W^Γ| = |W|/|W_Γ|, counted without the coset walk
+    sub = parabolic_elements(rs, ParabolicSubgroup.of(gamma))
+    return len(enumerate_weyl(rs)) // len(sub)
+
+
+def _check_pair_count(rs, t):
+    d = compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
+    want = _coset_count(rs, t.gamma1) * _coset_count(rs, t.gamma2)
+    assert len(classify_g(rs, t, d)) == want, t
+    return want
+
+
+def test_two_sided_record_count_d4():
+    # Bourbaki gamma1 = {1}, gamma2 = {3}: |W^{Γi}| = 192/2 on each side
+    rs = build_root_system("D4")
+    assert _check_pair_count(rs, validate_triple(rs, (0,), (2,), {0: 2})) == 96 * 96
+
+
+def test_two_sided_record_count_on_sampled_triples():
+    rng = random.Random("record-count")
+    for label in ("A2", "A3", "B3", "C3", "G2", "A2xA1", "A2+T1"):
+        rs = build_root_system(label)
+        triples = enumerate_valid_triples(rs)
+        for t in rng.sample(triples, min(2, len(triples))):
+            _check_pair_count(rs, t)

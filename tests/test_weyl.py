@@ -177,3 +177,23 @@ def test_minimal_reps_partition_the_group():
         for a in parabolic_elements(rs, p):
             covered.add(compose(rs, a, r).matrix)
     assert len(covered) == len(enumerate_weyl(rs))
+
+
+# every irreducible type of rank <= 4, a product and a torus
+COSET_LABELS = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
+    "A2xA1", "A2+T1",
+]
+
+
+@pytest.mark.parametrize("label", COSET_LABELS)
+def test_coset_space_times_parabolic_is_the_group(label):
+    # |W^J|·|W_J| = |W|: each element factors uniquely as w^J·w_J
+    rs = build_root_system(label)
+    order = len(enumerate_weyl(rs))
+    trivial = ParabolicSubgroup.of(())
+    for k in range(rs.rank + 1):
+        for j in itertools.combinations(range(rs.rank), k):
+            p = ParabolicSubgroup.of(j)
+            reps = minimal_coset_reps(rs, trivial, p)
+            assert len(reps) * len(parabolic_elements(rs, p)) == order, j
