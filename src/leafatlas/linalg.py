@@ -43,10 +43,26 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Product a·b that multiplies only nonzero pairs of entries.
+
+    All-int factors give int entries; any ``Fraction`` entry in either
+    factor makes every entry of the product a ``Fraction``.
+    """
     if shape(a)[1] != shape(b)[0]:
         raise ValueError("shape mismatch in matmul")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    # the nonzero entries of each row of b, by column
+    nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    fractional = any(type(x) is Fraction for m in (a, b) for row in m for x in row)
+    zero = [Fraction(0) if fractional else 0] * shape(b)[1]
+    out = []
+    for row in a:
+        acc = zero[:]
+        for x, terms in zip(row, nz):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def matvec(a: Matrix, v) -> Vector:

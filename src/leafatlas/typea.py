@@ -13,8 +13,10 @@ representative has determinant one.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bdtriple import BDTriple, CartanTerm, partial_order_pairs
 from .decomp import Decomposition
@@ -260,32 +262,41 @@ def check_symmetric_part(r: TensorElement) -> bool:
     return total == casimir_tensor(r.size - 1)
 
 
-def _bracket_units(a: tuple[int, int], b: tuple[int, int]):
-    """[E_a, E_b] expanded in matrix units: delta terms with signs."""
-    out = []
-    if a[1] == b[0]:
-        out.append(((a[0], b[1]), 1))
-    if b[1] == a[0]:
-        out.append(((b[0], a[1]), -1))
-    return out
-
-
 def check_cybe(r: TensorElement) -> TensorElement:
-    """Residual of the classical Yang-Baxter equation, arity-3 tensor."""
+    """Residual [r12, r13] + [r12, r23] + [r13, r23] of the classical
+    Yang-Baxter equation, an arity-3 tensor.
+
+    [E_a, E_c] = δ(a1, c0) E_(a0, c1) − δ(c1, a0) E_(c0, a1), so each term
+    (a, b) meets only the terms (c, d) with an end of c or d at an end of a
+    or b.  The terms are indexed by those ends; coefficients are scaled by
+    the lcm den of their denominators and summed as integers.
+    """
+    den = lcm(*(x.denominator for x in r.coefficients.values()))
+    terms = [
+        (a, b, x.numerator * (den // x.denominator))
+        for (a, b), x in r.coefficients.items()
+    ]
+    c0s, c1s, d0s, d1s = ends = ({}, {}, {}, {})
+    for t in terms:
+        (c0, c1), (d0, d1) = t[0], t[1]
+        for index, end in zip(ends, (c0, c1, d0, d1)):
+            index.setdefault(end, []).append(t)
+    acc: defaultdict = defaultdict(int)
+    for a, b, x in terms:
+        for c, d, y in c0s.get(a[1], ()):  # [r12, r13], leg 1
+            acc[((a[0], c[1]), b, d)] += x * y
+        for c, d, y in c1s.get(a[0], ()):
+            acc[((c[0], a[1]), b, d)] -= x * y
+        for c, d, y in c0s.get(b[1], ()):  # [r12, r23], leg 2
+            acc[(a, (b[0], c[1]), d)] += x * y
+        for c, d, y in c1s.get(b[0], ()):
+            acc[(a, (c[0], b[1]), d)] -= x * y
+        for c, d, y in d0s.get(b[1], ()):  # [r13, r23], leg 3
+            acc[(a, c, (b[0], d[1]))] += x * y
+        for c, d, y in d1s.get(b[0], ()):
+            acc[(a, c, (d[0], b[1]))] -= x * y
     res = TensorElement(r.size, 3)
-    items = list(r.coefficients.items())
-    for (a, b), x in items:
-        for (c, d), y in items:
-            coeff = x * y
-            # [r_12, r_13]: bracket in leg 1
-            for (u, s) in _bracket_units(a, c):
-                res.add_term((u, b, d), coeff * s)
-            # [r_12, r_23]: bracket in leg 2
-            for (u, s) in _bracket_units(b, c):
-                res.add_term((a, u, d), coeff * s)
-            # [r_13, r_23]: bracket in leg 3
-            for (u, s) in _bracket_units(b, d):
-                res.add_term((a, c, u), coeff * s)
+    res.coefficients = {k: Fraction(v, den * den) for k, v in acc.items() if v}
     return res
 
 
@@ -434,18 +445,6 @@ def _bruhat_core(g: Matrix, left_idx, right_idx):
     return p1m, mmin, p2m, w_min
 
 
-_J_CACHE: dict[int, Matrix] = {}
-
-
-def _antidiag(size: int) -> Matrix:
-    if size not in _J_CACHE:
-        _J_CACHE[size] = tuple(
-            tuple(Fraction(1) if r + c == size - 1 else Fraction(0) for c in range(size))
-            for r in range(size)
-        )
-    return _J_CACHE[size]
-
-
 def bruhat_decompose(
     g: MatrixElement, left: ParabolicBlocks, right: ParabolicBlocks
 ) -> tuple[MatrixElement, MatrixElement, MatrixElement]:
@@ -456,14 +455,13 @@ def bruhat_decompose(
     if not left.lower:
         p1, wd, p2, _ = _bruhat_core(g.entries, left.indices, right.indices)
     else:
-        j = _antidiag(size)
+        # conjugation by the antidiagonal J reverses rows and columns
+        flip = lambda m: tuple(row[::-1] for row in reversed(m))
         rev = lambda s: frozenset(size - 2 - i for i in s)
         p1j, wdj, p2j, _ = _bruhat_core(
-            matmul(j, matmul(g.entries, j)), rev(left.indices), rev(right.indices)
+            flip(g.entries), rev(left.indices), rev(right.indices)
         )
-        p1 = matmul(j, matmul(p1j, j))
-        wd_raw = matmul(j, matmul(wdj, j))
-        p2 = matmul(j, matmul(p2j, j))
+        p1, wd_raw, p2 = flip(p1j), flip(wdj), flip(p2j)
         # restore the sign convention, folding the correction into p2
         perm = [next(r for r in range(size) if wd_raw[r][c] != 0) for c in range(size)]
         wd = wdot_matrix(perm_to_weyl(_type_a(size - 1), perm))
@@ -486,27 +484,41 @@ def identity_twist() -> None:
 
 def conjugation_twist(g: MatrixElement | Matrix) -> Matrix:
     """The twist x -> g x g^{-1}, represented by its conjugating matrix."""
-    return g.entries if isinstance(g, MatrixElement) else mat(g)
+    m = g.entries if isinstance(g, MatrixElement) else mat(g)
+    if det(m) == 0:
+        raise ValueError("singular matrix")
+    return m
 
 
-def _conjugation_images(h: Matrix, intervals) -> tuple[list, list]:
-    """Flattened basis (coroots, then the root vectors E_ij of the given
-    intervals) of a subspace of sl(len(h)), and the images of that basis
-    under x -> h x h^{-1} - x."""
+def _conjugation_images(h: Matrix, intervals) -> list[tuple[list, list]]:
+    """Flattened integer pairs (D b D^{-1} H, H b), scaled by d_j for b = E_ij,
+    over the basis b of S: the coroots, then the root vectors of the intervals.
+    h = D^{-1} H with D diagonal (row lcm denominators) and H = hz integral.
+    D S D^{-1} = S, so h S h^{-1} lies in S iff H S lies in S H, and with no
+    inverse, h x h^{-1} - x = D^{-1} (H x - D x D^{-1} H) H^{-1} D.  E_ij H
+    is row j of H put in row i; H E_ij is column i of H put in column j.
+    """
     size = len(h)
-    hi = inverse(h)
+    d = [lcm(*(x.denominator for x in row)) for row in h]
+    hz = [[x.numerator * (dp // x.denominator) for x in row] for row, dp in zip(h, d)]
 
-    def term(i, j):
-        # E_ij and h E_ij h^{-1}, column i of h times row j of h^{-1}, flattened
-        e = [Fraction(int(k == i * size + j)) for k in range(size * size)]
-        return e, [row[i] * x for row in h for x in hi[j]]
+    def products(units):
+        right, left = [0] * (size * size), [0] * (size * size)
+        for i, j, s in units:
+            a, b = (s, s) if i == j else (s * d[i], s * d[j])
+            for k in range(size):
+                right[i * size + k] += a * hz[j][k]
+                left[k * size + j] += b * hz[k][i]
+        return right, left
 
-    def diff(a, b):
-        return tuple(p - q for p, q in zip(a, b))
+    basis = [((i, i, 1), (i + 1, i + 1, -1)) for i in range(size - 1)]
+    basis += [((i, j, 1),) for i, j in intervals]
+    return [products(units) for units in basis]
 
-    pairs = [tuple(map(diff, term(i, i), term(i + 1, i + 1))) for i in range(size - 1)]
-    pairs += [term(i, j) for i, j in intervals]
-    return [tuple(b) for b, _ in pairs], [diff(m, b) for b, m in pairs]
+
+def _orbit_rank(products) -> int:
+    """Rank of x -> h x h^{-1} - x: the rank of the differences H b - D b D^{-1} H."""
+    return rank([[p - q for p, q in zip(left, right)] for right, left in products])
 
 
 def tc_orbit_dim(f: MatrixElement, twist: Matrix | None, subalgebra_roots) -> int:
@@ -522,13 +534,13 @@ def tc_orbit_dim(f: MatrixElement, twist: Matrix | None, subalgebra_roots) -> in
         raise ValueError(f"a {size}x{size} matrix needs roots of A{size - 1}")
     # f (g x g^{-1}) f^{-1} = (fg) x (fg)^{-1}
     h = f.entries if twist is None else matmul(f.entries, twist)
-    # coroots and distinct root vectors are independent: the span has rank len(span)
-    span, images = _conjugation_images(
+    products = _conjugation_images(
         h, dict.fromkeys(root_to_interval(root) for root in roots)
     )
-    if rank(span + images) > len(span):
+    # S H has dimension |S| (coroots and distinct root vectors are independent)
+    if rank([p for pair in products for p in pair]) > len(products):
         raise SubalgebraNotPreserved("twisted image leaves the subalgebra span")
-    return rank(images)
+    return _orbit_rank(products)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +671,7 @@ def cg_orbit_correspondence(n: int, j: int, b: MatrixElement | None):
         # conjugation fixes the identity, so the rank over gl(j) is the
         # rank over the sl(j) basis
         off_diagonal = [(p, q) for p in range(j) for q in range(j) if p != q]
-        gl_dim = rank(_conjugation_images(bm, off_diagonal)[1])
+        gl_dim = _orbit_rank(_conjugation_images(bm, off_diagonal))
     v = cg_sigma(rs, j)
     twist = conjugation_twist(wdot_matrix(v))
     f = MatrixElement(f_entries, "group")

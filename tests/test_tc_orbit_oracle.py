@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 import test_acceptance
 from helpers import coroot_matrix, unit_matrix
 from leafatlas import build_root_system
@@ -180,6 +182,77 @@ def test_tc_orbit_dim_applies_the_twist_before_f():
         _outcome(tc_orbit_dim, MatrixElement(g, "group"), conjugation_twist(f), roots)
         == NOT_PRESERVED
     )
+
+
+def _rational_unimodular(size, rng):
+    """Random integer matrix with its first row divided by the determinant,
+    as the benchmark draws f: det 1, with real denominators."""
+    while True:
+        rows = [[Fraction(rng.randint(-5, 5)) for _ in range(size)] for _ in range(size)]
+        d = det(mat(rows))
+        if d not in (0, 1, -1):
+            rows[0] = [x / d for x in rows[0]]
+            return mat(rows)
+
+
+def _rational_levi(rs, indices, rng):
+    """A Levi element of the block with a torus part of proper fractions."""
+    size = rs.rank + 1
+    diag = [Fraction(rng.choice([-3, -2, 2, 3]), rng.choice([5, 7])) for _ in range(size - 1)]
+    prod = Fraction(1)
+    for x in diag:
+        prod *= x
+    torus = [[Fraction(0)] * size for _ in range(size)]
+    for i, x in enumerate(diag + [1 / prod]):
+        torus[i][i] = x
+    return matmul(mat(torus), _levi_element(rs, indices, rng))
+
+
+def test_tc_orbit_dim_with_rational_h_matches_the_oracle():
+    rng = random.Random(29)
+    outcomes = set()
+    for n in range(1, 6):
+        rs = build_root_system(f"A{n}")
+        weyl = enumerate_weyl(rs)
+        size = n + 1
+        blocks = [frozenset(range(n))] + [frozenset({i}) for i in range(n)]
+        for indices in blocks:
+            roots = levi_roots(rs, indices)
+            cases = [
+                # dense rational f, no twist and a Weyl twist
+                (_rational_unimodular(size, rng), None),
+                (_rational_unimodular(size, rng), wdot_matrix(rng.choice(weyl))),
+                # rational Levi elements of the block: the span is preserved
+                (_rational_levi(rs, indices, rng), _rational_levi(rs, indices, rng)),
+            ]
+            for f, g in cases:
+                twist = identity_twist() if g is None else conjugation_twist(g)
+                got = _outcome(tc_orbit_dim, MatrixElement(f, "group"), twist, roots)
+                assert got == _outcome(_oracle_tc_orbit_dim, f, g, roots), (n, indices, f, g)
+                outcomes.add((got == NOT_PRESERVED, g is None))
+    # a rank and a NOT_PRESERVED outcome, each with a non-identity twist
+    assert {(False, False), (True, False), (False, True)} <= outcomes
+
+
+def test_tc_orbit_dim_not_preserved_with_a_rational_h_and_a_weyl_twist():
+    # f is a rational Levi element of the {0} block of A2; the twist
+    # (0 2) moves E_01 to E_21, outside the span of the A1 block
+    rs = build_root_system("A2")
+    f = mat([[Fraction(2, 3), Fraction(1, 5), 0], [0, Fraction(3, 2), 0], [0, 0, 1]])
+    g = wdot_matrix(perm_to_weyl(rs, (2, 1, 0)))
+    roots = levi_roots(rs, {0})
+    args = (MatrixElement(f, "group"), conjugation_twist(g), roots)
+    assert _outcome(tc_orbit_dim, *args) == NOT_PRESERVED
+    assert _outcome(_oracle_tc_orbit_dim, f, g, roots) == NOT_PRESERVED
+    # with the twist (0 1), which keeps the block, both give the rank
+    g = wdot_matrix(perm_to_weyl(rs, (1, 0, 2)))
+    got = tc_orbit_dim(MatrixElement(f, "group"), conjugation_twist(g), roots)
+    assert got == _oracle_tc_orbit_dim(f, g, roots) == 2
+
+
+def test_a_singular_twist_is_rejected():
+    with pytest.raises(ValueError, match="singular"):
+        conjugation_twist([[1, 2], [2, 4]])
 
 
 # ---------------------------------------------------------------------------
