@@ -25,13 +25,12 @@ from .linalg import (
     Lattice,
     Matrix,
     Subspace,
-    _int_rows,
     _integer_scaled,
+    _kernel,
     identity,
     matmul,
     matvec,
     msub,
-    nullspace,
     quotient_invariants,
     rank,
     transpose,
@@ -334,7 +333,7 @@ class _Frame:
         # vectors and (a, b) -> (a, c·b), which maps u3 onto itself, keep it integral
         meet = self.meet(v1, root_set).basis
         graph = []
-        for c in _int_rows(nullspace(matmul(diff, meet)))[0]:
+        for c in _kernel(matmul(diff, meet)):
             x = matvec(meet, c)
             graph.append(x + matvec(v2theta, x))
         return PairStableSubalgebra(

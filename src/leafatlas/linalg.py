@@ -8,7 +8,8 @@ done over Q (or fraction-free over Z).  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -52,7 +53,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("shape mismatch in matmul")
     # the nonzero entries of each row of b, by column
     nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    fractional = any(type(x) is Fraction for m in (a, b) for row in m for x in row)
+    fractional = not (_integral(a) and _integral(b))
     zero = [Fraction(0) if fractional else 0] * shape(b)[1]
     out = []
     for row in a:
@@ -84,15 +85,9 @@ def mscale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _int_rows(a: Matrix) -> tuple[list[list[int]], int]:
-    """Each row scaled to integers by the lcm of its denominators, and the
-    product of those scales."""
-    out, scale = [], 1
-    for row in a:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
-    return out, scale
+def _integral(a) -> bool:
+    """Whether every entry of a is an int (no ``Fraction``), in one C-level scan."""
+    return Fraction not in set(map(type, chain.from_iterable(a)))
 
 
 def _integer_scaled(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -109,7 +104,13 @@ def _echelon(a: Matrix) -> tuple[list[list[int]], list[int], int, int]:
     minor of the row-swapped copy, so for a square matrix of full rank the
     last pivot is its determinant.
     """
-    m, scale = _int_rows(a)
+    # integer rows go straight to the pass; others are scaled by row lcms
+    m, scale = [list(row) for row in a], 1
+    if not _integral(a):
+        for row in m:
+            d = lcm(*(x.denominator for x in row))
+            row[:] = [x.numerator * (d // x.denominator) for x in row]
+            scale *= d
     nr, nc = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
     sign = 1
@@ -142,21 +143,49 @@ def rank(a: Matrix) -> int:
     return len(_echelon(a)[1])
 
 
+def _primitive_rref(a: Matrix) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the RREF of a, each scaled to a primitive integer
+    row with a positive pivot (the RREF row times the lcm of its
+    denominators), and the pivot columns.  All arithmetic is in integers."""
+    m, pivots, _, _ = _echelon(a)
+    rows = m[: len(pivots)]
+    # back phase, bottom up: make the pivot row primitive, clear above it
+    for r in range(len(pivots) - 1, -1, -1):
+        c, low = pivots[r], rows[r]
+        g = gcd(*low) if low[c] > 0 else -gcd(*low)
+        low = rows[r] = [x // g for x in low]
+        p = low[c]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                q = gcd(p, f)
+                rows[i] = [(p // q) * x - (f // q) * y for x, y in zip(rows[i], low)]
+    return rows, pivots
+
+
+def _kernel(a: Matrix) -> list[list[int]]:
+    """Primitive integer basis of the right kernel of a: one vector per free
+    column, with a positive entry there (nullspace's vectors, lcm-scaled)."""
+    nc = shape(a)[1]
+    rows, pivots = _primitive_rref(a)
+    big = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    out = []
+    for free in sorted(set(range(nc)) - set(pivots)):
+        # x[free] = L, x[c] = -row[free]·L/row[c] for the lcm L of the pivots
+        v = [0] * nc
+        v[free] = big
+        for row, c in zip(rows, pivots):
+            v[c] = -row[free] * (big // row[c])
+        g = gcd(*v)
+        out.append([x // g for x in v])
+    return out
+
+
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    m, pivots, _, _ = _echelon(a)
-    nc = len(m[0]) if m else 0
-    # back phase: normalise each pivot row, clear the entries above it
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    for r in range(len(pivots) - 1, 0, -1):
-        c, low = pivots[r], red[r]
-        for i in range(r):
-            f = red[i][c]
-            if f:
-                red[i] = [x - f * y for x, y in zip(red[i], low)]
-    zero = (Fraction(0),) * nc
-    out = tuple(tuple(row) for row in red) + (zero,) * (len(m) - len(pivots))
-    return out, tuple(pivots)
+    rows, pivots = _primitive_rref(a)
+    red = tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots))
+    return red + ((Fraction(0),) * shape(a)[1],) * (len(a) - len(pivots)), tuple(pivots)
 
 
 def solve(a: Matrix, b) -> Vector | None:
@@ -176,24 +205,11 @@ def solve(a: Matrix, b) -> Vector | None:
 
 
 def nullspace(a: Matrix) -> tuple[Vector, ...]:
-    """Canonical basis of the right kernel (free variable = 1 pattern)."""
-    nr, nc = shape(a)
-    if nc == 0:
-        return ()
-    if nr == 0:
-        return tuple(identity(nc))
-    r, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(nc):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * nc
-        v[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -r[i][free]
-        basis.append(tuple(v))
-    return tuple(basis)
+    """Canonical basis of the right kernel (free variable = 1 pattern): the
+    primitive kernel vectors divided by their free entry, the last nonzero one."""
+    kernel = _kernel(a)
+    free = [next(x for x in reversed(v) if x) for v in kernel]
+    return tuple(tuple(Fraction(x, d) for x in v) for v, d in zip(kernel, free))
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -236,9 +252,7 @@ class Subspace:
         for v in rows:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        if rows:
-            r, pivots = rref(rows)
-            rows = tuple(map(tuple, _int_rows(r[: len(pivots)])[0]))
+        rows = tuple(map(tuple, _primitive_rref(rows)[0]))
         self.basis: Matrix = transpose(rows) if rows else tuple(() for _ in range(ambient))
 
     @property
@@ -275,15 +289,14 @@ class Subspace:
             tuple(self.basis[i]) + tuple(-x for x in other.basis[i])
             for i in range(self.ambient)
         )
-        sols = nullspace(stacked)
-        vecs = [matvec(self.basis, s[: self.dim]) for s in _int_rows(sols)[0]]
+        vecs = [matvec(self.basis, s[: self.dim]) for s in _kernel(stacked)]
         return Subspace(self.ambient, vecs)
 
     def perp(self, gram: Matrix) -> "Subspace":
         """Orthogonal complement in the ambient space w.r.t. the form gram."""
         if self.dim == 0:
             return Subspace(self.ambient, tuple(identity(self.ambient)))
-        return Subspace(self.ambient, nullspace(matmul(transpose(self.basis), gram)))
+        return Subspace(self.ambient, _kernel(matmul(transpose(self.basis), gram)))
 
     def __eq__(self, other) -> bool:
         return (

@@ -236,11 +236,18 @@ def realize_r(n: int, triple: BDTriple, r0: CartanTerm) -> TensorElement:
     for alpha in rs.positive_roots:
         i, j = root_to_interval(alpha)
         t.add_term(((j, i), (i, j)), 1)
+    tau = triple.tau_map
     for alpha, beta in partial_order_pairs(rs, triple):
         i, j = root_to_interval(alpha)
         p, q = root_to_interval(beta)
-        t.add_term(((j, i), (p, q)), 1)
-        t.add_term(((p, q), (j, i)), -1)
+        # a tau step reversing simple roots lo..hi multiplies E's sign by (-1)^(hi-lo)
+        sign, lo, hi = 1, i, j - 1
+        while (lo, hi + 1) != (p, q):
+            a, b = tau[lo], tau[hi]
+            sign *= (-1) ** (hi - lo) if a > b else 1
+            lo, hi = min(a, b), max(a, b)
+        t.add_term(((j, i), (p, q)), sign)
+        t.add_term(((p, q), (j, i)), -sign)
     return t
 
 
@@ -534,11 +541,12 @@ def tc_orbit_dim(f: MatrixElement, twist: Matrix | None, subalgebra_roots) -> in
         raise ValueError(f"a {size}x{size} matrix needs roots of A{size - 1}")
     # f (g x g^{-1}) f^{-1} = (fg) x (fg)^{-1}
     h = f.entries if twist is None else matmul(f.entries, twist)
-    products = _conjugation_images(
-        h, dict.fromkeys(root_to_interval(root) for root in roots)
-    )
-    # S H has dimension |S| (coroots and distinct root vectors are independent)
-    if rank([p for pair in products for p in pair]) > len(products):
+    intervals = dict.fromkeys(root_to_interval(root) for root in roots)
+    products = _conjugation_images(h, intervals)
+    # S H has dimension |S| (coroots and distinct root vectors are independent);
+    # every root gives S = sl(n+1), which every conjugation preserves
+    proper = len(intervals) < size * (size - 1)
+    if proper and rank([p for pair in products for p in pair]) > len(products):
         raise SubalgebraNotPreserved("twisted image leaves the subalgebra span")
     return _orbit_rank(products)
 

@@ -250,6 +250,36 @@ def test_tc_orbit_dim_not_preserved_with_a_rational_h_and_a_weyl_twist():
     assert got == _oracle_tc_orbit_dim(f, g, roots) == 2
 
 
+def test_full_root_set_matches_the_oracle_on_a1_to_a5():
+    # with every root, S is all of sl(n+1) and the preservation rank is
+    # skipped; the orbit rank must still be the oracle's
+    rng = random.Random(43)
+    for n in range(1, 6):
+        rs = build_root_system(f"A{n}")
+        weyl = enumerate_weyl(rs)
+        roots = list(rs.all_roots)
+        cases = [(_draw(rs, weyl, range(n), rng, False), _draw(rs, weyl, range(n), rng, True))
+                 for _ in range(4)]
+        cases += [(_rational_unimodular(n + 1, rng), wdot_matrix(rng.choice(weyl)))]
+        for f, g in cases:
+            twist = identity_twist() if g is None else conjugation_twist(g)
+            got = tc_orbit_dim(MatrixElement(f, "group"), twist, roots)
+            assert got == _oracle_tc_orbit_dim(f, g, roots), (n, f, g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_all_roots_but_one_still_checks_preservation(n):
+    # w0 sends E_theta to the root vector of -theta, the one root left out
+    rs = build_root_system(f"A{n}")
+    lowest = tuple(-1 for _ in range(n))
+    roots = [a for a in rs.all_roots if a != lowest]
+    assert len(roots) == len(rs.all_roots) - 1
+    w0 = wdot_matrix(perm_to_weyl(rs, tuple(reversed(range(n + 1)))))
+    args = (MatrixElement(w0, "group"), identity_twist(), roots)
+    assert _outcome(tc_orbit_dim, *args) == NOT_PRESERVED
+    assert _outcome(_oracle_tc_orbit_dim, w0, None, roots) == NOT_PRESERVED
+
+
 def test_a_singular_twist_is_rejected():
     with pytest.raises(ValueError, match="singular"):
         conjugation_twist([[1, 2], [2, 4]])
