@@ -63,14 +63,14 @@ def simple_span(rs: RootSystem, indices) -> Subspace:
 
 def form_perp_of_simples(rs: RootSystem, indices) -> Subspace:
     """z for an index set: vectors on which every listed simple root vanishes."""
-    return simple_span(rs, indices).perp(rs.gram)
+    return simple_span(rs, indices).perp(rs.gram_int)
 
 
 def compute_decomposition(
     rs: RootSystem, triple: BDTriple, r0: CartanTerm
 ) -> Decomposition:
     k = rs.cartan_rank
-    g = rs.gram
+    g = rs.gram_int  # for perps: scaling the form keeps its kernels
     m = r0.r0
 
     l1 = levi_roots(rs, triple.gamma1)
@@ -95,7 +95,7 @@ def compute_decomposition(
     a1 = h1.intersect(h_ort1.perp(g))
     a2 = h2.intersect(h_ort2.perp(g))
 
-    f_cartan = matmul(m, g)
+    f_cartan = matmul(m, rs.gram)
     f_minus_1 = msub(f_cartan, identity(k))
     try:
         theta_cartan = matmul(f_cartan, inverse(f_minus_1))

@@ -10,6 +10,7 @@ quotient.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm, prod
@@ -25,6 +26,7 @@ from .linalg import (
     Lattice,
     Matrix,
     Subspace,
+    _echelon,
     _integer_scaled,
     _kernel,
     identity,
@@ -35,10 +37,11 @@ from .linalg import (
     rank,
     transpose,
 )
-from .rootsys import RootSystem
+from .rootsys import RootSystem, levi_roots
 from .weyl import (
     ParabolicSubgroup,
     WeylElement,
+    _weyl_bound,
     inverse_element,
     minimal_coset_reps,
     right_descent,
@@ -188,13 +191,27 @@ def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-class _Frame:
-    """What the records of one (rs, triple, d) share.
+def _stable_indices(step: dict) -> frozenset[int]:
+    """The largest S among step's keys that step maps into itself (so
+    permutes, step being injective): drop each i whose image is not in S
+    until none is dropped."""
+    s = set(step)
+    while (kept := {i for i in s if step[i] in s}) != s:
+        s = kept
+    return frozenset(s)
 
-    The Cartan domain of the first side and the tau maps are built once.
-    Data that depends on one representative, on one stable root set, or on
-    a first-side representative and a root set is memoized on first use, so
-    the per-record work is the stable-root walk and a few integer ranks.
+
+class _Frame:
+    """What the records of one (rs, triple, d) share: the first side's Cartan
+    domain and tau on simple-root indices, and memos per representative, per
+    stable index set S and per (v1, S).
+
+    v in W^Gamma1, and the twist v1·tau^-1·v2·tau for v2 in W^Gamma2, keep
+    the first Levi's positive roots positive, so they permute the simple
+    roots of their stable subsystem (Humphreys, Reflection Groups and
+    Coxeter Groups, ch. 1): it is Phi_S for the largest S in Gamma1 whose
+    simple roots the map permutes.  A record costs a walk on indices, one
+    matmul and one integer elimination.
     """
 
     def __init__(self, rs: RootSystem, triple: BDTriple, d: Decomposition):
@@ -204,14 +221,13 @@ class _Frame:
         self.k = rs.cartan_rank
         self.zero = (0,) * self.k
         self.dom1 = cartan_domain(rs, triple, d, 1)
-        # tau maps the first Levi's roots onto the second's
-        self.tau = dict(d.theta_roots)
-        self.tau_inv = {b: a for a, b in d.theta_roots}
+        # tau on the simple-root indices of the first Levi and back
+        self.tau = triple.tau_map
+        self.tau_inv = {j: i for i, j in triple.tau}
         self._left = {}
         self._left_pair = {}
         self._right = {}
         self._spans = {}
-        self._meets = {}
 
     @cached_property
     def theta_scaled(self) -> Matrix:
@@ -226,32 +242,42 @@ class _Frame:
     def _moved(self, m: Matrix, space: Subspace) -> Subspace:
         return Subspace(self.k, [matvec(m, x) for x in space.vectors()])
 
+    def _simple_image(self, v: WeylElement) -> dict[int, int]:
+        """i -> j for each simple root alpha_i that v maps to a simple root
+        alpha_j: column i of v is then the unit vector e_j."""
+        cols = zip(range(self.rs.rank), zip(*v.matrix))
+        return {i: c.index(1) for i, c in cols if sum(c) == 1 and min(c) >= 0}
+
     def left(self, v: WeylElement, label: str):
-        """A basis of h_ort1 + v·h_ort1."""
+        """The simple-root map of v and h_ort1 + v·h_ort1."""
         hit = self._left.get(v)
         if hit is None:
             _require_coset_minimal(self.rs, v, self.triple.gamma1, label)
             ort = self.d.h_ort1.add(self._moved(v.matrix, self.d.h_ort1))
-            hit = self._left[v] = ort.vectors()
+            hit = self._left[v] = (self._simple_image(v), ort)
         return hit
 
     def left_pair(self, v1: WeylElement):
-        """The two-sided extras of v1: v1·dom1, Theta·v1^{-1}, its image of
-        h_ort1 + v1·h_ort1, and the u3 rows (x, 0) for x in that sum."""
+        """The two-sided data of v1: its simple-root map, Theta·v1^{-1}, its
+        image of h_ort1 + v1·h_ort1 as columns, the u3 rows (x, 0) for x in
+        that sum, v1·dom1, and a memo of meet and [meet | lv_center] per S."""
         hit = self._left_pair.get(v1)
         if hit is None:
-            ort = self.left(v1, "v1")
+            simple, ort = self.left(v1, "v1")
             theta_v1inv = matmul(self.theta_scaled, inverse_element(self.rs, v1).matrix)
             hit = self._left_pair[v1] = (
-                self._moved(v1.matrix, self.dom1),
+                simple,
                 theta_v1inv,
-                tuple(matvec(theta_v1inv, x) for x in ort),
-                tuple(x + self.zero for x in ort),
+                matmul(theta_v1inv, ort.basis),
+                tuple(x + self.zero for x in ort.vectors()),
+                self._moved(v1.matrix, self.dom1),
+                {},
             )
         return hit
 
     def right(self, v2: WeylElement):
-        """v2·Theta and the u3 rows (0, y) for y in h_ort2 + v2·h_ort2."""
+        """v2·Theta, the u3 rows (0, y) for y in h_ort2 + v2·h_ort2, and the
+        simple-root map of v2."""
         hit = self._right.get(v2)
         if hit is None:
             _require_coset_minimal(self.rs, v2, self.triple.gamma2, "v2")
@@ -259,92 +285,83 @@ class _Frame:
             hit = self._right[v2] = (
                 matmul(v2.matrix, self.theta_scaled),
                 tuple(self.zero + y for y in ort.vectors()),
+                self._simple_image(v2),
             )
         return hit
 
-    def span_data(self, root_set):
-        """dim span, span-perp and lv_center = dom1 ∩ span-perp."""
-        hit = self._spans.get(root_set)
+    def span_data(self, s: frozenset[int]):
+        """Phi_S, dim span, span-perp and lv_center = dom1 ∩ span-perp."""
+        hit = self._spans.get(s)
         if hit is None:
+            root_set = levi_roots(self.rs, s)
             _assert_simple_generated(self.rs, root_set)
             span = Subspace(self.k, root_set)
-            perp = span.perp(self.rs.gram)
-            hit = self._spans[root_set] = (
-                span.dim,
-                perp,
-                self.dom1.intersect(perp),
-            )
+            perp = span.perp(self.rs.gram_int)
+            hit = self._spans[s] = (root_set, span.dim, perp, self.dom1.intersect(perp))
         return hit
-
-    def meet(self, v1: WeylElement, root_set) -> Subspace:
-        """lv_center ∩ center2, where center2 = v1·dom1 ∩ span-perp."""
-        key = (v1, root_set)
-        hit = self._meets.get(key)
-        if hit is None:
-            _, perp, lv_center = self.span_data(root_set)
-            center2 = self.left_pair(v1)[0].intersect(perp)
-            hit = self._meets[key] = lv_center.intersect(center2)
-        return hit
-
-    def cong(self, image: Matrix, center_dim: int, ort):
-        """Rank of image and the codimension in the center of its column
-        span plus the span of ort."""
-        rows = transpose(image)
-        return rank(rows), center_dim - rank(rows + ort)
 
     def single(self, v: WeylElement) -> StableSubalgebra:
-        ort = self.left(v, "v")
-        root_set = stable_roots(self.d.levi1_roots, v)
-        span_dim, _, lv_center = self.span_data(root_set)
+        simple, ort = self.left(v, "v")
+        s = _stable_indices({i: simple.get(i) for i in self.triple.gamma1})
+        root_set, span_dim, _, lv_center = self.span_data(s)
         center_dim = self.k - span_dim
-        cong_dim, moduli_dim = self.cong(
-            msub(matmul(v.matrix, lv_center.basis), lv_center.basis), center_dim, ort
-        )
+        # [image | h_ort1 + v·h_ort1]: its pivots in the image's columns give
+        # the rank of the image, all of them the rank of the sum
+        image = msub(matmul(v.matrix, lv_center.basis), lv_center.basis)
+        pivots = _echelon(tuple(a + b for a, b in zip(image, ort.basis)))[1]
         return StableSubalgebra(
             root_set=root_set,
             derived_dim=len(root_set) + span_dim,
             center_dim=center_dim,
             lv_center=lv_center,
-            cong_dim=cong_dim,
-            moduli_dim=moduli_dim,
+            cong_dim=bisect_left(pivots, lv_center.dim),
+            moduli_dim=center_dim - len(pivots),
         )
 
     def pair(self, v1: WeylElement, v2: WeylElement) -> PairStableSubalgebra:
         self.left(v1, "v1")  # v1 is checked before v2
-        v2theta, u3_right = self.right(v2)
-        _, theta_v1inv, moved_ort, u3_left = self.left_pair(v1)
+        v2theta, u3_right, simple2 = self.right(v2)
+        simple1, theta_v1inv, moved_ort, u3_left, moved_dom, meets = self.left_pair(v1)
         tau, tau_inv = self.tau, self.tau_inv
-
-        def phi(a):
-            e = tau_inv.get(v2(tau[a]))
-            return None if e is None else v1(e)
-
-        root_set = stable_roots(self.d.levi1_roots, phi)
-        span_dim, _, lv_center = self.span_data(root_set)
+        # the twist on simple-root indices, None where it leaves them
+        phi = {i: simple1.get(tau_inv.get(simple2.get(j))) for i, j in tau.items()}
+        s = _stable_indices(phi)
+        root_set, span_dim, perp, lv_center = self.span_data(s)
         center_dim = self.k - span_dim
+        hit = meets.get(s)
+        if hit is None:
+            # meet = lv_center ∩ center2, where center2 = v1·dom1 ∩ span-perp
+            meet = lv_center.intersect(moved_dom.intersect(perp))
+            hit = meets[s] = (meet, tuple(a + b for a, b in zip(meet.basis, lv_center.basis)))
+        meet, cols = hit
+        m = meet.dim
         # D = v2·Theta - Theta·v1^-1 is c·theta·v1^-1·(psi - 1) for the twist
         # psi = v1·theta^-1·v2·theta, and c·theta·v1^-1 is invertible, so D keeps
-        # the ranks of psi - 1 when h_ort1 + v1·h_ort1 is moved by Theta·v1^-1 too
+        # the ranks of psi - 1 when h_ort1 + v1·h_ort1 is moved by Theta·v1^-1 too.
+        # One elimination of [D·meet | D·lv_center | moved ort] gives them all:
+        # meet lies in lv_center, and an echelon form of a column prefix is the
+        # prefix of the echelon form
         diff = msub(v2theta, theta_v1inv)
-        cong_dim, moduli_dim = self.cong(matmul(diff, lv_center.basis), center_dim, moved_ort)
-
+        pivots = _echelon(tuple(a + b for a, b in zip(matmul(diff, cols), moved_ort)))[1]
         # u1 = graph(v2theta | lv_center), u2 = graph(theta·v1^-1 | center2), so
-        # u1 ∩ u2 = graph(v2theta | ker D on lv_center ∩ center2); integer kernel
-        # vectors and (a, b) -> (a, c·b), which maps u3 onto itself, keep it integral
-        meet = self.meet(v1, root_set).basis
-        graph = []
-        for c in _kernel(matmul(diff, meet)):
-            x = matvec(meet, c)
-            graph.append(x + matvec(v2theta, x))
+        # u1 ∩ u2 = graph(v2theta | ker D on meet), of dimension dim ker; and
+        # (a, b) -> (a, c·b) maps u3 onto itself.  u3's rows (x, 0) and (0, y)
+        # are independent, so a rank is needed only when both parts are nonzero
+        pk = bisect_left(pivots, m)
+        z_pair_dim = m - pk + len(u3_left) + len(u3_right)
+        if pk < m and (u3_left or u3_right):
+            x = matmul(meet.basis, transpose(_kernel(matmul(diff, meet.basis))))
+            graph = transpose(x + matmul(v2theta, x))
+            z_pair_dim = rank(graph + u3_left + u3_right)
         return PairStableSubalgebra(
             root_set=root_set,
             derived_dim=len(root_set) + span_dim,
             center_dim=center_dim,
             lv_center=lv_center,
-            cong_dim=cong_dim,
-            moduli_dim=moduli_dim,
-            partner_root_set=tuple(sorted(v2(tau[a]) for a in root_set)),
-            z_pair_dim=rank(tuple(graph) + u3_left + u3_right),
+            cong_dim=bisect_left(pivots, m + lv_center.dim),
+            moduli_dim=center_dim - len(pivots),
+            partner_root_set=self.span_data(frozenset(simple2[tau[i]] for i in s))[0],
+            z_pair_dim=z_pair_dim,
         )
 
 
@@ -438,6 +455,9 @@ def classify_g(
     )
     reps1 = _coset_space(rs, triple.gamma1)
     reps2 = _coset_space(rs, triple.gamma2)
+    count, bound = len(reps1) * len(reps2), _weyl_bound()
+    if count > bound:
+        raise ValueError(f"{count} pairs of coset representatives exceed bound {bound}")
     frame = _Frame(rs, triple, d)
     records = []
     for v1 in reps1:

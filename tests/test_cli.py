@@ -361,3 +361,25 @@ def test_weyl_bound_below_the_coset_space_exits_two(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert [e["stage"] for e in doc["errors"]] == ["classification"]
     assert "exceeded bound 3" in doc["errors"][0]["detail"]
+
+
+# A3 with gamma1 = {1}, gamma2 = {2}: |W^{Gamma}| = 24/2 = 12 on each side
+PAIRS_A3_ARGS = [
+    "--root-system", "A3", "--gamma1", "1", "--gamma2", "2",
+    "--tau", "1:2", "--mode", "full", "--format", "machine",
+]
+
+
+def test_weyl_bound_caps_the_pair_count(capsys, monkeypatch):
+    # both coset spaces fit under 100; their 144 pairs do not
+    monkeypatch.setenv("LEAFATLAS_WEYL_BOUND", "100")
+    assert main(PAIRS_A3_ARGS) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [(e["stage"], e["severity"]) for e in doc["errors"]] == [("classification", "input")]
+    assert "144 pairs" in doc["errors"][0]["detail"]
+    assert "bound 100" in doc["errors"][0]["detail"]
+    assert doc["records"] == []
+    monkeypatch.setenv("LEAFATLAS_WEYL_BOUND", "144")
+    assert main(PAIRS_A3_ARGS) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["errors"] == [] and len(doc["records"]) == 144

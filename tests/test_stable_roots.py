@@ -1,16 +1,28 @@
-"""The shared stable-root walk against the three walks it replaced.
+"""The shared stable-root walk against the three walks it replaced, and
+the classifiers' stable sets from simple roots against the walk.
 
 The three reference walks below are the orbit walks that lived in
 ``stable_subalgebra_v``, ``stable_subalgebra_pair`` and
 ``typea._stable_simple_set`` before they were merged into
-``leafclass.stable_roots``.  They are kept here only as oracles.
+``leafclass.stable_roots``.  They are kept here only as oracles.  The
+classifiers no longer walk roots: they read which simple roots a
+representative sends to simple roots and shrink an index set to the largest
+one the map permutes, and ``stable_roots`` is the oracle for that.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from leafatlas import build_root_system, enumerate_valid_triples, validate_triple
+from leafatlas import (
+    build_root_system,
+    classify_g,
+    classify_gminus,
+    compute_decomposition,
+    enumerate_valid_triples,
+    solve_r0,
+    validate_triple,
+)
 from leafatlas.bdtriple import tau_linear_matrix
 from leafatlas.leafclass import stable_roots
 from leafatlas.linalg import matvec, transpose
@@ -162,3 +174,59 @@ def test_non_injective_step_trips_the_guard():
     step = {a: b, b: c, c: b}.get  # a's orbit cycles through b, c forever
     with pytest.raises(AssertionError, match="failed to close"):
         stable_roots([a, b, c], step)
+
+
+# ---------------------------------------------------------------------------
+# stable sets from simple roots
+
+
+def _decomposition(rs, t):
+    return compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
+
+
+def _shrinking_rounds(rs, gamma, w) -> int:
+    """Rounds of S <- {i in S : w(alpha_i) = alpha_j, j in S} from S = gamma
+    that drop an index, with the images read by applying w to each root."""
+    simple = rs.simple_roots
+    step = {i: next((j for j in gamma if w(simple[i]) == simple[j]), None) for i in gamma}
+    s, rounds = set(gamma), 0
+    while (kept := {i for i in s if step[i] in s}) != s:
+        s, rounds = kept, rounds + 1
+    return rounds
+
+
+def test_one_sided_simple_root_sets_match_the_walk():
+    rounds = {}
+    for label in ("A3", "A4", "B3", "C3"):
+        rs = build_root_system(label)
+        for t in enumerate_valid_triples(rs):
+            d = _decomposition(rs, t)
+            for r in classify_gminus(rs, t, d):
+                assert r.stable.root_set == stable_roots(d.levi1_roots, r.v), (t, r.v)
+                if label in ("A3", "A4"):
+                    n = _shrinking_rounds(rs, t.gamma1, r.v)
+                    rounds[n] = rounds.get(n, 0) + 1
+    # the index walk must shrink S more than once somewhere, or it is untested
+    assert max(rounds) >= 2, rounds
+
+
+def test_two_sided_simple_root_sets_match_the_walk_on_d4():
+    rs = build_root_system("D4")
+    t = validate_triple(rs, (0,), (2,), {0: 2})
+    d = _decomposition(rs, t)
+    tau = dict(d.theta_roots)
+    tau_inv = {b: a for a, b in d.theta_roots}
+    records = classify_g(rs, t, d)
+    assert len(records) == 9216
+    sizes = set()
+    for r in records:
+
+        def phi(a, v1=r.v1, v2=r.v2):
+            e = tau_inv.get(v2(tau[a]))
+            return None if e is None else v1(e)
+
+        root_set = r.stable.root_set
+        assert root_set == stable_roots(d.levi1_roots, phi), (r.v1, r.v2)
+        assert r.stable.partner_root_set == tuple(sorted(r.v2(tau[a]) for a in root_set))
+        sizes.add(len(root_set))
+    assert sizes == {0, 2}
