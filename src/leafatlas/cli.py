@@ -271,6 +271,13 @@ def run_job(cfg: JobConfig) -> Report:
             f"root_system = {cfg.root_system}",
         )
         return report
+    if cfg.orbit_samples and not cfg.typea_checks:
+        fail(
+            "validate",
+            ValueError("orbit_samples require typea_checks"),
+            "orbit_samples = " + ",".join(cfg.orbit_samples),
+        )
+        return report
     try:
         triple = validate_triple(rs, cfg.gamma1, cfg.gamma2, cfg.tau)
     except ValueError as e:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bdtriple import BDTriple, CartanTerm, tau_linear_matrix
+from .bdtriple import BDTriple, CartanTerm
 from .linalg import (
     Matrix,
     Subspace,
@@ -54,7 +54,6 @@ class Decomposition:
     a2: Subspace
     f_cartan: Matrix
     theta_cartan: Matrix
-    theta_roots: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def simple_span(rs: RootSystem, indices) -> Subspace:
@@ -110,11 +109,6 @@ def compute_decomposition(
             "orthogonal complement choice is not theta-compatible"
         )
 
-    tlin = tau_linear_matrix(rs, triple)
-    theta_roots = tuple(
-        sorted((a, matvec(tlin, a)) for a in l1)
-    )
-
     return Decomposition(
         levi1_roots=l1,
         levi2_roots=l2,
@@ -128,7 +122,6 @@ def compute_decomposition(
         a2=a2,
         f_cartan=f_cartan,
         theta_cartan=theta_cartan,
-        theta_roots=theta_roots,
     )
 
 

@@ -203,8 +203,9 @@ def _stable_indices(step: dict) -> frozenset[int]:
 
 class _Frame:
     """What the records of one (rs, triple, d) share: the first side's Cartan
-    domain and tau on simple-root indices, and memos per representative, per
-    stable index set S and per (v1, S).
+    domain, tau on simple-root indices, the dimension summary, and memos per
+    stable index set S and per (v1, S).  The classifiers build each
+    representative's data once (left, right) and hand it to pair.
 
     v in W^Gamma1, and the twist v1·tau^-1·v2·tau for v2 in W^Gamma2, keep
     the first Levi's positive roots positive, so they permute the simple
@@ -221,12 +222,11 @@ class _Frame:
         self.k = rs.cartan_rank
         self.zero = (0,) * self.k
         self.dom1 = cartan_domain(rs, triple, d, 1)
+        self.dims = dimension_summary(rs, triple, d)
+        self.full_h = full_h_predicate(d)
         # tau on the simple-root indices of the first Levi and back
         self.tau = triple.tau_map
         self.tau_inv = {j: i for i, j in triple.tau}
-        self._left = {}
-        self._left_pair = {}
-        self._right = {}
         self._spans = {}
 
     @cached_property
@@ -242,52 +242,39 @@ class _Frame:
     def _moved(self, m: Matrix, space: Subspace) -> Subspace:
         return Subspace(self.k, [matvec(m, x) for x in space.vectors()])
 
-    def _simple_image(self, v: WeylElement) -> dict[int, int]:
-        """i -> j for each simple root alpha_i that v maps to a simple root
-        alpha_j: column i of v is then the unit vector e_j."""
+    def _side(self, v: WeylElement, gamma, h_ort: Subspace, label: str):
+        """After checking v is minimal modulo W_gamma: the map i -> j for each
+        simple root alpha_i that v sends to a simple root alpha_j (column i of
+        v is then e_j), and h_ort + v·h_ort."""
+        _require_coset_minimal(self.rs, v, gamma, label)
         cols = zip(range(self.rs.rank), zip(*v.matrix))
-        return {i: c.index(1) for i, c in cols if sum(c) == 1 and min(c) >= 0}
+        simple = {i: c.index(1) for i, c in cols if sum(c) == 1 and min(c) >= 0}
+        return simple, h_ort.add(self._moved(v.matrix, h_ort))
 
-    def left(self, v: WeylElement, label: str):
-        """The simple-root map of v and h_ort1 + v·h_ort1."""
-        hit = self._left.get(v)
-        if hit is None:
-            _require_coset_minimal(self.rs, v, self.triple.gamma1, label)
-            ort = self.d.h_ort1.add(self._moved(v.matrix, self.d.h_ort1))
-            hit = self._left[v] = (self._simple_image(v), ort)
-        return hit
-
-    def left_pair(self, v1: WeylElement):
+    def left(self, v1: WeylElement):
         """The two-sided data of v1: its simple-root map, Theta·v1^{-1}, its
         image of h_ort1 + v1·h_ort1 as columns, the u3 rows (x, 0) for x in
         that sum, v1·dom1, and a memo of meet and [meet | lv_center] per S."""
-        hit = self._left_pair.get(v1)
-        if hit is None:
-            simple, ort = self.left(v1, "v1")
-            theta_v1inv = matmul(self.theta_scaled, inverse_element(self.rs, v1).matrix)
-            hit = self._left_pair[v1] = (
-                simple,
-                theta_v1inv,
-                matmul(theta_v1inv, ort.basis),
-                tuple(x + self.zero for x in ort.vectors()),
-                self._moved(v1.matrix, self.dom1),
-                {},
-            )
-        return hit
+        simple, ort = self._side(v1, self.triple.gamma1, self.d.h_ort1, "v1")
+        theta_v1inv = matmul(self.theta_scaled, inverse_element(self.rs, v1).matrix)
+        return (
+            simple,
+            theta_v1inv,
+            matmul(theta_v1inv, ort.basis),
+            tuple(x + self.zero for x in ort.vectors()),
+            self._moved(v1.matrix, self.dom1),
+            {},
+        )
 
     def right(self, v2: WeylElement):
         """v2·Theta, the u3 rows (0, y) for y in h_ort2 + v2·h_ort2, and the
         simple-root map of v2."""
-        hit = self._right.get(v2)
-        if hit is None:
-            _require_coset_minimal(self.rs, v2, self.triple.gamma2, "v2")
-            ort = self.d.h_ort2.add(self._moved(v2.matrix, self.d.h_ort2))
-            hit = self._right[v2] = (
-                matmul(v2.matrix, self.theta_scaled),
-                tuple(self.zero + y for y in ort.vectors()),
-                self._simple_image(v2),
-            )
-        return hit
+        simple, ort = self._side(v2, self.triple.gamma2, self.d.h_ort2, "v2")
+        return (
+            matmul(v2.matrix, self.theta_scaled),
+            tuple(self.zero + y for y in ort.vectors()),
+            simple,
+        )
 
     def span_data(self, s: frozenset[int]):
         """Phi_S, dim span, span-perp and lv_center = dom1 ∩ span-perp."""
@@ -301,7 +288,7 @@ class _Frame:
         return hit
 
     def single(self, v: WeylElement) -> StableSubalgebra:
-        simple, ort = self.left(v, "v")
+        simple, ort = self._side(v, self.triple.gamma1, self.d.h_ort1, "v")
         s = _stable_indices({i: simple.get(i) for i in self.triple.gamma1})
         root_set, span_dim, _, lv_center = self.span_data(s)
         center_dim = self.k - span_dim
@@ -318,10 +305,10 @@ class _Frame:
             moduli_dim=center_dim - len(pivots),
         )
 
-    def pair(self, v1: WeylElement, v2: WeylElement) -> PairStableSubalgebra:
-        self.left(v1, "v1")  # v1 is checked before v2
-        v2theta, u3_right, simple2 = self.right(v2)
-        simple1, theta_v1inv, moved_ort, u3_left, moved_dom, meets = self.left_pair(v1)
+    def pair(self, left, right) -> PairStableSubalgebra:
+        """The stable data of v1 and v2 from left(v1) and right(v2)."""
+        simple1, theta_v1inv, moved_ort, u3_left, moved_dom, meets = left
+        v2theta, u3_right, simple2 = right
         tau, tau_inv = self.tau, self.tau_inv
         # the twist on simple-root indices, None where it leaves them
         phi = {i: simple1.get(tau_inv.get(simple2.get(j))) for i, j in tau.items()}
@@ -364,6 +351,28 @@ class _Frame:
             z_pair_dim=z_pair_dim,
         )
 
+    def record(self, st: StableSubalgebra, const: int, offset: int, **reps) -> LeafRecord:
+        """The record of st for reps (v, or v1 and v2): leaf constant const
+        plus their lengths, coset constant offset more.  With both h_ort zero,
+        the simplified dim l1 - dim g_v + lengths + cong_dim must agree."""
+        lengths = sum(w.length for w in reps.values())
+        leaf = AffineDim(const + lengths)
+        simplified = None
+        if self.full_h:
+            dim_gv = self.k + len(st.root_set)
+            simplified = AffineDim(self.dims["dim_l1"] - dim_gv + lengths + st.cong_dim)
+            if simplified != leaf:
+                raise AssertionError("simplified leaf dimension disagrees")
+        return LeafRecord(
+            stable=st,
+            orbit_dim="d_orb",
+            orbit_range=(0, len(st.root_set)),
+            leaf_dim=leaf,
+            coset_dim=AffineDim(leaf.constant + offset),
+            simplified_leaf_dim=simplified,
+            **reps,
+        )
+
 
 def stable_subalgebra_v(
     rs: RootSystem, triple: BDTriple, d: Decomposition, v: WeylElement
@@ -382,7 +391,9 @@ def stable_subalgebra_pair(
 ) -> PairStableSubalgebra:
     """Stable data for the two-sided twist v1 tau^{-1} v2 tau, with the
     partner root set and the dimension of the pair-center solution space."""
-    return _Frame(rs, triple, d).pair(v1, v2)
+    frame = _Frame(rs, triple, d)
+    left = frame.left(v1)  # v1 is checked before v2
+    return frame.pair(left, frame.right(v2))
 
 
 def _coset_space(rs: RootSystem, indices) -> tuple[WeylElement, ...]:
@@ -396,41 +407,14 @@ def classify_gminus(
     rs: RootSystem, triple: BDTriple, d: Decomposition
 ) -> tuple[LeafRecord, ...]:
     """One record per minimal coset representative, dimension formulas included."""
-    dims = dimension_summary(rs, triple, d)
-    full_h = full_h_predicate(d)
-    k = rs.cartan_rank
     frame = _Frame(rs, triple, d)
+    dims = frame.dims
     records = []
     for v in _coset_space(rs, triple.gamma1):
         st = frame.single(v)
         cong_product = st.center_dim - st.moduli_dim
-        const = (
-            len(d.levi1_roots)
-            - len(st.root_set)
-            - dims["dim_h_ort1"]
-            + v.length
-            + cong_product
-        )
-        leaf = AffineDim(const)
-        coset = AffineDim(const + dims["dim_g_plus"])
-        simplified = None
-        if full_h:
-            dim_gv = k + len(st.root_set)
-            s_const = dims["dim_l1"] - dim_gv + v.length + st.cong_dim
-            if s_const != const:
-                raise AssertionError("simplified leaf dimension disagrees")
-            simplified = AffineDim(s_const)
-        records.append(
-            LeafRecord(
-                stable=st,
-                orbit_dim="d_orb",
-                orbit_range=(0, len(st.root_set)),
-                leaf_dim=leaf,
-                coset_dim=coset,
-                v=v,
-                simplified_leaf_dim=simplified,
-            )
-        )
+        const = len(d.levi1_roots) - len(st.root_set) - dims["dim_h_ort1"] + cong_product
+        records.append(frame.record(st, const, dims["dim_g_plus"], v=v))
     return tuple(records)
 
 
@@ -440,60 +424,24 @@ def classify_g(
     d: Decomposition,
 ) -> tuple[LeafRecord, ...]:
     """One record per pair of minimal coset representatives."""
-    dims = dimension_summary(rs, triple, d)
-    full_h = full_h_predicate(d)
-    k = rs.cartan_rank
-    pos1 = len(d.levi1_roots) // 2
-    pos2 = len(d.levi2_roots) // 2
-    offset = (
-        2 * dims["dim_g"]
-        - 2 * dims["dim_n_plus"]
-        + pos1
-        + pos2
-        - dims["dim_lprime1_a1"]
-        - 2 * dims["dim_h_ort1"]
-    )
     reps1 = _coset_space(rs, triple.gamma1)
     reps2 = _coset_space(rs, triple.gamma2)
     count, bound = len(reps1) * len(reps2), _weyl_bound()
     if count > bound:
         raise ValueError(f"{count} pairs of coset representatives exceed bound {bound}")
     frame = _Frame(rs, triple, d)
+    dims = frame.dims
+    base = dims["dim_lprime1_a1"] + 2 * dims["dim_h_ort1"]
+    pos = len(d.levi1_roots) // 2 + len(d.levi2_roots) // 2
+    offset = 2 * dims["dim_g"] - 2 * dims["dim_n_plus"] + pos - base
+    rights = [(v2, frame.right(v2)) for v2 in reps2]
     records = []
     for v1 in reps1:
-        for v2 in reps2:
-            st = frame.pair(v1, v2)
-            const = (
-                dims["dim_lprime1_a1"]
-                + 2 * dims["dim_h_ort1"]
-                - st.derived_dim
-                + v1.length
-                + v2.length
-                - st.z_pair_dim
-            )
-            leaf = AffineDim(const)
-            coset = AffineDim(const + offset)
-            simp = None
-            if full_h:
-                dim_gv = k + len(st.root_set)
-                s_const = (
-                    dims["dim_l1"] - dim_gv + v1.length + v2.length + st.cong_dim
-                )
-                if s_const != const:
-                    raise AssertionError("simplified leaf dimension disagrees")
-                simp = AffineDim(s_const)
-            records.append(
-                LeafRecord(
-                    stable=st,
-                    orbit_dim="d_orb",
-                    orbit_range=(0, len(st.root_set)),
-                    leaf_dim=leaf,
-                    coset_dim=coset,
-                    v1=v1,
-                    v2=v2,
-                    simplified_leaf_dim=simp,
-                )
-            )
+        left = frame.left(v1)
+        for v2, right in rights:
+            st = frame.pair(left, right)
+            const = base - st.derived_dim - st.z_pair_dim
+            records.append(frame.record(st, const, offset, v1=v1, v2=v2))
     records.sort(
         key=lambda r: (r.v1.length, r.v2.length, r.v1.matrix, r.v2.matrix)
     )

@@ -268,12 +268,6 @@ class Subspace:
             return all(frac(x) == 0 for x in v)
         return solve(self.basis, v) is not None
 
-    def coords(self, v) -> Vector:
-        c = solve(self.basis, v)
-        if c is None:
-            raise ValueError("vector not in subspace")
-        return c
-
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")

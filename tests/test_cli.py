@@ -239,6 +239,20 @@ def test_orbit_sample_of_the_wrong_size_is_an_input_error(tmp_path, capsys, rows
     assert doc["verification"]["orbit_samples"] == []
 
 
+def test_orbit_samples_without_typea_checks_are_an_input_error(capsys):
+    # the samples are read only by the type-A checks, so without them a
+    # sample file would be dropped unread
+    args = ["--root-system", "A3", "--mode", "gminus"]
+    args += ["--orbit-sample", "does-not-exist.txt", "--format", "machine"]
+    assert main(args) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [(e["stage"], e["error"], e["severity"]) for e in doc["errors"]] == [
+        ("validate", "ValueError", "input")
+    ]
+    assert doc["errors"][0]["input"] == "orbit_samples = does-not-exist.txt"
+    assert doc["records"] == []
+
+
 def test_typea_checks_need_a_type():
     cfg = JobConfig(root_system="B2", typea_checks=True)
     report = run_job(cfg)

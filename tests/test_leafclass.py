@@ -183,6 +183,24 @@ def test_stable_subalgebra_rejects_non_minimal_v():
         stable_subalgebra_v(rs, t, d, s0)
 
 
+@pytest.mark.parametrize(
+    "v1_gen, v2_gen, label",
+    [(0, None, "v1"), (None, 1, "v2"), (0, 1, "v1")],
+    ids=["v1", "v2", "both"],
+)
+def test_stable_subalgebra_pair_rejects_non_minimal_v1_before_v2(v1_gen, v2_gen, label):
+    # A2 CG: Gamma1 = {alpha_1}, Gamma2 = {alpha_2}, so s_i with i in Gamma_j
+    # is not minimal in its coset of W_Gamma_j, and e always is
+    rs, t, d = _setup("A2", "cg")
+    from leafatlas.weyl import weyl_identity
+
+    def rep(i):
+        return weyl_identity(rs) if i is None else simple_reflection(rs, i)
+
+    with pytest.raises(NotMinimalRep, match=f"^{label} is not the minimal"):
+        stable_subalgebra_pair(rs, t, d, rep(v1_gen), rep(v2_gen))
+
+
 def test_stable_subalgebra_center_data_cg_a2():
     rs, t, d = _setup("A2", "cg")
     from leafatlas.weyl import weyl_identity

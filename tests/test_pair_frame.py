@@ -26,7 +26,7 @@ from leafatlas import (
     stable_subalgebra_pair,
     validate_triple,
 )
-from leafatlas.bdtriple import CartanTerm
+from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
 from leafatlas.decomp import cartan_domain, simple_span
 from leafatlas.leafclass import (
     PairStableSubalgebra,
@@ -105,8 +105,9 @@ def reference_pair(rs, triple, d, v1, v2):
     _require_coset_minimal(rs, v1, triple.gamma1, "v1")
     _require_coset_minimal(rs, v2, triple.gamma2, "v2")
     k = rs.cartan_rank
-    tau = dict(d.theta_roots)
-    tau_inv = {b: a for a, b in d.theta_roots}
+    tlin = tau_linear_matrix(rs, triple)
+    tau = {a: matvec(tlin, a) for a in d.levi1_roots}
+    tau_inv = {b: a for a, b in tau.items()}
 
     def phi(a):
         e = tau_inv.get(v2(tau[a]))

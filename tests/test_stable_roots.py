@@ -214,8 +214,9 @@ def test_two_sided_simple_root_sets_match_the_walk_on_d4():
     rs = build_root_system("D4")
     t = validate_triple(rs, (0,), (2,), {0: 2})
     d = _decomposition(rs, t)
-    tau = dict(d.theta_roots)
-    tau_inv = {b: a for a, b in d.theta_roots}
+    tlin = tau_linear_matrix(rs, t)
+    tau = {a: matvec(tlin, a) for a in d.levi1_roots}
+    tau_inv = {b: a for a, b in tau.items()}
     records = classify_g(rs, t, d)
     assert len(records) == 9216
     sizes = set()
