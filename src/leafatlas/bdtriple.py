@@ -46,7 +46,6 @@ __all__ = [
     "solve_r0",
     "assemble_r",
     "induction_chain",
-    "omega0_matrix",
     "check_cartan_term",
     "tau_linear_matrix",
     "enumerate_valid_triples",
@@ -211,15 +210,10 @@ def partial_order_pairs(rs: RootSystem, triple: BDTriple):
     return sorted(pairs)
 
 
-def omega0_matrix(rs: RootSystem) -> Matrix:
-    """Cartan block of the Casimir for the invariant form: gram^{-1}."""
-    return rs.gram_inverse
-
-
 def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> None:
     """Raise Infeasible unless both r0 constraints hold exactly."""
     m = term.r0
-    if madd(m, transpose(m)) != omega0_matrix(rs):
+    if madd(m, transpose(m)) != rs.gram_inverse:
         raise Infeasible("r0 + r0^T does not equal the Cartan Casimir block")
     g = rs.gram
     for a_idx, t_idx in triple.tau:
@@ -254,7 +248,7 @@ def solve_r0(
     """
     k = rs.cartan_rank
     g = rs.gram
-    omega = omega0_matrix(rs)
+    omega = rs.gram_inverse
 
     if mode == "from_file":
         if matrix is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 
 from .bdtriple import BDTriple
 from .decomp import (
@@ -156,18 +156,6 @@ def _require_coset_minimal(rs: RootSystem, v: WeylElement, indices, label: str):
         raise NotMinimalRep(f"{label} is not the minimal element of its coset")
 
 
-def _assert_simple_generated(rs: RootSystem, root_set):
-    members = set(root_set)
-    for a in root_set:
-        if not all(x >= 0 for x in a):
-            continue
-        for t, x in enumerate(a):
-            if x != 0 and rs.simple_roots[t] not in members:
-                raise AssertionError(
-                    "stable root set is not generated by its simple roots"
-                )
-
-
 def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
     """Sorted roots whose forward orbit under step stays in roots and comes
     back to its start.
@@ -281,7 +269,6 @@ class _Frame:
         hit = self._spans.get(s)
         if hit is None:
             root_set = levi_roots(self.rs, s)
-            _assert_simple_generated(self.rs, root_set)
             span = Subspace(self.k, root_set)
             perp = span.perp(self.rs.gram_int)
             hit = self._spans[s] = (root_set, span.dim, perp, self.dom1.intersect(perp))
@@ -451,10 +438,14 @@ def classify_g(
 def sigma_group(
     d: Decomposition, kernel: Lattice, lambda2: Lattice | None = None
 ) -> FiniteAbelianGroup:
-    """Invariant factors of ker' / (ker' cap (1 - theta) ker)."""
-    theta = d.theta_cartan
-    k = len(theta)
-    one_minus = msub(identity(k), theta)
+    """Invariant factors of ker' / (ker' cap (1 - theta) ker).
+
+    With s·(1 - theta) integral, scaling both lattices by s is an isomorphism,
+    and A / (A cap B) = (A + B) / B, so Sigma is sup + image over image for
+    sup = s·ker' and image = (s·(1 - theta))·ker, all in integers.
+    """
+    k = len(d.theta_cartan)
+    one_minus, s = _integer_scaled(msub(identity(k), d.theta_cartan))
     if rank(one_minus) < k:
         raise ThetaMinusOneSingular("1 - theta is singular on h")
 
@@ -467,9 +458,7 @@ def sigma_group(
             )
         kerp = kernel.sum(lambda2)
 
-    image_cols = [matvec(one_minus, c) for c in kernel.columns()]
-    denom = lcm(1, *(x.denominator for c in image_cols for x in c))
-    sup = Lattice(k, [tuple(x * denom for x in c) for c in kerp.columns()])
-    image = Lattice(k, [tuple(x * denom for x in c) for c in image_cols])
-    factors, free = quotient_invariants(sup, sup.intersection(image))
+    image = Lattice(k, transpose(matmul(one_minus, kernel.basis)))
+    sup = Lattice(k, [[s * x for x in c] for c in kerp.columns()])
+    factors, free = quotient_invariants(sup.sum(image), image)
     return FiniteAbelianGroup(invariant_factors=factors, free_rank=free)

@@ -306,10 +306,6 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def subspace_from_columns(a: Matrix) -> Subspace:
-    return Subspace(len(a), tuple(zip(*a)) if a and a[0] else ())
-
-
 # ---------------------------------------------------------------------------
 # integer lattices
 
@@ -438,10 +434,10 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
 
 
 class Lattice:
-    """Integer lattice in Z^ambient given by independent basis columns.
+    """Integer lattice in Z^ambient spanned by integer generator columns.
 
-    The basis is canonicalized with a Hermite normal form so equal lattices
-    compare equal.
+    The basis is stored as a matrix of ints whose columns are the rows of the
+    Hermite normal form of the generators, so equal lattices compare equal.
     """
 
     __slots__ = ("ambient", "basis")
@@ -452,9 +448,7 @@ class Lattice:
         for r in rows:
             if len(r) != ambient:
                 raise ValueError("lattice vector length mismatch")
-        self.basis: Matrix = (
-            transpose(mat(rows)) if rows else tuple(() for _ in range(ambient))
-        )
+        self.basis: Matrix = transpose(rows) if rows else tuple(() for _ in range(ambient))
 
     @property
     def rank(self) -> int:
@@ -474,21 +468,6 @@ class Lattice:
             raise ValueError("ambient mismatch")
         return Lattice(self.ambient, self.columns() + other.columns())
 
-    def intersection(self, other: "Lattice") -> "Lattice":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        if self.rank == 0 or other.rank == 0:
-            return Lattice(self.ambient)
-        a, b = self.basis, other.basis
-        stacked = [
-            [int(a[i][j]) for j in range(self.rank)]
-            + [-int(b[i][j]) for j in range(other.rank)]
-            for i in range(self.ambient)
-        ]
-        kernel = integer_kernel(stacked)
-        cols = [matvec(a, k[: self.rank]) for k in kernel]
-        return Lattice(self.ambient, cols)
-
     def rational_span(self) -> Subspace:
         return Subspace(self.ambient, self.columns())
 
@@ -504,22 +483,6 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(ambient={self.ambient}, rank={self.rank})"
-
-
-def integer_kernel(a) -> list[list[int]]:
-    """Basis of the integer solution lattice of a·x = 0."""
-    rows = _int_matrix(a)
-    n = len(rows[0]) if rows else 0
-    if n == 0:
-        return []
-    u, d, v = smith_normal_form(rows)
-    m = len(rows)
-    kernel = []
-    for j in range(n):
-        diag = d[j][j] if j < min(m, n) else 0
-        if diag == 0:
-            kernel.append([v[i][j] for i in range(n)])
-    return kernel
 
 
 def quotient_invariants(sup: Lattice, sub: Lattice) -> tuple[tuple[int, ...], int]:

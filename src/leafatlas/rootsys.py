@@ -258,11 +258,7 @@ def form_pairing(rs: RootSystem, x, y) -> Fraction:
     """(x, y) = x^T · gram · y in simple-root coordinates."""
     if len(x) != rs.cartan_rank or len(y) != rs.cartan_rank:
         raise ValueError("vector dimension does not match cartan_rank")
-    return dot_form(rs.gram, x, y)
-
-
-def dot_form(gram: Matrix, x, y) -> Fraction:
-    gy = matvec(gram, vec(y))
+    gy = matvec(rs.gram, vec(y))
     return sum((frac(a) * b for a, b in zip(x, gy)), Fraction(0))
 
 

@@ -570,6 +570,17 @@ def _stable_simple_set(rs: RootSystem, c: WeylElement, s_cur: frozenset) -> froz
     return s_next
 
 
+def _outside_blocks(g: Matrix, indices) -> tuple[int, int] | None:
+    """The first nonzero entry (r, c) of g, in row-major order, outside the
+    block pattern of the Levi of indices, or None if g lies in that Levi."""
+    labels = block_labels(frozenset(indices), len(g))
+    for r, row in enumerate(g):
+        for c, x in enumerate(row):
+            if x != 0 and labels[r] != labels[c]:
+                return r, c
+    return None
+
+
 def normalize_coset(
     l: MatrixElement, w: WeylElement, triple: BDTriple, d: Decomposition
 ) -> tuple[WeylElement, MatrixElement]:
@@ -582,11 +593,9 @@ def normalize_coset(
     """
     size = l.size
     rs = _type_a(size - 1)
-    labels = block_labels(frozenset(triple.gamma1), size)
-    for r in range(size):
-        for c in range(size):
-            if labels[r] != labels[c] and l.entries[r][c] != 0:
-                raise NotInLevi(f"entry ({r}, {c}) outside the Levi block pattern")
+    outside = _outside_blocks(l.entries, triple.gamma1)
+    if outside is not None:
+        raise NotInLevi(f"entry {outside} outside the Levi block pattern")
     if right_descent(rs, w, triple.gamma1) is not None:
         raise NotMinimalRep("w must be minimal in its right coset")
 
@@ -598,13 +607,7 @@ def normalize_coset(
         if s_next == s_cur:
             break
 
-        next_labels = block_labels(s_next, size)
-        if all(
-            g[r][cc] == 0
-            for r in range(size)
-            for cc in range(size)
-            if next_labels[r] != next_labels[cc]
-        ):
+        if _outside_blocks(g, s_next) is None:
             # already inside the finer block: nothing to absorb, the
             # minimal Weyl part is trivial, so keep the representative
             s_cur = s_next
@@ -624,11 +627,8 @@ def normalize_coset(
 
     if right_descent(rs, c, triple.gamma1) is not None:
         raise AssertionError("normalized representative is not coset-minimal")
-    final_labels = block_labels(s_cur, size)
-    for r in range(size):
-        for cc in range(size):
-            if final_labels[r] != final_labels[cc] and g[r][cc] != 0:
-                raise AssertionError("stabilized element left its Levi block")
+    if _outside_blocks(g, s_cur) is not None:
+        raise AssertionError("stabilized element left its Levi block")
     return c, MatrixElement(g, "group")
 
 

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from helpers import in_parabolic
+from helpers import in_parabolic, lattice_intersection
 from leafatlas import (
     build_root_system,
     cg_triple,
@@ -210,7 +210,7 @@ def _sigma_lattices(rs, d):
             denom = denom * x.denominator // gcd(denom, x.denominator)
     sup = Lattice(k, [tuple(x * denom for x in c) for c in kernel.columns()])
     image = Lattice(k, [tuple(x * denom for x in c) for c in image_cols])
-    return sup, sup.intersection(image)
+    return sup, lattice_intersection(sup, image)
 
 
 def test_primary_4_sigma_groups():

@@ -29,7 +29,6 @@ from leafatlas.bdtriple import (
     TargetThetaNotIsometry,
     assemble_r,
     check_cartan_term,
-    omega0_matrix,
 )
 from leafatlas.linalg import matmul, msub, transpose
 
@@ -103,7 +102,7 @@ def test_canonical_r0_cg_a2_is_forced():
 def test_canonical_r0_symmetric_part_is_half_omega0():
     for label in ("A2", "A3"):
         rs = build_root_system(label)
-        omega0 = omega0_matrix(rs)
+        omega0 = rs.gram_inverse
         for t in enumerate_valid_triples(rs):
             m = solve_r0(rs, t, "canonical").r0
             sym = [

@@ -1,6 +1,8 @@
 """Config parsing, pipeline staging, report formats, exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from leafatlas.cli import (
     report_to_machine,
     run_job,
 )
+
+DATA = Path(__file__).parent / "data"
 
 CG_A2 = JobConfig(
     root_system="A2",
@@ -397,3 +401,30 @@ def test_weyl_bound_caps_the_pair_count(capsys, monkeypatch):
     assert main(PAIRS_A3_ARGS) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["errors"] == [] and len(doc["records"]) == 144
+
+
+def test_f4_one_sided_report_matches_its_pinned_digest(capsys):
+    # 576 records with Sigma = Z/6 x Z/6; theta has denominators of 3, so
+    # sigma_group's integer scale matters.  The pin reads as sha256sum -c input
+    pinned = (DATA / "f4_one_sided.sha256").read_text().split()[0]
+    argv = [
+        "--root-system", "F4", "--gamma1", "1", "--gamma2", "2", "--tau", "1:2",
+        "--mode", "gminus", "--format", "machine",
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert '"text": "Z/6 x Z/6"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
+
+
+def test_central_torus_reports_sigma_as_an_input_error(capsys):
+    # no CLI option supplies the exp kernel that a central torus needs
+    argv = [
+        "--root-system", "A2+T1", "--gamma1", "1", "--gamma2", "2", "--tau", "1:2",
+        "--format", "machine",
+    ]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sigma"] is None
+    assert [(e["stage"], e["severity"]) for e in doc["errors"]] == [("sigma", "input")]
+    assert doc["records"]

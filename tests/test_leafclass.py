@@ -14,9 +14,11 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from helpers import lattice_intersection
 from leafatlas import (
     AffineDim,
     FiniteAbelianGroup,
@@ -39,7 +41,16 @@ from leafatlas.leafclass import (
     NotMinimalRep,
     ThetaMinusOneSingular,
 )
-from leafatlas.linalg import Lattice, identity, mat, msub, rank, solve
+from leafatlas.linalg import (
+    Lattice,
+    identity,
+    mat,
+    matvec,
+    msub,
+    quotient_invariants,
+    rank,
+    solve,
+)
 from leafatlas.weyl import ParabolicSubgroup, enumerate_weyl, parabolic_elements, simple_reflection
 
 
@@ -347,3 +358,50 @@ def test_two_sided_record_count_on_sampled_triples():
         triples = enumerate_valid_triples(rs)
         for t in rng.sample(triples, min(2, len(triples))):
             _check_pair_count(rs, t)
+
+
+def _reference_sigma(d, kernel, lambda2=None):
+    """sigma_group as it was before it took a lattice sum: ker' / (ker' cap
+    (1 - theta) ker) through a lattice intersection, both lattices scaled by
+    the lcm of the image's denominators."""
+    theta = d.theta_cartan
+    k = len(theta)
+    one_minus = msub(identity(k), theta)
+    kerp = kernel if lambda2 is None else kernel.sum(lambda2)
+    image_cols = [matvec(one_minus, c) for c in kernel.columns()]
+    denom = lcm(1, *(x.denominator for c in image_cols for x in c))
+    sup = Lattice(k, [tuple(x * denom for x in c) for c in kerp.columns()])
+    image = Lattice(k, [tuple(x * denom for x in c) for c in image_cols])
+    factors, free = quotient_invariants(sup, lattice_intersection(sup, image))
+    return FiniteAbelianGroup(factors, free)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "A2xA1"])
+def test_sigma_matches_the_intersection_oracle_on_every_valid_triple(label):
+    rs = build_root_system(label)
+    kernel = exp_kernel_lattice(rs)
+    for t in enumerate_valid_triples(rs):
+        d = compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
+        assert sigma_group(d, kernel) == _reference_sigma(d, kernel)
+
+
+def test_sigma_of_a_superlattice_matches_the_intersection_oracle():
+    # ker = 2 Z^2 and ker' = ker + Z·(1, 1), of index 2 in Z^2.  std: theta = -1,
+    # so (1 - theta) ker = 4 Z^2 lies in ker' and Sigma = ker' / 4 Z^2, of
+    # order 16 / 2 = 8, with relations 2·(2, 0) and 4·(1, 1) - 2·(2, 0)
+    kernel, lambda2 = Lattice(2, [[2, 0], [0, 2]]), Lattice(2, [[1, 1]])
+    for kind, expected in (("std", FiniteAbelianGroup((2, 4), 0)), ("cg", FiniteAbelianGroup((6,), 0))):
+        rs, t, d = _setup("A2", kind)
+        got = sigma_group(d, kernel, lambda2)
+        assert got == _reference_sigma(d, kernel, lambda2) == expected
+
+
+def test_sigma_of_a_rank_deficient_kernel():
+    # ker = Z·(1, 0) on A2.  std: theta = -1 keeps the line, so Sigma = Z/2.
+    # cg: (1 - theta)·(1, 0) = (1, -1) leaves it, so ker' meets the image in
+    # 0 and Sigma = Z is free
+    kernel = Lattice(2, [[1, 0]])
+    for kind, expected in (("std", FiniteAbelianGroup((2,), 0)), ("cg", FiniteAbelianGroup((), 1))):
+        rs, t, d = _setup("A2", kind)
+        got = sigma_group(d, kernel)
+        assert got == _reference_sigma(d, kernel) == expected

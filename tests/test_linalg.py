@@ -8,12 +8,12 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings, strategies as st
 
+from helpers import integer_kernel, lattice_intersection
 from leafatlas.linalg import (
     Lattice,
     Subspace,
     det,
     identity,
-    integer_kernel,
     inverse,
     mat,
     matmul,
@@ -24,7 +24,6 @@ from leafatlas.linalg import (
     rref,
     smith_normal_form,
     solve,
-    subspace_from_columns,
 )
 
 small_frac = st.fractions(
@@ -151,7 +150,7 @@ def test_lattice_membership_sum_intersection():
     three = Lattice(1, [[3]])
     assert two.contains([4]) and not two.contains([3])
     assert two.sum(three) == Lattice(1, [[1]])
-    assert two.intersection(three) == Lattice(1, [[6]])
+    assert lattice_intersection(two, three) == Lattice(1, [[6]])
 
 
 def test_integer_kernel_is_integral_and_spans():
@@ -199,4 +198,4 @@ def test_subspace_operations():
     assert x.add(y).dim == 3
     assert x.contains((Fraction(2), Fraction(-7), Fraction(0)))
     assert not x.contains((0, 0, 1))
-    assert subspace_from_columns(mat([[1, 2], [2, 4], [0, 0]])).dim == 1
+    assert Subspace(3, [(1, 2, 0), (2, 4, 0)]).dim == 1

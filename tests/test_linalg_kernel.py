@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leafatlas import build_root_system, enumerate_valid_triples, solve_r0
-from leafatlas.bdtriple import Infeasible, omega0_matrix
+from leafatlas.bdtriple import Infeasible
 from leafatlas.linalg import (
     det,
     frac,
@@ -167,7 +167,7 @@ def ref_canonical_r0(rs, triple):
     """The canonical branch of solve_r0 with its own pivot read-out."""
     k = rs.cartan_rank
     g = rs.gram
-    omega = omega0_matrix(rs)
+    omega = rs.gram_inverse
     unknowns = [(i, j) for i in range(k) for j in range(i + 1, k)]
     index = {p: t for t, p in enumerate(unknowns)}
     rows, rhs = [], []

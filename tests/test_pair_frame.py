@@ -16,6 +16,7 @@ from math import lcm
 
 import pytest
 
+from helpers import assert_simple_generated
 from leafatlas import (
     build_root_system,
     classify_g,
@@ -31,7 +32,6 @@ from leafatlas.decomp import cartan_domain, simple_span
 from leafatlas.leafclass import (
     PairStableSubalgebra,
     StableSubalgebra,
-    _assert_simple_generated,
     _require_coset_minimal,
     stable_roots,
 )
@@ -77,7 +77,7 @@ def reference_single(rs, triple, d, v):
     _require_coset_minimal(rs, v, triple.gamma1, "v")
     k = rs.cartan_rank
     root_set = stable_roots(d.levi1_roots, v)
-    _assert_simple_generated(rs, root_set)
+    assert_simple_generated(rs, root_set)
 
     span = _root_span(rs, root_set)
     derived_dim = len(root_set) + span.dim
@@ -114,7 +114,7 @@ def reference_pair(rs, triple, d, v1, v2):
         return None if e is None else v1(e)
 
     root_set = stable_roots(d.levi1_roots, phi)
-    _assert_simple_generated(rs, root_set)
+    assert_simple_generated(rs, root_set)
     partner = tuple(sorted(v2(tau[a]) for a in root_set))
 
     span = _root_span(rs, root_set)

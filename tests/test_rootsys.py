@@ -1,8 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from helpers import assert_simple_generated
 from leafatlas import build_root_system, exp_kernel_lattice, form_pairing
+from leafatlas.rootsys import levi_roots
 from leafatlas.linalg import Lattice, det, mat
 
 # positive root counts from the closed forms per family:
@@ -125,3 +128,17 @@ def test_exp_kernel_requires_explicit_lattice_for_torus():
     assert exp_kernel_lattice(rs, supplied) == supplied
     with pytest.raises(ValueError):
         exp_kernel_lattice(rs, Lattice(3, [[1, 0, 0]]))
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "C3", "D4", "G2", "F4", "E6", "A2xA1+T1"])
+def test_levi_roots_are_generated_by_their_simple_roots(label):
+    # every simple root in the support of a root of Phi_S lies in Phi_S,
+    # which is why the stable root sets of leafclass need no such check
+    rs = build_root_system(label)
+    for size in range(rs.rank + 1):
+        for s in itertools.combinations(range(rs.rank), size):
+            assert_simple_generated(rs, levi_roots(rs, s))
+    # the check is not vacuous: alpha_1 + alpha_2 without alpha_1 fails it
+    a2 = build_root_system("A2")
+    with pytest.raises(AssertionError, match="not generated by its simple roots"):
+        assert_simple_generated(a2, ((1, 1), (0, 1), (0, -1), (-1, -1)))
