@@ -126,7 +126,13 @@ def compute_decomposition(
 
 
 def full_h_predicate(d: Decomposition) -> bool:
-    """True when both orthogonal complements vanish (simplified formulas apply)."""
+    """True when both orthogonal complements vanish (simplified formulas apply).
+
+    Every term that passes check_cartan_term has it.  r0 + r0^T = omega = G^-1
+    gives f - 1 = r0·G - (r0 + r0^T)·G = -r0^T·G, which the Cayley transform
+    needs invertible, so r0 is invertible; then h_i = z_i (h1 = im r0 ∩ z1),
+    h_ort_i = (z_i + span Gamma_i)^perp = 0, and the Cartan domains are all of h.
+    """
     return d.h_ort1.dim == 0 and d.h_ort2.dim == 0
 
 

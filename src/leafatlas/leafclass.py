@@ -10,7 +10,6 @@ quotient.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -18,20 +17,17 @@ from math import prod
 from .bdtriple import BDTriple
 from .decomp import (
     Decomposition,
-    cartan_domain,
     dimension_summary,
+    form_perp_of_simples,
     full_h_predicate,
 )
 from .linalg import (
     Lattice,
     Matrix,
     Subspace,
-    _echelon,
     _integer_scaled,
-    _kernel,
     identity,
     matmul,
-    matvec,
     msub,
     quotient_invariants,
     rank,
@@ -190,28 +186,36 @@ def _stable_indices(step: dict) -> frozenset[int]:
 
 
 class _Frame:
-    """What the records of one (rs, triple, d) share: the first side's Cartan
-    domain, tau on simple-root indices, the dimension summary, and memos per
-    stable index set S and per (v1, S).  The classifiers build each
-    representative's data once (left, right) and hand it to pair.
+    """What the records of one (rs, triple, d) share: tau on simple-root
+    indices, the dimension summary, theta scaled to integers, and per stable
+    index set S the roots Phi_S and lv_center = (span Phi_S)^perp.  The
+    classifiers build each representative's data once (left, right) and
+    hand it to pair.
 
-    v in W^Gamma1, and the twist v1·tau^-1·v2·tau for v2 in W^Gamma2, keep
-    the first Levi's positive roots positive, so they permute the simple
-    roots of their stable subsystem (Humphreys, Reflection Groups and
-    Coxeter Groups, ch. 1): it is Phi_S for the largest S in Gamma1 whose
-    simple roots the map permutes.  A record costs a walk on indices, one
-    matmul and one integer elimination.
+    v in W^Gamma1, and the twist psi = v1·theta^-1·v2·theta for v2 in
+    W^Gamma2, keep the first Levi's positive roots positive, so they permute
+    the simple roots of their stable subsystem (Humphreys, Reflection Groups
+    and Coxeter Groups, ch. 1): it is Phi_S for the largest S in Gamma1 whose
+    simple roots the map permutes.  An isometry that permutes Phi_S keeps
+    lv_center, and a record is one rank of psi - 1 (psi = v one-sided) on
+    lv_center: cong_dim, with moduli_dim = z_pair_dim = center_dim - cong_dim.
+    A record costs a walk on indices, one msub, one matmul and one integer
+    elimination.
+
+    That needs h_ort1 = h_ort2 = 0, which every validated Cartan term gives
+    (decomp.full_h_predicate): then the Cartan domains are all of h, so the
+    two center graphs of a pair meet over all of lv_center and z_pair has no
+    h_ort part.  A hand-built decomposition without it is refused.
     """
 
     def __init__(self, rs: RootSystem, triple: BDTriple, d: Decomposition):
+        if not full_h_predicate(d):
+            raise ValueError("leaf records need h_ort1 = h_ort2 = 0 (a validated Cartan term)")
         self.rs = rs
         self.triple = triple
         self.d = d
         self.k = rs.cartan_rank
-        self.zero = (0,) * self.k
-        self.dom1 = cartan_domain(rs, triple, d, 1)
         self.dims = dimension_summary(rs, triple, d)
-        self.full_h = full_h_predicate(d)
         # tau on the simple-root indices of the first Levi and back
         self.tau = triple.tau_map
         self.tau_inv = {j: i for i, j in triple.tau}
@@ -221,135 +225,86 @@ class _Frame:
     def theta_scaled(self) -> Matrix:
         # c·theta for the lcm c of theta's denominators, built on first use:
         # one-sided records never need it, and the two-sided ranks need it
-        # invertible, which it is not on a degenerate (unvalidated) Cartan term
+        # invertible, which a hand-built theta need not be
         big, _ = _integer_scaled(self.d.theta_cartan)
         if rank(big) < self.k:
             raise ValueError("singular matrix")
         return big
 
-    def _moved(self, m: Matrix, space: Subspace) -> Subspace:
-        return Subspace(self.k, [matvec(m, x) for x in space.vectors()])
-
-    def _side(self, v: WeylElement, gamma, h_ort: Subspace, label: str):
+    def _simple(self, v: WeylElement, gamma, label: str) -> dict[int, int]:
         """After checking v is minimal modulo W_gamma: the map i -> j for each
         simple root alpha_i that v sends to a simple root alpha_j (column i of
-        v is then e_j), and h_ort + v·h_ort."""
+        v is then e_j)."""
         _require_coset_minimal(self.rs, v, gamma, label)
         cols = zip(range(self.rs.rank), zip(*v.matrix))
-        simple = {i: c.index(1) for i, c in cols if sum(c) == 1 and min(c) >= 0}
-        return simple, h_ort.add(self._moved(v.matrix, h_ort))
+        return {i: c.index(1) for i, c in cols if sum(c) == 1 and min(c) >= 0}
 
     def left(self, v1: WeylElement):
-        """The two-sided data of v1: its simple-root map, Theta·v1^{-1}, its
-        image of h_ort1 + v1·h_ort1 as columns, the u3 rows (x, 0) for x in
-        that sum, v1·dom1, and a memo of meet and [meet | lv_center] per S."""
-        simple, ort = self._side(v1, self.triple.gamma1, self.d.h_ort1, "v1")
-        theta_v1inv = matmul(self.theta_scaled, inverse_element(self.rs, v1).matrix)
-        return (
-            simple,
-            theta_v1inv,
-            matmul(theta_v1inv, ort.basis),
-            tuple(x + self.zero for x in ort.vectors()),
-            self._moved(v1.matrix, self.dom1),
-            {},
-        )
+        """The simple-root map of v1 and Theta·v1^{-1}."""
+        simple = self._simple(v1, self.triple.gamma1, "v1")
+        return simple, matmul(self.theta_scaled, inverse_element(self.rs, v1).matrix)
 
     def right(self, v2: WeylElement):
-        """v2·Theta, the u3 rows (0, y) for y in h_ort2 + v2·h_ort2, and the
-        simple-root map of v2."""
-        simple, ort = self._side(v2, self.triple.gamma2, self.d.h_ort2, "v2")
-        return (
-            matmul(v2.matrix, self.theta_scaled),
-            tuple(self.zero + y for y in ort.vectors()),
-            simple,
-        )
+        """The simple-root map of v2 and v2·Theta."""
+        simple = self._simple(v2, self.triple.gamma2, "v2")
+        return simple, matmul(v2.matrix, self.theta_scaled)
 
-    def span_data(self, s: frozenset[int]):
-        """Phi_S, dim span, span-perp and lv_center = dom1 ∩ span-perp."""
+    def span_data(self, s: frozenset[int]) -> tuple[tuple[tuple[int, ...], ...], Subspace]:
+        """Phi_S and lv_center = (span Phi_S)^perp."""
         hit = self._spans.get(s)
         if hit is None:
-            root_set = levi_roots(self.rs, s)
-            span = Subspace(self.k, root_set)
-            perp = span.perp(self.rs.gram_int)
-            hit = self._spans[s] = (root_set, span.dim, perp, self.dom1.intersect(perp))
+            hit = self._spans[s] = (levi_roots(self.rs, s), form_perp_of_simples(self.rs, s))
         return hit
 
-    def single(self, v: WeylElement) -> StableSubalgebra:
-        simple, ort = self._side(v, self.triple.gamma1, self.d.h_ort1, "v")
-        s = _stable_indices({i: simple.get(i) for i in self.triple.gamma1})
-        root_set, span_dim, _, lv_center = self.span_data(s)
-        center_dim = self.k - span_dim
-        # [image | h_ort1 + v·h_ort1]: its pivots in the image's columns give
-        # the rank of the image, all of them the rank of the sum
-        image = msub(matmul(v.matrix, lv_center.basis), lv_center.basis)
-        pivots = _echelon(tuple(a + b for a, b in zip(image, ort.basis)))[1]
-        return StableSubalgebra(
+    def _stable(self, cls, s: frozenset[int], cong_dim: int, **extra):
+        root_set, lv_center = self.span_data(s)
+        return cls(
             root_set=root_set,
-            derived_dim=len(root_set) + span_dim,
-            center_dim=center_dim,
+            derived_dim=len(root_set) + len(s),
+            center_dim=lv_center.dim,
             lv_center=lv_center,
-            cong_dim=bisect_left(pivots, lv_center.dim),
-            moduli_dim=center_dim - len(pivots),
+            cong_dim=cong_dim,
+            moduli_dim=lv_center.dim - cong_dim,
+            **extra,
         )
+
+    def single(self, v: WeylElement) -> StableSubalgebra:
+        simple = self._simple(v, self.triple.gamma1, "v")
+        s = _stable_indices({i: simple.get(i) for i in self.triple.gamma1})
+        lv = self.span_data(s)[1].basis
+        return self._stable(StableSubalgebra, s, rank(msub(matmul(v.matrix, lv), lv)))
 
     def pair(self, left, right) -> PairStableSubalgebra:
         """The stable data of v1 and v2 from left(v1) and right(v2)."""
-        simple1, theta_v1inv, moved_ort, u3_left, moved_dom, meets = left
-        v2theta, u3_right, simple2 = right
-        tau, tau_inv = self.tau, self.tau_inv
+        simple1, theta_v1inv = left
+        simple2, v2theta = right
+        tau = self.tau
         # the twist on simple-root indices, None where it leaves them
-        phi = {i: simple1.get(tau_inv.get(simple2.get(j))) for i, j in tau.items()}
+        phi = {i: simple1.get(self.tau_inv.get(simple2.get(j))) for i, j in tau.items()}
         s = _stable_indices(phi)
-        root_set, span_dim, perp, lv_center = self.span_data(s)
-        center_dim = self.k - span_dim
-        hit = meets.get(s)
-        if hit is None:
-            # meet = lv_center ∩ center2, where center2 = v1·dom1 ∩ span-perp
-            meet = lv_center.intersect(moved_dom.intersect(perp))
-            hit = meets[s] = (meet, tuple(a + b for a, b in zip(meet.basis, lv_center.basis)))
-        meet, cols = hit
-        m = meet.dim
-        # D = v2·Theta - Theta·v1^-1 is c·theta·v1^-1·(psi - 1) for the twist
-        # psi = v1·theta^-1·v2·theta, and c·theta·v1^-1 is invertible, so D keeps
-        # the ranks of psi - 1 when h_ort1 + v1·h_ort1 is moved by Theta·v1^-1 too.
-        # One elimination of [D·meet | D·lv_center | moved ort] gives them all:
-        # meet lies in lv_center, and an echelon form of a column prefix is the
-        # prefix of the echelon form
-        diff = msub(v2theta, theta_v1inv)
-        pivots = _echelon(tuple(a + b for a, b in zip(matmul(diff, cols), moved_ort)))[1]
-        # u1 = graph(v2theta | lv_center), u2 = graph(theta·v1^-1 | center2), so
-        # u1 ∩ u2 = graph(v2theta | ker D on meet), of dimension dim ker; and
-        # (a, b) -> (a, c·b) maps u3 onto itself.  u3's rows (x, 0) and (0, y)
-        # are independent, so a rank is needed only when both parts are nonzero
-        pk = bisect_left(pivots, m)
-        z_pair_dim = m - pk + len(u3_left) + len(u3_right)
-        if pk < m and (u3_left or u3_right):
-            x = matmul(meet.basis, transpose(_kernel(matmul(diff, meet.basis))))
-            graph = transpose(x + matmul(v2theta, x))
-            z_pair_dim = rank(graph + u3_left + u3_right)
-        return PairStableSubalgebra(
-            root_set=root_set,
-            derived_dim=len(root_set) + span_dim,
-            center_dim=center_dim,
-            lv_center=lv_center,
-            cong_dim=bisect_left(pivots, m + lv_center.dim),
-            moduli_dim=center_dim - len(pivots),
+        lv_center = self.span_data(s)[1]
+        # D = v2·Theta - Theta·v1^-1 is c·theta·v1^-1·(psi - 1), and
+        # c·theta·v1^-1 is invertible, so D·lv_center has the rank of psi - 1
+        # there, and z_pair_dim is the dimension of its kernel there
+        cong_dim = rank(matmul(msub(v2theta, theta_v1inv), lv_center.basis))
+        return self._stable(
+            PairStableSubalgebra,
+            s,
+            cong_dim,
             partner_root_set=self.span_data(frozenset(simple2[tau[i]] for i in s))[0],
-            z_pair_dim=z_pair_dim,
+            z_pair_dim=lv_center.dim - cong_dim,
         )
 
     def record(self, st: StableSubalgebra, const: int, offset: int, **reps) -> LeafRecord:
         """The record of st for reps (v, or v1 and v2): leaf constant const
-        plus their lengths, coset constant offset more.  With both h_ort zero,
-        the simplified dim l1 - dim g_v + lengths + cong_dim must agree."""
+        plus their lengths, coset constant offset more.  The simplified
+        dim l1 - dim g_v + lengths + cong_dim must agree."""
         lengths = sum(w.length for w in reps.values())
         leaf = AffineDim(const + lengths)
-        simplified = None
-        if self.full_h:
-            dim_gv = self.k + len(st.root_set)
-            simplified = AffineDim(self.dims["dim_l1"] - dim_gv + lengths + st.cong_dim)
-            if simplified != leaf:
-                raise AssertionError("simplified leaf dimension disagrees")
+        dim_gv = self.k + len(st.root_set)
+        simplified = AffineDim(self.dims["dim_l1"] - dim_gv + lengths + st.cong_dim)
+        if simplified != leaf:
+            raise AssertionError("simplified leaf dimension disagrees")
         return LeafRecord(
             stable=st,
             orbit_dim="d_orb",
@@ -395,13 +350,11 @@ def classify_gminus(
 ) -> tuple[LeafRecord, ...]:
     """One record per minimal coset representative, dimension formulas included."""
     frame = _Frame(rs, triple, d)
-    dims = frame.dims
     records = []
     for v in _coset_space(rs, triple.gamma1):
         st = frame.single(v)
-        cong_product = st.center_dim - st.moduli_dim
-        const = len(d.levi1_roots) - len(st.root_set) - dims["dim_h_ort1"] + cong_product
-        records.append(frame.record(st, const, dims["dim_g_plus"], v=v))
+        const = len(d.levi1_roots) - len(st.root_set) + st.cong_dim
+        records.append(frame.record(st, const, frame.dims["dim_g_plus"], v=v))
     return tuple(records)
 
 
@@ -418,7 +371,7 @@ def classify_g(
         raise ValueError(f"{count} pairs of coset representatives exceed bound {bound}")
     frame = _Frame(rs, triple, d)
     dims = frame.dims
-    base = dims["dim_lprime1_a1"] + 2 * dims["dim_h_ort1"]
+    base = dims["dim_lprime1_a1"]
     pos = len(d.levi1_roots) // 2 + len(d.levi2_roots) // 2
     offset = 2 * dims["dim_g"] - 2 * dims["dim_n_plus"] + pos - base
     rights = [(v2, frame.right(v2)) for v2 in reps2]

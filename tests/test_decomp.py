@@ -6,6 +6,7 @@ import pytest
 from leafatlas import (
     DegenerateComplement,
     build_root_system,
+    cg_theta_target,
     cg_triple,
     compute_decomposition,
     dimension_summary,
@@ -16,7 +17,7 @@ from leafatlas import (
 )
 from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
 from leafatlas.decomp import cartan_domain
-from leafatlas.linalg import matmul, matvec, transpose
+from leafatlas.linalg import madd, matmul, matvec, transpose
 
 
 def F(p, q=1):
@@ -183,3 +184,32 @@ def test_dimension_summary_counts_are_consistent():
             assert dims[f"dim_lprime{side}_a{side}"] == len(levi) + dom.dim, (t, side)
             sides += 1
     assert sides == 2 * 3 + 202
+
+
+def _non_canonical_terms():
+    """A from_file and a match_theta term that the canonical solver does not
+    give: a skew part added by hand on the standard A3 triple, and the A2
+    Coxeter rotation as the target theta of the standard A2 triple."""
+    rs = build_root_system("A3")
+    t = validate_triple(rs, (), (), {})
+    half = tuple(tuple(x / 2 for x in row) for row in rs.gram_inverse)
+    skew = ((F(0), F(1), F(0)), (F(-1), F(0), F(2)), (F(0), F(-2), F(0)))
+    yield rs, t, solve_r0(rs, t, "from_file", matrix=madd(half, skew))
+    rs = build_root_system("A2")
+    t = validate_triple(rs, (), (), {})
+    yield rs, t, solve_r0(rs, t, "match_theta", theta_target=cg_theta_target(rs))
+
+
+def test_every_validated_cartan_term_has_full_h():
+    """r0 + r0^T = omega makes r0 invertible (see full_h_predicate), so both
+    h_ort vanish and the Cartan domains are all of h, whichever mode built r0."""
+    terms = [(rs, t, solve_r0(rs, t, "canonical")) for rs, t in _summary_inputs()]
+    others = list(_non_canonical_terms())
+    for rs, t, term in others:
+        assert term.r0 != solve_r0(rs, t, "canonical").r0
+    for rs, t, term in terms + others:
+        d = compute_decomposition(rs, t, term)
+        assert full_h_predicate(d), t
+        for side in (1, 2):
+            assert cartan_domain(rs, t, d, side).dim == rs.cartan_rank, (t, side)
+    assert len(terms) == 3 + 101

@@ -4,7 +4,9 @@
 ``stable_subalgebra_pair`` and ``stable_subalgebra_v`` from before the
 classifiers shared one frame per triple: they rebuild the Cartan domain,
 theta^{-1} and the moved spans for every record and intersect the two
-centre graphs in h x h.  They are kept here only as oracles.
+centre graphs in h x h.  They are kept here only as oracles.  The frame
+refuses a decomposition with h_ort != 0, which the oracles would still take;
+the last tests pin that refusal.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ import pytest
 from helpers import assert_simple_generated
 from leafatlas import (
     build_root_system,
+    cg_triple,
     classify_g,
     classify_gminus,
     compute_decomposition,
     enumerate_valid_triples,
+    full_h_predicate,
     solve_r0,
     stable_subalgebra_pair,
+    stable_subalgebra_v,
     validate_triple,
 )
 from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
@@ -249,6 +254,14 @@ def test_single_frame_matches_reference_on_every_small_triple():
 # one reachable input with h_ort != 0, and theta is singular on it
 DEGENERATE = ((F(1, 4), F(0)), (F(0), F(0)))
 
+# the frame's guard: every validated Cartan term has h_ort1 = h_ort2 = 0
+GUARD = r"^leaf records need h_ort1 = h_ort2 = 0 \(a validated Cartan term\)$"
+
+
+def _identity(rs):
+    """The unit of W, minimal in every coset."""
+    return next(w for w in enumerate_weyl(rs) if w.length == 0)
+
 
 def _degenerate():
     rs = build_root_system("A1xA1")
@@ -259,35 +272,41 @@ def _degenerate():
 def test_singular_theta_fails_as_before():
     rs, t, d = _degenerate()
     assert d.h_ort1.dim > 0
-    with pytest.raises(ValueError, match="^singular matrix$"):
+    with pytest.raises(ValueError, match=GUARD):
         classify_g(rs, t, d)
-    v = classify_gminus(rs, t, d)[0].v
+    v = _identity(rs)
     with pytest.raises(ValueError, match="^singular matrix$"):
         reference_pair(rs, t, d, v, v)
-    with pytest.raises(ValueError, match="^singular matrix$"):
+    with pytest.raises(ValueError, match=GUARD):
         stable_subalgebra_pair(rs, t, d, v, v)
 
 
-def test_single_frame_matches_reference_with_nonzero_h_ort():
-    rs, t, d = _degenerate()
-    for r in classify_gminus(rs, t, d):
-        _assert_same(r.stable, reference_single(rs, t, d, r.v), r.v)
+def _hand_built_complements():
+    """A valid A2 decomposition with smaller complements and nonzero
+    orthogonal blocks put in by hand."""
+    rs = build_root_system("A2")
+    t = cg_triple(rs)
+    d = dataclasses.replace(
+        _decomposition(rs, t),
+        a1=simple_span(rs, (1,)),
+        h_ort1=simple_span(rs, (0,)),
+        h_ort2=simple_span(rs, (1,)),
+    )
+    return rs, t, d
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "A2xA1"])
-def test_pair_frame_matches_reference_on_hand_built_complements(label):
-    """On every solver-built term with invertible theta, u3 is empty and the
-    Cartan domain is all of h, so center2 contains lv_center.  Both codes
-    read only d's fields, and the z_pair argument holds for any subspaces,
-    so smaller complements and nonzero orthogonal blocks are put in by hand."""
-    rs = build_root_system(label)
-    for t in enumerate_valid_triples(rs):
-        d = dataclasses.replace(
-            _decomposition(rs, t),
-            a1=simple_span(rs, (rs.rank - 1,)),
-            h_ort1=simple_span(rs, (0,)),
-            h_ort2=simple_span(rs, (rs.rank - 1,)),
-        )
-        _check_pairs(rs, t, d)
-        for r in classify_gminus(rs, t, d):
-            _assert_same(r.stable, reference_single(rs, t, d, r.v), (t, r.v))
+@pytest.mark.parametrize(
+    "build", [_degenerate, _hand_built_complements], ids=["degenerate", "hand_built"]
+)
+def test_frame_refuses_nonzero_h_ort(build):
+    rs, t, d = build()
+    assert not full_h_predicate(d)
+    v = _identity(rs)
+    for call in (
+        lambda: classify_g(rs, t, d),
+        lambda: classify_gminus(rs, t, d),
+        lambda: stable_subalgebra_v(rs, t, d, v),
+        lambda: stable_subalgebra_pair(rs, t, d, v, v),
+    ):
+        with pytest.raises(ValueError, match=GUARD):
+            call()
