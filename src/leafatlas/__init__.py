@@ -29,13 +29,7 @@ from .bdtriple import (
     tau_linear_matrix,
     validate_triple,
 )
-from .decomp import (
-    DegenerateComplement,
-    Decomposition,
-    compute_decomposition,
-    dimension_summary,
-    full_h_predicate,
-)
+from .decomp import Decomposition, compute_decomposition, dimension_summary
 from .leafclass import (
     AffineDim,
     FiniteAbelianGroup,

@@ -96,8 +96,10 @@ class BDTriple:
 class CartanTerm:
     """Rational matrix of r0 on h in the simple-root-dual basis.
 
-    Constructed through solve_r0 (validated) or directly (unvalidated, for
-    deliberately degenerate fixtures); check_cartan_term re-validates.
+    Built by solve_r0, which validates it, or directly, unvalidated.
+    compute_decomposition runs check_cartan_term again, so a hand-built term
+    that breaks r0 + r0^T = omega or a slot constraint raises Infeasible there
+    and never reaches the leaf records.
     """
 
     r0: Matrix
@@ -211,24 +213,19 @@ def partial_order_pairs(rs: RootSystem, triple: BDTriple):
 
 
 def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> None:
-    """Raise Infeasible unless both r0 constraints hold exactly."""
+    """Raise Infeasible unless both r0 constraints hold exactly.
+
+    The slot constraint for alpha_i is r0^T·G·e_tau(i) + r0·G·e_i = 0.  Once
+    r0 + r0^T = omega = G^-1 holds, r0^T·G = 1 - f for f = r0·G, so it reads
+    f[:, i] - f[:, tau(i)] + e_tau(i) = 0 on the columns of f.
+    """
     m = term.r0
     if madd(m, transpose(m)) != rs.gram_inverse:
         raise Infeasible("r0 + r0^T does not equal the Cartan Casimir block")
-    g = rs.gram
-    for a_idx, t_idx in triple.tau:
-        a = vec(rs.simple_roots[a_idx])
-        t = vec(rs.simple_roots[t_idx])
-        lhs = [
-            x + y
-            for x, y in zip(
-                matvec(transpose(m), matvec(g, t)), matvec(m, matvec(g, a))
-            )
-        ]
-        if any(x != 0 for x in lhs):
-            raise Infeasible(
-                f"r0 violates the slot constraint for alpha_{a_idx + 1}"
-            )
+    f = matmul(m, rs.gram)
+    for i, j in triple.tau:
+        if any(row[i] - row[j] + (t == j) for t, row in enumerate(f)):
+            raise Infeasible(f"r0 violates the slot constraint for alpha_{i + 1}")
 
 
 def solve_r0(

@@ -15,16 +15,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .bdtriple import solve_r0, validate_triple
-from .decomp import (
-    DegenerateComplement,
-    compute_decomposition,
-    dimension_summary,
-    full_h_predicate,
-)
+from .decomp import compute_decomposition, dimension_summary
 from .leafclass import classify_g, classify_gminus, sigma_group
 from .linalg import mat
 from .rootsys import build_root_system, exp_kernel_lattice
@@ -33,6 +27,7 @@ from .typea import (
     check_cybe,
     check_symmetric_part,
     identity_twist,
+    matrix_rows,
     matrix_to_text,
     realize_r,
     tc_orbit_dim,
@@ -75,30 +70,32 @@ class JobConfig:
     out: str | None = None
 
 
-def _parse_index_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+def _parse_index(key: str, tok: str) -> int:
+    """One 1-based index token of the key's value, as a 0-based index."""
+    try:
+        i = int(tok)
+    except ValueError:
+        raise ValueError(f"{key}: bad index {tok.strip()!r}") from None
+    if i < 1:
+        raise ValueError(f"{key}: indices are 1-based, got {i}")
+    return i - 1
+
+
+def _parse_index_list(key: str, text: str) -> tuple[int, ...]:
+    if not text.strip():
+        return ()
+    return tuple(_parse_index(key, tok) for tok in text.split(","))
+
+
+def _parse_pair_map(key: str, text: str) -> tuple[tuple[int, int], ...]:
+    if not text.strip():
         return ()
     out = []
     for tok in text.split(","):
-        i = int(tok.strip())
-        if i < 1:
-            raise ValueError(f"indices are 1-based, got {i}")
-        out.append(i - 1)
-    return tuple(out)
-
-
-def _parse_pair_map(text: str) -> tuple[tuple[int, int], ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for tok in text.split(","):
-        a, _, b = tok.partition(":")
-        i, j = int(a.strip()), int(b.strip())
-        if i < 1 or j < 1:
-            raise ValueError(f"indices are 1-based, got {i}:{j}")
-        out.append((i - 1, j - 1))
+        ends = tok.split(":")
+        if len(ends) != 2:
+            raise ValueError(f"{key}: bad pair {tok.strip()!r}, expected i:j")
+        out.append((_parse_index(key, ends[0]), _parse_index(key, ends[1])))
     return tuple(out)
 
 
@@ -132,9 +129,9 @@ def build_config(raw: dict[str, str]) -> JobConfig:
         raise ValueError("root_system is required")
     cfg = JobConfig(
         root_system=raw["root_system"],
-        gamma1=_parse_index_list(raw.get("gamma1", "")),
-        gamma2=_parse_index_list(raw.get("gamma2", "")),
-        tau=_parse_pair_map(raw.get("tau", "")),
+        gamma1=_parse_index_list("gamma1", raw.get("gamma1", "")),
+        gamma2=_parse_index_list("gamma2", raw.get("gamma2", "")),
+        tau=_parse_pair_map("tau", raw.get("tau", "")),
         r0_mode=raw.get("r0", "canonical"),
         mode=raw.get("mode", "both"),
         typea_checks=_parse_bool(raw.get("typea_checks", "false")),
@@ -154,19 +151,25 @@ def build_config(raw: dict[str, str]) -> JobConfig:
     return cfg
 
 
+def _config_values(cfg: JobConfig) -> dict[str, str]:
+    """Each config key's value as a config file writes it (1-based)."""
+    return {
+        "root_system": cfg.root_system,
+        "gamma1": ",".join(str(i + 1) for i in cfg.gamma1),
+        "gamma2": ",".join(str(i + 1) for i in cfg.gamma2),
+        "tau": ",".join(f"{a + 1}:{b + 1}" for a, b in cfg.tau),
+        "r0": cfg.r0_mode,
+        "mode": cfg.mode,
+        "typea_checks": "true" if cfg.typea_checks else "false",
+        "orbit_samples": ",".join(cfg.orbit_samples),
+        "format": cfg.format,
+        "out": cfg.out or "",
+    }
+
+
 def config_to_text(cfg: JobConfig) -> str:
     """Canonical round-trippable config file text (1-based on disk)."""
-    lines = [f"root_system = {cfg.root_system}"]
-    lines.append("gamma1 = " + ",".join(str(i + 1) for i in cfg.gamma1))
-    lines.append("gamma2 = " + ",".join(str(i + 1) for i in cfg.gamma2))
-    lines.append("tau = " + ",".join(f"{a + 1}:{b + 1}" for a, b in cfg.tau))
-    lines.append(f"r0 = {cfg.r0_mode}")
-    lines.append(f"mode = {cfg.mode}")
-    lines.append(f"typea_checks = {'true' if cfg.typea_checks else 'false'}")
-    lines.append("orbit_samples = " + ",".join(cfg.orbit_samples))
-    lines.append(f"format = {cfg.format}")
-    lines.append(f"out = {cfg.out or ''}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {val}\n" for key, val in _config_values(cfg).items())
 
 
 @dataclass
@@ -182,12 +185,7 @@ class Report:
 
 
 def _parse_matrix_file(path: str):
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append(tuple(Fraction(tok) for tok in line.split()))
+    rows = matrix_rows(Path(path).read_text())
     if not rows:
         raise ValueError(f"no matrix data in {path}")
     return mat(rows)
@@ -234,25 +232,21 @@ def _record_dict(word, rec, pure_a: bool) -> dict:
 def run_job(cfg: JobConfig) -> Report:
     """Staged pipeline; failures are recorded per stage and independent
     stages still run."""
+    values = _config_values(cfg)
     provenance = {
-        "config": {
-            line.partition("=")[0].strip(): line.partition("=")[2].strip()
-            for line in config_to_text(cfg).strip().split("\n")
-        },
+        "config": {key: val.strip() for key, val in values.items()},
         "note": CONVENTION_NOTE,
     }
     report = Report(provenance=provenance)
 
     def fail(stage: str, exc: BaseException, fragment: str) -> None:
-        internal = isinstance(exc, AssertionError) or (
-            isinstance(exc, RuntimeError) and not isinstance(exc, DegenerateComplement)
-        )
+        internal = isinstance(exc, (AssertionError, RuntimeError))
         report.errors.append(
             {
                 "stage": stage,
                 "error": type(exc).__name__,
                 "detail": str(exc),
-                "input": fragment.splitlines()[0] if fragment else "",
+                "input": fragment,
                 "severity": "internal" if internal else "input",
             }
         )
@@ -281,7 +275,8 @@ def run_job(cfg: JobConfig) -> Report:
     try:
         triple = validate_triple(rs, cfg.gamma1, cfg.gamma2, cfg.tau)
     except ValueError as e:
-        fail("validate", e, config_to_text(cfg).strip())
+        triple_lines = (f"{key} = {values[key]}" for key in ("gamma1", "gamma2", "tau"))
+        fail("validate", e, "; ".join(triple_lines))
         return report
     try:
         _weyl_bound()
@@ -312,7 +307,8 @@ def run_job(cfg: JobConfig) -> Report:
             dims = dimension_summary(rs, triple, d)
             report.decomposition = {
                 "dims": dims,
-                "full_h": full_h_predicate(d),
+                # every validated Cartan term has h_ort1 = h_ort2 = 0
+                "full_h": True,
                 "r0": matrix_to_text(r0.r0),
                 "f_cartan": matrix_to_text(d.f_cartan),
                 "theta_cartan": matrix_to_text(d.theta_cartan),

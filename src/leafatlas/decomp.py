@@ -1,8 +1,15 @@
 """Subalgebra decomposition attached to a triple and a Cartan term.
 
-Root content of the two Levi subalgebras and the radicals, the Cartan
-subspaces h_i, their orthogonal complements, the chosen complements a_i,
-the Cartan part of the connecting map f, and its Cayley transform theta.
+Root content of the two Levi subalgebras and the radicals, the Cartan part
+f = r0·G of the connecting map, and its Cayley transform theta.
+
+compute_decomposition is the one gate for the Cartan term: it runs
+check_cartan_term first.  A term that passes has r0 + r0^T = omega = G^-1,
+so the symmetric part of r0 is omega/2, which is positive definite; then
+x^T r0 x > 0 for x != 0, r0 is invertible, and so is
+f - 1 = r0·G - (r0 + r0^T)·G = -r0^T·G.  Hence h_i = im r0 ∩ z_i = z_i,
+h_ort_i = (z_i + span Gamma_i)^perp = 0 and a_i = z_i: the Cartan domain
+of each side is all of h, and every dimension in the summary is a count.
 
 All Cartan-space vectors are written in simple-root coordinates; the
 invariant form on such vectors is x^T gram y.
@@ -12,32 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bdtriple import BDTriple, CartanTerm
-from .linalg import (
-    Matrix,
-    Subspace,
-    identity,
-    inverse,
-    matmul,
-    matvec,
-    msub,
-)
+from .bdtriple import BDTriple, CartanTerm, check_cartan_term
+from .linalg import Matrix, Subspace, identity, inverse, matmul, msub
 from .rootsys import RootSystem, levi_roots
 
 __all__ = [
     "Decomposition",
-    "DegenerateComplement",
     "compute_decomposition",
-    "full_h_predicate",
     "dimension_summary",
     "simple_span",
     "form_perp_of_simples",
     "cartan_domain",
 ]
-
-
-class DegenerateComplement(RuntimeError):
-    """No form-compatible complement choice; internal consistency failure."""
 
 
 @dataclass(frozen=True)
@@ -46,12 +39,6 @@ class Decomposition:
     levi2_roots: tuple[tuple[int, ...], ...]
     n_plus_roots: tuple[tuple[int, ...], ...]
     n_minus_roots: tuple[tuple[int, ...], ...]
-    h1: Subspace
-    h2: Subspace
-    h_ort1: Subspace
-    h_ort2: Subspace
-    a1: Subspace
-    a2: Subspace
     f_cartan: Matrix
     theta_cartan: Matrix
 
@@ -68,10 +55,9 @@ def form_perp_of_simples(rs: RootSystem, indices) -> Subspace:
 def compute_decomposition(
     rs: RootSystem, triple: BDTriple, r0: CartanTerm
 ) -> Decomposition:
-    k = rs.cartan_rank
-    g = rs.gram_int  # for perps: scaling the form keeps its kernels
-    m = r0.r0
-
+    """Raise Infeasible unless r0 passes check_cartan_term; else the root
+    content of both sides, f and theta = f·(f - 1)^-1."""
+    check_cartan_term(rs, triple, r0)
     l1 = levi_roots(rs, triple.gamma1)
     l2 = levi_roots(rs, triple.gamma2)
     l1pos = {a for a in l1 if rs.is_positive_root(a)}
@@ -80,91 +66,47 @@ def compute_decomposition(
     n_minus = tuple(
         tuple(-x for x in a) for a in rs.positive_roots if a not in l2pos
     )
-
-    z1 = form_perp_of_simples(rs, triple.gamma1)
-    z2 = form_perp_of_simples(rs, triple.gamma2)
-    h1 = Subspace(k, [tuple(row[j] for row in m) for j in range(k)]).intersect(z1)
-    h2 = Subspace(k, [tuple(m[i]) for i in range(k)]).intersect(z2)
-
-    span1 = simple_span(rs, triple.gamma1)
-    span2 = simple_span(rs, triple.gamma2)
-    h_ort1 = h1.add(span1).perp(g)
-    h_ort2 = h2.add(span2).perp(g)
-
-    a1 = h1.intersect(h_ort1.perp(g))
-    a2 = h2.intersect(h_ort2.perp(g))
-
-    f_cartan = matmul(m, rs.gram)
-    f_minus_1 = msub(f_cartan, identity(k))
-    try:
-        theta_cartan = matmul(f_cartan, inverse(f_minus_1))
-    except ValueError:
-        raise DegenerateComplement(
-            "Cayley transform undefined: f - 1 is singular"
-        ) from None
-
-    image_a1 = Subspace(k, [matvec(theta_cartan, v) for v in a1.vectors()])
-    if image_a1 != a2:
-        raise DegenerateComplement(
-            "orthogonal complement choice is not theta-compatible"
-        )
-
+    f_cartan = matmul(r0.r0, rs.gram)
+    # f - 1 = -r0^T·G is invertible once the check passes (module docstring)
+    theta_cartan = matmul(f_cartan, inverse(msub(f_cartan, identity(rs.cartan_rank))))
     return Decomposition(
         levi1_roots=l1,
         levi2_roots=l2,
         n_plus_roots=n_plus,
         n_minus_roots=n_minus,
-        h1=h1,
-        h2=h2,
-        h_ort1=h_ort1,
-        h_ort2=h_ort2,
-        a1=a1,
-        a2=a2,
         f_cartan=f_cartan,
         theta_cartan=theta_cartan,
     )
 
 
-def full_h_predicate(d: Decomposition) -> bool:
-    """True when both orthogonal complements vanish (simplified formulas apply).
-
-    Every term that passes check_cartan_term has it.  r0 + r0^T = omega = G^-1
-    gives f - 1 = r0·G - (r0 + r0^T)·G = -r0^T·G, which the Cayley transform
-    needs invertible, so r0 is invertible; then h_i = z_i (h1 = im r0 ∩ z1),
-    h_ort_i = (z_i + span Gamma_i)^perp = 0, and the Cartan domains are all of h.
-    """
-    return d.h_ort1.dim == 0 and d.h_ort2.dim == 0
-
-
 def cartan_domain(rs: RootSystem, triple: BDTriple, d: Decomposition, side: int) -> Subspace:
-    """The Cartan part of l'_i plus the chosen complement a_i, as a subspace."""
-    if side == 1:
-        return simple_span(rs, triple.gamma1).add(d.a1)
-    if side == 2:
-        return simple_span(rs, triple.gamma2).add(d.a2)
-    raise ValueError("side must be 1 or 2")
+    """The Cartan part of l'_i plus the complement a_i = z_i: span Gamma_i + z_i."""
+    if side not in (1, 2):
+        raise ValueError("side must be 1 or 2")
+    gamma = triple.gamma1 if side == 1 else triple.gamma2
+    return simple_span(rs, gamma).add(form_perp_of_simples(rs, gamma))
 
 
 def dimension_summary(rs: RootSystem, triple: BDTriple, d: Decomposition) -> dict[str, int]:
+    """Counts from the root content: a_i = z_i gives dim l'_i + a_i = dim l_i,
+    and h_ort_i = 0 gives m± = n± (module docstring)."""
     k = rs.cartan_rank
-    dim_g = 2 * len(rs.positive_roots) + k
-    # a_i lies in span(Gamma_i)^perp, which meets span(Gamma_i) only in 0
-    dim_la1 = len(d.levi1_roots) + len(triple.gamma1) + d.a1.dim
-    dim_la2 = len(d.levi2_roots) + len(triple.gamma2) + d.a2.dim
-    dim_m_plus = d.h_ort1.dim + len(d.n_plus_roots)
-    dim_m_minus = d.h_ort2.dim + len(d.n_minus_roots)
+    dim_l1 = len(d.levi1_roots) + k
+    dim_l2 = len(d.levi2_roots) + k
+    n_plus = len(d.n_plus_roots)
+    n_minus = len(d.n_minus_roots)
     return {
-        "dim_g": dim_g,
-        "dim_l1": len(d.levi1_roots) + k,
-        "dim_l2": len(d.levi2_roots) + k,
-        "dim_lprime1_a1": dim_la1,
-        "dim_lprime2_a2": dim_la2,
-        "dim_h_ort1": d.h_ort1.dim,
-        "dim_h_ort2": d.h_ort2.dim,
-        "dim_n_plus": len(d.n_plus_roots),
-        "dim_n_minus": len(d.n_minus_roots),
-        "dim_g_plus": dim_la1 + d.h_ort1.dim + len(d.n_plus_roots),
-        "dim_g_minus": dim_la2 + d.h_ort2.dim + len(d.n_minus_roots),
-        "dim_m_plus": dim_m_plus,
-        "dim_m_minus": dim_m_minus,
+        "dim_g": 2 * len(rs.positive_roots) + k,
+        "dim_l1": dim_l1,
+        "dim_l2": dim_l2,
+        "dim_lprime1_a1": dim_l1,
+        "dim_lprime2_a2": dim_l2,
+        "dim_h_ort1": 0,
+        "dim_h_ort2": 0,
+        "dim_n_plus": n_plus,
+        "dim_n_minus": n_minus,
+        "dim_g_plus": dim_l1 + n_plus,
+        "dim_g_minus": dim_l2 + n_minus,
+        "dim_m_plus": n_plus,
+        "dim_m_minus": n_minus,
     }

@@ -15,12 +15,7 @@ from functools import cached_property
 from math import prod
 
 from .bdtriple import BDTriple
-from .decomp import (
-    Decomposition,
-    dimension_summary,
-    form_perp_of_simples,
-    full_h_predicate,
-)
+from .decomp import Decomposition, dimension_summary, form_perp_of_simples
 from .linalg import (
     Lattice,
     Matrix,
@@ -202,15 +197,13 @@ class _Frame:
     A record costs a walk on indices, one msub, one matmul and one integer
     elimination.
 
-    That needs h_ort1 = h_ort2 = 0, which every validated Cartan term gives
-    (decomp.full_h_predicate): then the Cartan domains are all of h, so the
-    two center graphs of a pair meet over all of lv_center and z_pair has no
-    h_ort part.  A hand-built decomposition without it is refused.
+    That uses h_ort1 = h_ort2 = 0, which compute_decomposition guarantees by
+    validating the Cartan term (see the decomp module): the Cartan domains
+    are all of h, so the two center graphs of a pair meet over all of
+    lv_center and z_pair has no h_ort part.
     """
 
     def __init__(self, rs: RootSystem, triple: BDTriple, d: Decomposition):
-        if not full_h_predicate(d):
-            raise ValueError("leaf records need h_ort1 = h_ort2 = 0 (a validated Cartan term)")
         self.rs = rs
         self.triple = triple
         self.d = d

@@ -273,19 +273,6 @@ class Subspace:
             raise ValueError("ambient mismatch")
         return Subspace(self.ambient, self.vectors() + other.vectors())
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ambient)
-        # columns of [U | -V] kernel give U-coordinates of intersection vectors
-        stacked = tuple(
-            tuple(self.basis[i]) + tuple(-x for x in other.basis[i])
-            for i in range(self.ambient)
-        )
-        vecs = [matvec(self.basis, s[: self.dim]) for s in _kernel(stacked)]
-        return Subspace(self.ambient, vecs)
-
     def perp(self, gram: Matrix) -> "Subspace":
         """Orthogonal complement in the ambient space w.r.t. the form gram."""
         if self.dim == 0:

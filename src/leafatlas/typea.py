@@ -48,6 +48,7 @@ __all__ = [
     "ParabolicBlocks",
     "SubalgebraNotPreserved",
     "NotInLevi",
+    "matrix_rows",
     "matrix_from_text",
     "matrix_to_text",
     "realize_r",
@@ -103,14 +104,19 @@ class MatrixElement:
         return len(self.entries)
 
 
-def matrix_from_text(text: str, kind: str) -> MatrixElement:
+def matrix_rows(text: str) -> list[tuple[Fraction, ...]]:
+    """The rows of a matrix written one row a line, entries separated by
+    blanks; ``#`` starts a comment and blank lines are skipped."""
     rows = []
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(tuple(Fraction(tok) for tok in line.split()))
-    return MatrixElement(rows, kind)
+        toks = line.split("#", 1)[0].split()
+        if toks:
+            rows.append(tuple(Fraction(tok) for tok in toks))
+    return rows
+
+
+def matrix_from_text(text: str, kind: str) -> MatrixElement:
+    return MatrixElement(matrix_rows(text), kind)
 
 
 def matrix_to_text(m: MatrixElement | Matrix) -> str:

@@ -5,9 +5,21 @@ Only tests call these, so they live here rather than in the package.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from leafatlas.linalg import Lattice, matvec, smith_normal_form
+from leafatlas.bdtriple import Infeasible
+from leafatlas.decomp import form_perp_of_simples, simple_span
+from leafatlas.linalg import (
+    Lattice,
+    Subspace,
+    _kernel,
+    madd,
+    matvec,
+    smith_normal_form,
+    transpose,
+    vec,
+)
 
 
 def in_parabolic(rs, w, p) -> bool:
@@ -91,3 +103,69 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
     stacked = [list(x) + [-y for y in z] for x, z in zip(a.basis, b.basis)]
     cols = [matvec(a.basis, k[: a.rank]) for k in integer_kernel(stacked)]
     return Lattice(a.ambient, cols)
+
+
+# ---------------------------------------------------------------------------
+# the Cartan subspace chain that compute_decomposition no longer builds: an
+# oracle for the closed forms h_i = a_i = z_i and h_ort_i = 0
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """u ∩ v: the kernel of [U | -V] gives the U-coordinates of its vectors."""
+    if u.ambient != v.ambient:
+        raise ValueError("ambient mismatch")
+    if u.dim == 0 or v.dim == 0:
+        return Subspace(u.ambient)
+    stacked = tuple(
+        tuple(u.basis[i]) + tuple(-x for x in v.basis[i]) for i in range(u.ambient)
+    )
+    return Subspace(u.ambient, [matvec(u.basis, s[: u.dim]) for s in _kernel(stacked)])
+
+
+@dataclass(frozen=True)
+class CartanSplit:
+    h1: Subspace
+    h2: Subspace
+    h_ort1: Subspace
+    h_ort2: Subspace
+    a1: Subspace
+    a2: Subspace
+
+
+def reference_cartan_split(rs, triple, r0) -> CartanSplit:
+    """h1 = im r0 ∩ z1 and h2 = im r0^T ∩ z2, h_ort_i = (h_i + span Gamma_i)^perp
+    and a_i = h_i ∩ h_ort_i^perp, through subspace meets and perps."""
+    k = rs.cartan_rank
+    g = rs.gram_int
+    m = r0.r0
+    z1 = form_perp_of_simples(rs, triple.gamma1)
+    z2 = form_perp_of_simples(rs, triple.gamma2)
+    h1 = intersect(Subspace(k, [tuple(row[j] for row in m) for j in range(k)]), z1)
+    h2 = intersect(Subspace(k, [tuple(m[i]) for i in range(k)]), z2)
+    h_ort1 = h1.add(simple_span(rs, triple.gamma1)).perp(g)
+    h_ort2 = h2.add(simple_span(rs, triple.gamma2)).perp(g)
+    a1 = intersect(h1, h_ort1.perp(g))
+    a2 = intersect(h2, h_ort2.perp(g))
+    return CartanSplit(h1, h2, h_ort1, h_ort2, a1, a2)
+
+
+def reference_check_cartan_term(rs, triple, term) -> None:
+    """check_cartan_term's slot constraints as r0^T·G·e_tau(i) + r0·G·e_i = 0,
+    one matvec chain per tau pair."""
+    m = term.r0
+    if madd(m, transpose(m)) != rs.gram_inverse:
+        raise Infeasible("r0 + r0^T does not equal the Cartan Casimir block")
+    g = rs.gram
+    for a_idx, t_idx in triple.tau:
+        a = vec(rs.simple_roots[a_idx])
+        t = vec(rs.simple_roots[t_idx])
+        lhs = [
+            x + y
+            for x, y in zip(
+                matvec(transpose(m), matvec(g, t)), matvec(m, matvec(g, a))
+            )
+        ]
+        if any(x != 0 for x in lhs):
+            raise Infeasible(
+                f"r0 violates the slot constraint for alpha_{a_idx + 1}"
+            )

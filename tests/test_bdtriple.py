@@ -6,8 +6,11 @@ unique solution, so the canonical matrix is forced.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+
+from helpers import reference_check_cartan_term
 
 from leafatlas import (
     build_root_system,
@@ -111,6 +114,46 @@ def test_canonical_r0_symmetric_part_is_half_omega0():
             ]
             assert [list(r) for r in omega0] == sym
             check_cartan_term(rs, t, CartanTerm(m))
+
+
+def _check_outcome(check, rs, t, m):
+    """None if check accepts the term, else the Infeasible message."""
+    try:
+        check(rs, t, CartanTerm(m))
+    except Infeasible as e:
+        return str(e)
+    return None
+
+
+def _perturbed_terms(rs, t):
+    """The canonical term, the canonical term plus a skew unit pair at each
+    position i < j (which keeps r0 + r0^T = omega and can break a slot
+    constraint), and the canonical term with its corner entry moved."""
+    m = solve_r0(rs, t, "canonical").r0
+    yield m
+    k = len(m)
+    for i, j in combinations(range(k), 2):
+        yield tuple(
+            tuple(x + ((p, q) == (i, j)) - ((p, q) == (j, i)) for q, x in enumerate(row))
+            for p, row in enumerate(m)
+        )
+    yield ((m[0][0] + F(1, 5),) + m[0][1:],) + m[1:]
+
+
+def test_column_slot_check_matches_the_matvec_oracle():
+    """check_cartan_term reads the slot constraints off the columns of
+    f = r0·G; the r0^T·G·e_tau(i) + r0·G·e_i form agrees on every term."""
+    outcomes = []
+    for label in ("A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4", "A2xA1", "A2+T1"):
+        rs = build_root_system(label)
+        for t in enumerate_valid_triples(rs):
+            for m in _perturbed_terms(rs, t):
+                got = _check_outcome(check_cartan_term, rs, t, m)
+                assert got == _check_outcome(reference_check_cartan_term, rs, t, m), (label, t, m)
+                outcomes.append(got)
+    # 614 terms: 126 pass, 398 break a slot constraint, 90 the symmetric part
+    kinds = [o if o is None else o.split()[1] for o in outcomes]
+    assert (kinds.count(None), kinds.count("violates"), kinds.count("+")) == (126, 398, 90)
 
 
 def test_from_file_mode_validates_matrix():

@@ -1,5 +1,6 @@
 """Config parsing, pipeline staging, report formats, exit codes."""
 
+import builtins
 import hashlib
 import json
 from pathlib import Path
@@ -18,6 +19,7 @@ from leafatlas.cli import (
     report_to_machine,
     run_job,
 )
+from leafatlas.typea import matrix_from_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -262,6 +264,95 @@ def test_typea_checks_need_a_type():
     report = run_job(cfg)
     assert report.errors[0]["stage"] == "validate"
     assert "single A-type" in report.errors[0]["detail"]
+
+
+# ---------------------------------------------------------------------------
+# Cartan terms from files
+
+
+def _r0_job(capsys, argv):
+    """Exit code and machine report of a job run through main."""
+    code = main(argv + ["--format", "machine"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_r0_from_file_gives_the_report_that_file(capsys):
+    # the standard A3 triple with a skew part added by hand to Omega0/2
+    path = DATA / "a3_skewed_r0.mat"
+    code, doc = _r0_job(capsys, ["--root-system", "A3", "--mode", "gminus", "--r0", f"file:{path}"])
+    assert code == 0 and doc["errors"] == []
+    assert doc["decomposition"]["r0"] == path.read_text().strip()
+    assert doc["decomposition"]["full_h"] is True
+    assert len(doc["records"]) == 24
+
+
+def test_r0_match_theta_pins_theta_to_the_target(capsys):
+    # the Coxeter rotation of A2 as the target theta of the standard triple
+    path = DATA / "a2_coxeter.mat"
+    code, doc = _r0_job(capsys, ["--root-system", "A2", "--r0", f"match_theta:{path}"])
+    assert code == 0 and doc["errors"] == []
+    assert doc["decomposition"]["theta_cartan"] == path.read_text().strip()
+    assert doc["sigma"]["text"] == "Z/3"
+
+
+def test_r0_file_that_breaks_a_slot_constraint_exits_two(capsys):
+    path = DATA / "a2_cg_slot_violation.mat"
+    code, doc = _r0_job(
+        capsys,
+        ["--root-system", "A2", "--gamma1", "1", "--gamma2", "2", "--tau", "1:2",
+         "--r0", f"file:{path}"],
+    )
+    assert code == 2
+    assert [(e["stage"], e["error"], e["detail"], e["input"]) for e in doc["errors"]] == [
+        ("r0", "Infeasible", "r0 violates the slot constraint for alpha_1", f"r0 = file:{path}")
+    ]
+    assert doc["decomposition"] is None and doc["records"] == []
+
+
+def test_missing_r0_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "nope.mat"
+    code, doc = _r0_job(capsys, ["--root-system", "A2", "--r0", f"file:{path}"])
+    assert code == 2
+    assert [(e["stage"], e["severity"]) for e in doc["errors"]] == [("r0", "input")]
+    assert issubclass(getattr(builtins, doc["errors"][0]["error"]), OSError)
+    assert doc["records"] == []
+
+
+def test_matrix_files_and_texts_share_one_row_reader(tmp_path):
+    text = "# a group element\n2 0 0  # first row\n0 1 0\n\n0 0 1/2\n"
+    f = tmp_path / "f.mat"
+    f.write_text(text)
+    assert cli._parse_matrix_file(str(f)) == matrix_from_text(text, "group").entries
+    f.write_text("# only a comment\n\n")
+    with pytest.raises(ValueError, match=f"^no matrix data in {f}$"):
+        cli._parse_matrix_file(str(f))
+
+
+# ---------------------------------------------------------------------------
+# input errors name what they reject
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tau", "1", "tau: bad pair '1', expected i:j"),
+        ("--tau", "1:2:3", "tau: bad pair '1:2:3', expected i:j"),
+        ("--tau", "1:x", "tau: bad index 'x'"),
+        ("--gamma1", "1,", "gamma1: bad index ''"),
+        ("--gamma2", "0", "gamma2: indices are 1-based, got 0"),
+    ],
+)
+def test_bad_index_tokens_name_the_key_and_token(capsys, flag, value, message):
+    assert main(["--root-system", "A2", flag, value]) == 2
+    assert capsys.readouterr().err == f"leafatlas: invalid input: {message}\n"
+
+
+def test_rejected_triple_reports_its_gamma_and_tau_lines():
+    cfg = JobConfig(root_system="A2", gamma1=(0,), gamma2=(0,), tau=((0, 1),))
+    report = run_job(cfg)
+    assert [(e["stage"], e["error"], e["input"]) for e in report.errors] == [
+        ("validate", "NotBijective", "gamma1 = 1; gamma2 = 1; tau = 1:2")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,22 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from helpers import reference_cartan_split
 from leafatlas import (
-    DegenerateComplement,
+    Infeasible,
     build_root_system,
     cg_theta_target,
     cg_triple,
     compute_decomposition,
     dimension_summary,
     enumerate_valid_triples,
-    full_h_predicate,
     solve_r0,
     validate_triple,
 )
 from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
-from leafatlas.decomp import cartan_domain
-from leafatlas.linalg import madd, matmul, matvec, transpose
+from leafatlas.decomp import cartan_domain, form_perp_of_simples, simple_span
+from leafatlas.linalg import Subspace, madd, matmul, matvec, transpose
 
 
 def F(p, q=1):
@@ -79,14 +78,14 @@ def test_cg_a2_theta_extends_tau_on_roots():
 
 def test_cg_a2_full_h_and_subspaces():
     rs, t, d = _cg_a2()
-    assert full_h_predicate(d)
+    split = reference_cartan_split(rs, t, solve_r0(rs, t, "canonical"))
     # h_i is the Levi-center slice of h, of dimension rank - |gamma_i|
-    assert d.h1.dim == 1 and d.h2.dim == 1
-    assert d.h_ort1.dim == 0 and d.h_ort2.dim == 0
-    assert d.a1.dim == 1 and d.a2.dim == 1
+    assert split.h1.dim == 1 and split.h2.dim == 1
+    assert split.h_ort1.dim == 0 and split.h_ort2.dim == 0
+    assert split.a1.dim == 1 and split.a2.dim == 1
     # theta carries a1 onto a2
-    for x in d.a1.vectors():
-        assert d.a2.contains(matvec(d.theta_cartan, x))
+    for x in split.a1.vectors():
+        assert split.a2.contains(matvec(d.theta_cartan, x))
 
 
 # simply- and non-simply-laced systems up to rank 4, products and a torus:
@@ -118,7 +117,6 @@ def test_standard_theta_is_minus_one():
             tuple(F(-1) if i == j else F(0) for j in range(k)) for i in range(k)
         )
         assert _tau_on_levi1(rs, t, d) == ()
-        assert full_h_predicate(d)
 
 
 def test_root_space_splits():
@@ -129,26 +127,37 @@ def test_root_space_splits():
     assert set(d.n_minus_roots) == {(-1, 0), (-1, -1)}
 
 
-# the solver never produces a singular Cartan term, so the degenerate
-# branches below are reachable only through a hand-built unvalidated term
+# hand-built terms that the solver never produces: a singular r0 with
+# h_ort1 != 0, one whose f - 1 is singular, and an A2 term with the right
+# symmetric part whose skew part breaks the Cremmer-Gervais slot constraint
 DEGENERATE = ((F(1, 4), F(0)), (F(0), F(0)))
+SINGULAR_CAYLEY = ((F(1, 2), F(0)), (F(0), F(0)))
+CG_A2_SLOT_VIOLATION = ((F(1, 3), F(-1, 3)), (F(2, 3), F(1, 3)))
+SYMMETRIC_PART = r"^r0 \+ r0\^T does not equal the Cartan Casimir block$"
 
 
-def test_unvalidated_degenerate_term_breaks_full_h():
+@pytest.mark.parametrize(
+    "label, term, message",
+    [
+        ("A1xA1", DEGENERATE, SYMMETRIC_PART),
+        ("A1xA1", SINGULAR_CAYLEY, SYMMETRIC_PART),
+        ("A2", CG_A2_SLOT_VIOLATION, "^r0 violates the slot constraint for alpha_1$"),
+    ],
+    ids=["degenerate", "singular_cayley", "cg_a2_slot"],
+)
+def test_compute_decomposition_refuses_an_invalid_term(label, term, message):
+    rs = build_root_system(label)
+    t = cg_triple(rs) if label == "A2" else validate_triple(rs, (), (), {})
+    with pytest.raises(Infeasible, match=message):
+        compute_decomposition(rs, t, CartanTerm(term))
+
+
+def test_degenerate_term_has_nonzero_h_ort_in_the_reference_split():
+    """What the gate keeps out: the subspace chain on DEGENERATE gives
+    h_ort1 != 0, which the leaf frame has no branch for."""
     rs = build_root_system("A1xA1")
-    t = validate_triple(rs, (), (), {})
-    d = compute_decomposition(rs, t, CartanTerm(DEGENERATE))
-    assert not full_h_predicate(d)
-    assert d.h1.dim == 1
-
-
-def test_singular_cayley_transform_is_degenerate():
-    rs = build_root_system("A1xA1")
-    t = validate_triple(rs, (), (), {})
-    with pytest.raises(DegenerateComplement):
-        compute_decomposition(
-            rs, t, CartanTerm(((F(1, 2), F(0)), (F(0), F(0))))
-        )
+    split = reference_cartan_split(rs, validate_triple(rs, (), (), {}), CartanTerm(DEGENERATE))
+    assert split.h1.dim == 1 and split.h_ort1.dim == 1
 
 
 # every valid triple of these systems also goes through the consistency checks
@@ -201,15 +210,31 @@ def _non_canonical_terms():
 
 
 def test_every_validated_cartan_term_has_full_h():
-    """r0 + r0^T = omega makes r0 invertible (see full_h_predicate), so both
-    h_ort vanish and the Cartan domains are all of h, whichever mode built r0."""
+    """r0 + r0^T = omega makes r0 invertible (decomp module docstring), so the
+    subspace chain gives h_i = a_i = z_i and h_ort_i = 0, theta carries a1
+    onto a2, and the chain's dimension counts are the closed forms of
+    dimension_summary, whichever mode built r0."""
     terms = [(rs, t, solve_r0(rs, t, "canonical")) for rs, t in _summary_inputs()]
     others = list(_non_canonical_terms())
     for rs, t, term in others:
         assert term.r0 != solve_r0(rs, t, "canonical").r0
     for rs, t, term in terms + others:
         d = compute_decomposition(rs, t, term)
-        assert full_h_predicate(d), t
-        for side in (1, 2):
-            assert cartan_domain(rs, t, d, side).dim == rs.cartan_rank, (t, side)
+        split = reference_cartan_split(rs, t, term)
+        k = rs.cartan_rank
+        z1 = form_perp_of_simples(rs, t.gamma1)
+        z2 = form_perp_of_simples(rs, t.gamma2)
+        assert split.h1 == split.a1 == z1 and split.h2 == split.a2 == z2, t
+        assert split.h_ort1.dim == split.h_ort2.dim == 0, t
+        assert Subspace(k, [matvec(d.theta_cartan, x) for x in split.a1.vectors()]) == split.a2
+        dims = dimension_summary(rs, t, d)
+        for side, levi, gamma, a in (
+            (1, d.levi1_roots, t.gamma1, split.a1),
+            (2, d.levi2_roots, t.gamma2, split.a2),
+        ):
+            dom = simple_span(rs, gamma).add(a)
+            assert dom == cartan_domain(rs, t, d, side) and dom.dim == k, (t, side)
+            assert dims[f"dim_lprime{side}_a{side}"] == len(levi) + dom.dim
+        assert dims["dim_m_plus"] == split.h_ort1.dim + len(d.n_plus_roots)
+        assert dims["dim_m_minus"] == split.h_ort2.dim + len(d.n_minus_roots)
     assert len(terms) == 3 + 101

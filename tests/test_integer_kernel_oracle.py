@@ -2,10 +2,10 @@
 
 `_primitive_rref` runs the Bareiss forward pass and an integer back phase
 that leaves each pivot row primitive with a positive pivot; `_kernel`
-reads primitive kernel vectors off those rows.  `Subspace`, its
-`intersect` and `perp`, and the pair loop of `leafclass` used to take a
-``Fraction`` RREF (or `nullspace`) and rescale each row by the lcm of its
-denominators.  Those bodies are the oracles here, over the Gauss-Jordan
+reads primitive kernel vectors off those rows.  `Subspace`, its `perp`,
+the subspace meet `helpers.intersect` and the pair loop of `leafclass`
+used to take a ``Fraction`` RREF (or `nullspace`) and rescale each row by
+the lcm of its denominators.  Those bodies are the oracles here, over the Gauss-Jordan
 reference `rref` of `test_linalg_kernel`.
 """
 
@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import intersect
 from test_linalg_kernel import ref_int_rows, ref_nullspace, ref_rref
 from leafatlas import build_root_system
 from leafatlas.linalg import (
@@ -154,8 +155,8 @@ def test_subspace_basis_and_intersection_match_the_fraction_path(pair):
     assert u.basis == ref_basis(u.ambient, u_vectors)
     assert v.basis == ref_basis(v.ambient, v_vectors)
     assert _all_int(u.basis)
-    assert u.intersect(v).basis == ref_intersect(u, v)
-    assert v.intersect(u) == u.intersect(v)
+    assert intersect(u, v).basis == ref_intersect(u, v)
+    assert intersect(v, u) == intersect(u, v)
 
 
 @settings(max_examples=100, deadline=None)
@@ -175,4 +176,4 @@ def test_root_spans_and_their_perps_match_the_fraction_path(label):
         assert u.basis == ref_basis(k, roots[start : start + 3])
         perp = u.perp(rs.gram)
         assert perp.basis == ref_perp(u, rs.gram)
-        assert u.intersect(perp).basis == ref_intersect(u, perp)
+        assert intersect(u, perp).basis == ref_intersect(u, perp)

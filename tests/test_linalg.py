@@ -8,7 +8,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings, strategies as st
 
-from helpers import integer_kernel, lattice_intersection
+from helpers import integer_kernel, intersect, lattice_intersection
 from leafatlas.linalg import (
     Lattice,
     Subspace,
@@ -194,7 +194,7 @@ def test_equal_spans_from_different_generators_are_equal():
 def test_subspace_operations():
     x = Subspace(3, [(1, 0, 0), (0, 1, 0)])
     y = Subspace(3, [(0, 1, 0), (0, 0, 1)])
-    assert x.intersect(y).dim == 1
+    assert intersect(x, y).dim == 1
     assert x.add(y).dim == 3
     assert x.contains((Fraction(2), Fraction(-7), Fraction(0)))
     assert not x.contains((0, 0, 1))

@@ -4,36 +4,31 @@
 ``stable_subalgebra_pair`` and ``stable_subalgebra_v`` from before the
 classifiers shared one frame per triple: they rebuild the Cartan domain,
 theta^{-1} and the moved spans for every record and intersect the two
-centre graphs in h x h.  They are kept here only as oracles.  The frame
-refuses a decomposition with h_ort != 0, which the oracles would still take;
-the last tests pin that refusal.
+centre graphs in h x h.  They read h_ort and a from the subspace chain
+``helpers.reference_cartan_split``, not from the closed forms of the
+decomposition, and are kept here only as oracles.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from fractions import Fraction as F
 from math import lcm
 
 import pytest
 
-from helpers import assert_simple_generated
+from helpers import assert_simple_generated, intersect, reference_cartan_split
 from leafatlas import (
     build_root_system,
-    cg_triple,
     classify_g,
     classify_gminus,
     compute_decomposition,
     enumerate_valid_triples,
-    full_h_predicate,
     solve_r0,
-    stable_subalgebra_pair,
-    stable_subalgebra_v,
     validate_triple,
 )
-from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
-from leafatlas.decomp import cartan_domain, simple_span
+from leafatlas.bdtriple import tau_linear_matrix
+from leafatlas.decomp import simple_span
 from leafatlas.leafclass import (
     PairStableSubalgebra,
     StableSubalgebra,
@@ -66,19 +61,24 @@ def _root_span(rs, roots):
     return Subspace(rs.cartan_rank, [tuple(map(frac, a)) for a in roots])
 
 
-def _cong_data(rs, d, twist, lv_center, center_dim, v1):
+def _cong_data(rs, split, twist, lv_center, center_dim, v1):
     k = rs.cartan_rank
     delta = msub(twist, identity(k))
     cong_dim = 0 if lv_center.dim == 0 else rank(matmul(delta, lv_center.basis))
     image = Subspace(k, [matvec(delta, x) for x in lv_center.vectors()])
     moved_ort = Subspace(
-        k, [matvec(_weyl_frac(v1), x) for x in d.h_ort1.vectors()]
+        k, [matvec(_weyl_frac(v1), x) for x in split.h_ort1.vectors()]
     )
-    product = image.add(d.h_ort1).add(moved_ort)
+    product = image.add(split.h_ort1).add(moved_ort)
     return cong_dim, center_dim - product.dim
 
 
-def reference_single(rs, triple, d, v):
+def _domain1(rs, triple, split):
+    """The Cartan part of l'_1 plus a1."""
+    return simple_span(rs, triple.gamma1).add(split.a1)
+
+
+def reference_single(rs, triple, d, split, v):
     _require_coset_minimal(rs, v, triple.gamma1, "v")
     k = rs.cartan_rank
     root_set = stable_roots(d.levi1_roots, v)
@@ -87,10 +87,9 @@ def reference_single(rs, triple, d, v):
     span = _root_span(rs, root_set)
     derived_dim = len(root_set) + span.dim
     center_dim = k - span.dim
-    dom1 = cartan_domain(rs, triple, d, 1)
-    lv_center = dom1.intersect(span.perp(rs.gram))
+    lv_center = intersect(_domain1(rs, triple, split), span.perp(rs.gram))
     cong_dim, moduli_dim = _cong_data(
-        rs, d, _weyl_frac(v), lv_center, center_dim, v
+        rs, split, _weyl_frac(v), lv_center, center_dim, v
     )
     return StableSubalgebra(
         root_set=root_set,
@@ -106,7 +105,7 @@ def _stack(upper, lower):
     return tuple(upper) + tuple(lower)
 
 
-def reference_pair(rs, triple, d, v1, v2):
+def reference_pair(rs, triple, d, split, v1, v2):
     _require_coset_minimal(rs, v1, triple.gamma1, "v1")
     _require_coset_minimal(rs, v2, triple.gamma2, "v2")
     k = rs.cartan_rank
@@ -125,31 +124,31 @@ def reference_pair(rs, triple, d, v1, v2):
     span = _root_span(rs, root_set)
     derived_dim = len(root_set) + span.dim
     center_dim = k - span.dim
-    dom1 = cartan_domain(rs, triple, d, 1)
-    lv_center = dom1.intersect(span.perp(rs.gram))
+    dom1 = _domain1(rs, triple, split)
+    lv_center = intersect(dom1, span.perp(rs.gram))
 
     theta = d.theta_cartan
     theta_inv = inverse(theta)
     m1 = _weyl_frac(v1)
     m2 = _weyl_frac(v2)
     psi = matmul(m1, matmul(theta_inv, matmul(m2, theta)))
-    cong_dim, moduli_dim = _cong_data(rs, d, psi, lv_center, center_dim, v1)
+    cong_dim, moduli_dim = _cong_data(rs, split, psi, lv_center, center_dim, v1)
 
     v2theta = matmul(m2, theta)
     u1 = Subspace(
         2 * k, [_stack(x, matvec(v2theta, x)) for x in lv_center.vectors()]
     )
     moved_dom = Subspace(k, [matvec(m1, x) for x in dom1.vectors()])
-    center2 = moved_dom.intersect(span.perp(rs.gram))
+    center2 = intersect(moved_dom, span.perp(rs.gram))
     theta_v1inv = matmul(theta, inverse(m1))
     u2 = Subspace(
         2 * k, [_stack(x, matvec(theta_v1inv, x)) for x in center2.vectors()]
     )
-    ort_left = d.h_ort1.add(
-        Subspace(k, [matvec(m1, x) for x in d.h_ort1.vectors()])
+    ort_left = split.h_ort1.add(
+        Subspace(k, [matvec(m1, x) for x in split.h_ort1.vectors()])
     )
-    ort_right = d.h_ort2.add(
-        Subspace(k, [matvec(m2, x) for x in d.h_ort2.vectors()])
+    ort_right = split.h_ort2.add(
+        Subspace(k, [matvec(m2, x) for x in split.h_ort2.vectors()])
     )
     zero = tuple(frac(0) for _ in range(k))
     u3 = Subspace(
@@ -157,7 +156,7 @@ def reference_pair(rs, triple, d, v1, v2):
         [_stack(x, zero) for x in ort_left.vectors()]
         + [_stack(zero, x) for x in ort_right.vectors()],
     )
-    z_pair_dim = u1.intersect(u2).add(u3).dim
+    z_pair_dim = intersect(u1, u2).add(u3).dim
 
     return PairStableSubalgebra(
         root_set=root_set,
@@ -187,18 +186,21 @@ def _coset_count(rs, gamma) -> int:
     return len(enumerate_weyl(rs)) // len(sub)
 
 
-def _check_pairs(rs, t, d) -> int:
+def _check_pairs(rs, t) -> int:
+    d, split = _decomposition(rs, t)
     records = classify_g(rs, t, d)
     pairs = {(r.v1, r.v2) for r in records}
     assert len(pairs) == len(records)
     assert len(records) == _coset_count(rs, t.gamma1) * _coset_count(rs, t.gamma2)
     for r in records:
-        _assert_same(r.stable, reference_pair(rs, t, d, r.v1, r.v2), (t, r.v1, r.v2))
+        _assert_same(r.stable, reference_pair(rs, t, d, split, r.v1, r.v2), (t, r.v1, r.v2))
     return len(records)
 
 
 def _decomposition(rs, t):
-    return compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
+    """The decomposition of the canonical term and its reference split."""
+    r0 = solve_r0(rs, t, "canonical")
+    return compute_decomposition(rs, t, r0), reference_cartan_split(rs, t, r0)
 
 
 _SYSTEMS = ["A2", "B2", "G2", "A1xA1", "A2xA1", "A2+T1"]
@@ -209,7 +211,7 @@ def test_pair_frame_matches_reference_on_every_small_triple():
     for label in _SYSTEMS:
         rs = build_root_system(label)
         for t in enumerate_valid_triples(rs):
-            checked += _check_pairs(rs, t, _decomposition(rs, t))
+            checked += _check_pairs(rs, t)
     assert checked == 718
 
 
@@ -218,7 +220,7 @@ def test_pair_frame_matches_reference_on_a3_benchmark_triples():
     checked = 0
     for g1, g2 in (((0,), (1,)), ((0,), (2,)), ((1,), (2,))):
         t = validate_triple(rs, g1, g2, {g1[0]: g2[0]})
-        checked += _check_pairs(rs, t, _decomposition(rs, t))
+        checked += _check_pairs(rs, t)
     assert checked == 432
 
 
@@ -231,82 +233,20 @@ A4_SCALED = [({1: 2, 2: 3}, 8), ({0: 2, 1: 3}, 12), ({0: 3, 2: 1}, 21)]
 def test_pair_frame_matches_reference_on_a4_samples(tau, c):
     rs = build_root_system("A4")
     t = validate_triple(rs, tau.keys(), tau.values(), tau)
-    d = _decomposition(rs, t)
+    d, split = _decomposition(rs, t)
     assert lcm(*(x.denominator for row in d.theta_cartan for x in row)) == c
     records = classify_g(rs, t, d)
     assert len(records) == _coset_count(rs, t.gamma1) * _coset_count(rs, t.gamma2)
     for r in random.Random(c).sample(records, 120):
-        _assert_same(r.stable, reference_pair(rs, t, d, r.v1, r.v2), (t, r.v1, r.v2))
+        _assert_same(r.stable, reference_pair(rs, t, d, split, r.v1, r.v2), (t, r.v1, r.v2))
 
 
 def test_single_frame_matches_reference_on_every_small_triple():
     for label in _SYSTEMS:
         rs = build_root_system(label)
         for t in enumerate_valid_triples(rs):
-            d = _decomposition(rs, t)
+            d, split = _decomposition(rs, t)
             records = classify_gminus(rs, t, d)
             assert len(records) == _coset_count(rs, t.gamma1)
             for r in records:
-                _assert_same(r.stable, reference_single(rs, t, d, r.v), (t, r.v))
-
-
-# the solver never produces this Cartan term (see test_decomp.py); it is the
-# one reachable input with h_ort != 0, and theta is singular on it
-DEGENERATE = ((F(1, 4), F(0)), (F(0), F(0)))
-
-# the frame's guard: every validated Cartan term has h_ort1 = h_ort2 = 0
-GUARD = r"^leaf records need h_ort1 = h_ort2 = 0 \(a validated Cartan term\)$"
-
-
-def _identity(rs):
-    """The unit of W, minimal in every coset."""
-    return next(w for w in enumerate_weyl(rs) if w.length == 0)
-
-
-def _degenerate():
-    rs = build_root_system("A1xA1")
-    t = validate_triple(rs, (), (), {})
-    return rs, t, compute_decomposition(rs, t, CartanTerm(DEGENERATE))
-
-
-def test_singular_theta_fails_as_before():
-    rs, t, d = _degenerate()
-    assert d.h_ort1.dim > 0
-    with pytest.raises(ValueError, match=GUARD):
-        classify_g(rs, t, d)
-    v = _identity(rs)
-    with pytest.raises(ValueError, match="^singular matrix$"):
-        reference_pair(rs, t, d, v, v)
-    with pytest.raises(ValueError, match=GUARD):
-        stable_subalgebra_pair(rs, t, d, v, v)
-
-
-def _hand_built_complements():
-    """A valid A2 decomposition with smaller complements and nonzero
-    orthogonal blocks put in by hand."""
-    rs = build_root_system("A2")
-    t = cg_triple(rs)
-    d = dataclasses.replace(
-        _decomposition(rs, t),
-        a1=simple_span(rs, (1,)),
-        h_ort1=simple_span(rs, (0,)),
-        h_ort2=simple_span(rs, (1,)),
-    )
-    return rs, t, d
-
-
-@pytest.mark.parametrize(
-    "build", [_degenerate, _hand_built_complements], ids=["degenerate", "hand_built"]
-)
-def test_frame_refuses_nonzero_h_ort(build):
-    rs, t, d = build()
-    assert not full_h_predicate(d)
-    v = _identity(rs)
-    for call in (
-        lambda: classify_g(rs, t, d),
-        lambda: classify_gminus(rs, t, d),
-        lambda: stable_subalgebra_v(rs, t, d, v),
-        lambda: stable_subalgebra_pair(rs, t, d, v, v),
-    ):
-        with pytest.raises(ValueError, match=GUARD):
-            call()
+                _assert_same(r.stable, reference_single(rs, t, d, split, r.v), (t, r.v))
