@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from .linalg import (
     Matrix,
@@ -28,7 +29,7 @@ from .linalg import (
     transpose,
     vec,
 )
-from .rootsys import RootSystem, form_pairing, levi_roots
+from .rootsys import RootSystem, levi_roots
 
 __all__ = [
     "BDTriple",
@@ -146,11 +147,11 @@ def validate_triple(rs: RootSystem, gamma1, gamma2, tau) -> BDTriple:
         raise NotBijective("tau image does not match gamma2")
 
     tmap = dict(pairs)
-    simple = rs.simple_roots
+    gram = rs.gram  # (alpha_a, alpha_b) = gram[a][b]
     for a in g1:
         for b in g1:
-            lhs = form_pairing(rs, simple[tmap[a]], simple[tmap[b]])
-            rhs = form_pairing(rs, simple[a], simple[b])
+            lhs = gram[tmap[a]][tmap[b]]
+            rhs = gram[a][b]
             if lhs != rhs:
                 raise NotIsometry(
                     f"pairing of (alpha_{a + 1}, alpha_{b + 1}) not preserved: "
@@ -380,40 +381,17 @@ def cg_theta_target(rs: RootSystem) -> Matrix:
 
 
 def _isometry_bijections(rs: RootSystem, g1: tuple[int, ...], g2: tuple[int, ...]):
-    """All isometric bijections g1 -> g2 (backtracking on pair constraints)."""
-    g1 = list(g1)
-    out: list[dict[int, int]] = []
-
-    def extend(pos: int, used: set[int], acc: dict[int, int]):
-        if pos == len(g1):
-            out.append(dict(acc))
-            return
-        a = g1[pos]
-        for b in g2:
-            if b in used:
-                continue
-            ok = True
-            for a2, b2 in acc.items():
-                if form_pairing(
-                    rs, rs.simple_roots[b], rs.simple_roots[b2]
-                ) != form_pairing(rs, rs.simple_roots[a], rs.simple_roots[a2]):
-                    ok = False
-                    break
-            if ok and form_pairing(
-                rs, rs.simple_roots[b], rs.simple_roots[b]
-            ) == form_pairing(rs, rs.simple_roots[a], rs.simple_roots[a]):
-                acc[a] = b
-                extend(pos + 1, used | {b}, acc)
-                del acc[a]
-
-    extend(0, set(), {})
-    return out
+    """All isometric bijections g1 -> g2, in the order of permutations(g2)."""
+    gram = rs.gram  # (alpha_a, alpha_b) = gram[a][b]
+    return [
+        dict(zip(g1, image))
+        for image in permutations(g2)
+        if all(gram[b][d] == gram[a][c] for a, b in zip(g1, image) for c, d in zip(g1, image))
+    ]
 
 
 def enumerate_valid_triples(rs: RootSystem) -> tuple[BDTriple, ...]:
     """Every valid triple on the root system (exhaustive; small ranks only)."""
-    from itertools import combinations
-
     n = rs.rank
     found = []
     indices = range(n)

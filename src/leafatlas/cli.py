@@ -5,16 +5,22 @@ separated ("1,2,3"), maps use colon pairs ("1:2,2:3"), ``#`` starts a
 comment.  All user-facing simple-root indices are 1-based.  Command-line
 flags mirror the config keys and override file values.
 
+The machine format is byte-identical to json.dumps(doc, indent=2,
+sort_keys=True) + "\\n" for doc the report's six sections; report_to_machine
+writes it directly, escaping strings with json.dumps's own C routine.
+
 Exit codes: 0 success, 2 invalid input, 3 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .bdtriple import solve_r0, validate_triple
@@ -71,14 +77,14 @@ class JobConfig:
 
 
 def _parse_index(key: str, tok: str) -> int:
-    """One 1-based index token of the key's value, as a 0-based index."""
-    try:
-        i = int(tok)
-    except ValueError:
-        raise ValueError(f"{key}: bad index {tok.strip()!r}") from None
-    if i < 1:
-        raise ValueError(f"{key}: indices are 1-based, got {i}")
-    return i - 1
+    """One 1-based index token of the key's value, as a 0-based index.
+    Only ASCII digits are an index: int() would also take "1_0" or "+1"."""
+    tok = tok.strip()
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"{key}: bad index {tok!r}")
+    if int(tok) == 0:
+        raise ValueError(f"{key}: indices are 1-based, got 0")
+    return int(tok) - 1
 
 
 def _parse_index_list(key: str, text: str) -> tuple[int, ...]:
@@ -331,13 +337,13 @@ def run_job(cfg: JobConfig) -> Report:
 
     # classification
     if d is not None:
-        # a representative recurs in many records; render its word once
-        words: dict[WeylElement, str] = {}
+        # a representative recurs in many records; render its word once,
+        # and share the words of strip prefixes across representatives
+        memo: dict = {}
 
+        @functools.cache
         def word(w: WeylElement) -> str:
-            if w not in words:
-                words[w] = " ".join(f"s{i + 1}" for i in reduced_word(rs, w)) or "e"
-            return words[w]
+            return " ".join(f"s{i + 1}" for i in reduced_word(rs, w, memo)) or "e"
 
         try:
             if cfg.mode in ("gminus", "both"):
@@ -449,6 +455,42 @@ def _table(report: Report) -> str:
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, pad: str, layouts: dict) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) at indentation pad, for
+    str, bool, int, None, list and str-keyed dict (else TypeError).  layouts
+    maps (pad, keys) to the sorted keys' line heads, which records share."""
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        if kind not in _SCALARS:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return _SCALARS[kind](value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner, parts = pad + "  ", []
+    if kind is list:
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            parts.append(scalar(item) if scalar else _json_text(item, inner, layouts))
+        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
+    keys = tuple(value)
+    heads = layouts.get((pad, keys))
+    if heads is None:
+        heads = layouts[pad, keys] = [(k, f"\n{inner}{_quote(k)}: ") for k in sorted(keys)]
+    for key, head in heads:
+        item = value[key]
+        scalar = _SCALARS.get(type(item))
+        parts.append(head + (scalar(item) if scalar else _json_text(item, inner, layouts)))
+    return "{" + ",".join(parts) + f"\n{pad}}}"
+
+
 def report_to_machine(report: Report) -> str:
     doc = {
         "provenance": report.provenance,
@@ -458,7 +500,7 @@ def report_to_machine(report: Report) -> str:
         "verification": report.verification,
         "errors": report.errors,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc, "", {}) + "\n"
 
 
 def report_from_machine(text: str) -> Report:

@@ -290,9 +290,10 @@ def exp_kernel_lattice(rs: RootSystem, user_kernel: Lattice | None = None) -> La
             "central torus present: exp kernel must be supplied explicitly"
         )
     cols = []
-    for alpha in rs.simple_roots:
-        c = rs.coroot(alpha)
-        if any(x.denominator != 1 for x in c):
+    for i in range(rs.rank):
+        # the coroot of alpha_i = e_i is (2 / gram[i][i])·e_i
+        c = 2 / rs.gram[i][i]
+        if c.denominator != 1:
             raise ValueError("coroot with non-integer coordinates")
-        cols.append([int(x) for x in c])
+        cols.append([int(c) if k == i else 0 for k in range(rs.cartan_rank)])
     return Lattice(rs.cartan_rank, cols)

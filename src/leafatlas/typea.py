@@ -89,6 +89,8 @@ class MatrixElement:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", mat(self.entries))
+        if not self.entries or len(self.entries[0]) != len(self.entries):
+            raise ValueError("matrix must be non-empty and square")
         if self.kind == "group":
             if det(self.entries) != 1:
                 raise ValueError("group element must have determinant 1")

@@ -1,8 +1,10 @@
 """Config parsing, pipeline staging, report formats, exit codes."""
 
 import builtins
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -153,6 +155,48 @@ def test_machine_report_round_trips():
     back = report_from_machine(text)
     assert back == report
     assert report_to_machine(back) == text
+
+
+def _dumps_oracle(report):
+    doc = {
+        "provenance": report.provenance,
+        "decomposition": report.decomposition,
+        "records": report.records,
+        "sigma": report.sigma,
+        "verification": report.verification,
+        "errors": report.errors,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_machine_writer_matches_json_dumps(tmp_path):
+    # the writer is pure Python; json.dumps(indent=2, sort_keys=True) is the
+    # format it promises, byte for byte
+    sample = tmp_path / "f.mat"
+    sample.write_text("2 0 0\n0 1 0\n0 0 1/2\n")
+    typea = run_job(dataclasses.replace(CG_A2, mode="both", orbit_samples=(str(sample),)))
+    assert typea.verification["orbit_samples"] and typea.records
+    with_errors = run_job(JobConfig(root_system="A2", r0_mode=f"file:{tmp_path / 'none.mat'}"))
+    with_errors.errors.append(
+        {
+            "stage": "validate",
+            "error": "ValueError",
+            "detail": 'b\u00e4d "\u03b1\u2081" \\ tab\t\u2014 \U0001d53e',
+            "input": "root_system = 'A\u2082'",
+            "severity": "input",
+        }
+    )
+    no_decomposition = run_job(JobConfig(root_system="B2", gamma1=(0,), gamma2=(1,), tau=((0, 1),)))
+    assert no_decomposition.decomposition is None and no_decomposition.sigma is None
+    no_records = dataclasses.replace(run_job(JobConfig(root_system="A2")), records=[])
+    assert no_records.decomposition is not None
+    for report in (with_errors, typea, no_decomposition, no_records):
+        assert report_to_machine(report) == _dumps_oracle(report)
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            report_to_machine(cli.Report(provenance={"config": {"r0": bad}}))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            report_to_machine(cli.Report(provenance={}, records=[{"orbit_range": [0, bad]}]))
 
 
 def test_machine_matrices_are_text_blocks():
@@ -340,6 +384,10 @@ def test_matrix_files_and_texts_share_one_row_reader(tmp_path):
         ("--tau", "1:x", "tau: bad index 'x'"),
         ("--gamma1", "1,", "gamma1: bad index ''"),
         ("--gamma2", "0", "gamma2: indices are 1-based, got 0"),
+        # int() would read these as 10, 1 and -1
+        ("--gamma1", "1_0", "gamma1: bad index '1_0'"),
+        ("--gamma1", "+1", "gamma1: bad index '+1'"),
+        ("--gamma2", "-1", "gamma2: bad index '-1'"),
     ],
 )
 def test_bad_index_tokens_name_the_key_and_token(capsys, flag, value, message):

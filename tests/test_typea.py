@@ -74,6 +74,16 @@ def test_matrix_element_enforces_kind():
         MatrixElement([[1]], "weird")
 
 
+def test_matrix_element_is_nonempty_and_square():
+    # the empty matrix has determinant 1 and trace 0, so the kind checks
+    # alone would pass it
+    for kind in ("group", "algebra"):
+        with pytest.raises(ValueError, match="non-empty and square"):
+            matrix_from_text("# nothing\n", kind)
+    with pytest.raises(ValueError, match="non-empty and square"):
+        MatrixElement([[0, 1]], "algebra")
+
+
 def test_matrix_text_round_trip():
     m = MatrixElement([[F(1, 3), F(-2)], [F(0), F(3)]], "group")
     text = matrix_to_text(m)

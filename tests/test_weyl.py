@@ -14,6 +14,7 @@ from leafatlas import (
     reduced_word,
 )
 from leafatlas.weyl import (
+    WeylElement,
     compose,
     inverse_element,
     left_descent,
@@ -88,6 +89,25 @@ def test_reduced_word_reassembles():
         for i in word:
             acc = compose(rs, acc, simple_reflection(rs, i))
         assert acc.matrix == w.matrix
+
+
+@pytest.mark.parametrize(
+    "label, right",
+    [("F4", ()), ("D5", ()), ("E7", (0, 2, 3, 4, 5))],
+    ids=["W(F4)", "W(D5)", "E7 one-sided coset space"],
+)
+def test_reduced_words_sharing_prefixes_match_single_calls(label, right):
+    # one memo per system, as run_job keeps one per job; the E7 coset space
+    # is that of the pinned E7 CLI job, whose strip prefixes leave W^J
+    rs = build_root_system(label)
+    elements = minimal_coset_reps(rs, ParabolicSubgroup.of(()), ParabolicSubgroup.of(right))
+    memo = {}
+    for w in elements:
+        assert reduced_word(rs, w, memo) == reduced_word(rs, w), w
+    longest = max(elements, key=lambda w: w.length)
+    for shared in (None, memo):
+        with pytest.raises(AssertionError, match="not as long"):
+            reduced_word(rs, WeylElement(longest.matrix, longest.length + 1), shared)
 
 
 def test_descents_match_definition():
