@@ -97,10 +97,11 @@ class BDTriple:
 class CartanTerm:
     """Rational matrix of r0 on h in the simple-root-dual basis.
 
-    Built by solve_r0, which validates it, or directly, unvalidated.
-    compute_decomposition runs check_cartan_term again, so a hand-built term
-    that breaks r0 + r0^T = omega or a slot constraint raises Infeasible there
-    and never reaches the leaf records.
+    Built by solve_r0 or directly.  The canonical mode solves both
+    constraints exactly, and from_file and match_theta check the term they
+    are given.  compute_decomposition runs check_cartan_term on every term,
+    so a hand-built term that breaks r0 + r0^T = omega or a slot constraint
+    raises Infeasible there and never reaches the leaf records.
     """
 
     r0: Matrix
@@ -189,10 +190,6 @@ def tau_linear_matrix(rs: RootSystem, triple: BDTriple) -> Matrix:
     return tuple(tuple(int(tmap.get(j) == t) for j in range(k)) for t in range(k))
 
 
-def _supported_on(v, indices: set[int]) -> bool:
-    return all(x == 0 for t, x in enumerate(v) if t not in indices)
-
-
 def partial_order_pairs(rs: RootSystem, triple: BDTriple):
     """All related pairs (alpha, beta), alpha < beta, over the positive roots.
 
@@ -200,11 +197,12 @@ def partial_order_pairs(rs: RootSystem, triple: BDTriple):
     while the current root stays inside the gamma1-generated subsystem.
     """
     tlin = tau_linear_matrix(rs, triple)
-    g1 = set(triple.gamma1)
+    levi1 = levi_roots(rs, triple.gamma1)
+    members = set(levi1)
     pairs = []
-    for alpha in filter(rs.is_positive_root, levi_roots(rs, g1)):
+    for alpha in filter(rs.is_positive_root, levi1):
         cur = alpha
-        while _supported_on(cur, g1):
+        while cur in members:
             nxt = matvec(tlin, cur)
             if not rs.is_positive_root(nxt):
                 raise AssertionError("tau image of a positive root is not a root")
@@ -318,9 +316,7 @@ def solve_r0(
     m = tuple(
         tuple(half[i][j] + s[i][j] for j in range(k)) for i in range(k)
     )
-    term = CartanTerm(r0=m)
-    check_cartan_term(rs, triple, term)
-    return term
+    return CartanTerm(r0=m)
 
 
 def assemble_r(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> AbstractRMatrix:

@@ -47,7 +47,6 @@ __all__ = [
     "NotMinimalRep",
     "ThetaMinusOneSingular",
     "NonCommensurableLattices",
-    "stable_roots",
     "stable_subalgebra_v",
     "stable_subalgebra_pair",
     "classify_gminus",
@@ -147,27 +146,12 @@ def _require_coset_minimal(rs: RootSystem, v: WeylElement, indices, label: str):
         raise NotMinimalRep(f"{label} is not the minimal element of its coset")
 
 
-def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
-    """Sorted roots whose forward orbit under step stays in roots and comes
-    back to its start.
-
-    step is an injective partial map on roots (None where undefined), so an
-    orbit that stays in roots closes within len(roots) steps.
-    """
-    members = set(roots)
-    out = []
-    for a in members:
-        cur = a
-        for _ in range(len(members)):
-            cur = step(cur)
-            if cur is None or cur not in members:
-                break
-            if cur == a:
-                out.append(a)
-                break
-        else:
-            raise AssertionError("root orbit failed to close")
-    return tuple(sorted(out))
+def _simple_map(w: WeylElement, indices) -> dict[int, int | None]:
+    """i -> j for each i in indices whose simple root alpha_i w sends to a
+    simple root alpha_j, i -> None otherwise.  Column i of w is the root
+    w(alpha_i), which is simple exactly when its height is one; it is e_j."""
+    cols = tuple(zip(*w.matrix))
+    return {i: cols[i].index(1) if sum(cols[i]) == 1 else None for i in indices}
 
 
 def _stable_indices(step: dict) -> frozenset[int]:
@@ -224,13 +208,10 @@ class _Frame:
             raise ValueError("singular matrix")
         return big
 
-    def _simple(self, v: WeylElement, gamma, label: str) -> dict[int, int]:
-        """After checking v is minimal modulo W_gamma: the map i -> j for each
-        simple root alpha_i that v sends to a simple root alpha_j (column i of
-        v is then e_j)."""
+    def _simple(self, v: WeylElement, gamma, label: str) -> dict[int, int | None]:
+        """After checking v is minimal modulo W_gamma: its simple-root map on gamma."""
         _require_coset_minimal(self.rs, v, gamma, label)
-        cols = zip(range(self.rs.rank), zip(*v.matrix))
-        return {i: c.index(1) for i, c in cols if sum(c) == 1 and min(c) >= 0}
+        return _simple_map(v, gamma)
 
     def left(self, v1: WeylElement):
         """The simple-root map of v1 and Theta·v1^{-1}."""
@@ -262,8 +243,7 @@ class _Frame:
         )
 
     def single(self, v: WeylElement) -> StableSubalgebra:
-        simple = self._simple(v, self.triple.gamma1, "v")
-        s = _stable_indices({i: simple.get(i) for i in self.triple.gamma1})
+        s = _stable_indices(self._simple(v, self.triple.gamma1, "v"))
         lv = self.span_data(s)[1].basis
         return self._stable(StableSubalgebra, s, rank(msub(matmul(v.matrix, lv), lv)))
 
@@ -273,7 +253,7 @@ class _Frame:
         simple2, v2theta = right
         tau = self.tau
         # the twist on simple-root indices, None where it leaves them
-        phi = {i: simple1.get(self.tau_inv.get(simple2.get(j))) for i, j in tau.items()}
+        phi = {i: simple1.get(self.tau_inv.get(simple2[j])) for i, j in tau.items()}
         s = _stable_indices(phi)
         lv_center = self.span_data(s)[1]
         # D = v2·Theta - Theta·v1^-1 is c·theta·v1^-1·(psi - 1), and

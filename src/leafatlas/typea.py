@@ -20,7 +20,7 @@ from math import lcm
 
 from .bdtriple import BDTriple, CartanTerm, partial_order_pairs
 from .decomp import Decomposition
-from .leafclass import NotMinimalRep, stable_roots
+from .leafclass import _require_coset_minimal, _simple_map, _stable_indices
 from .linalg import (
     Matrix,
     det,
@@ -106,14 +106,23 @@ class MatrixElement:
         return len(self.entries)
 
 
+def _entry(tok: str) -> Fraction:
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in matrix entry {tok!r}") from None
+
+
 def matrix_rows(text: str) -> list[tuple[Fraction, ...]]:
     """The rows of a matrix written one row a line, entries separated by
-    blanks; ``#`` starts a comment and blank lines are skipped."""
+    blanks; ``#`` starts a comment and blank lines are skipped.  An entry
+    that is not a rational number, or has a zero denominator, raises
+    ValueError."""
     rows = []
     for line in text.splitlines():
         toks = line.split("#", 1)[0].split()
         if toks:
-            rows.append(tuple(Fraction(tok) for tok in toks))
+            rows.append(tuple(map(_entry, toks)))
     return rows
 
 
@@ -563,21 +572,6 @@ def tc_orbit_dim(f: MatrixElement, twist: Matrix | None, subalgebra_roots) -> in
 # the iterative coset normalization
 
 
-def _stable_simple_set(rs: RootSystem, c: WeylElement, s_cur: frozenset) -> frozenset:
-    """Simple indices spanning the roots of the current block whose whole
-    forward c-orbit stays inside the block; c permutes that root set."""
-    stable = set(stable_roots(levi_roots(rs, s_cur), c))
-    s_next = frozenset(
-        i
-        for i in s_cur
-        if tuple(1 if t == i else 0 for t in range(rs.rank)) in stable
-    )
-    for a in stable:
-        if any(x != 0 for t, x in enumerate(a) if t not in s_next):
-            raise AssertionError("stable root set is not parabolic")
-    return s_next
-
-
 def _outside_blocks(g: Matrix, indices) -> tuple[int, int] | None:
     """The first nonzero entry (r, c) of g, in row-major order, outside the
     block pattern of the Levi of indices, or None if g lies in that Levi."""
@@ -594,44 +588,37 @@ def normalize_coset(
 ) -> tuple[WeylElement, MatrixElement]:
     """Push (l, w) to the stable form (v, gK) by iterated Bruhat splitting.
 
-    Each pass keeps only the block roots with full forward orbit inside the
-    block (a set the accumulated element permutes, so both parabolics of
-    the Bruhat step are standard), then splits off the minimal Weyl part
-    and pushes the Levi factors back into the element.
+    Each pass shrinks the block S to the simple roots the accumulated
+    element permutes (so both parabolics of the Bruhat step are standard),
+    then splits off the minimal Weyl part and pushes the Levi factors back
+    into the element.
     """
     size = l.size
     rs = _type_a(size - 1)
     outside = _outside_blocks(l.entries, triple.gamma1)
     if outside is not None:
         raise NotInLevi(f"entry {outside} outside the Levi block pattern")
-    if right_descent(rs, w, triple.gamma1) is not None:
-        raise NotMinimalRep("w must be minimal in its right coset")
+    _require_coset_minimal(rs, w, triple.gamma1, "w")
 
     s_cur = frozenset(triple.gamma1)
     g = l.entries
     c = w
-    for _ in range(50):
-        s_next = _stable_simple_set(rs, c, s_cur)
-        if s_next == s_cur:
-            break
-
-        if _outside_blocks(g, s_next) is None:
-            # already inside the finer block: nothing to absorb, the
-            # minimal Weyl part is trivial, so keep the representative
-            s_cur = s_next
-            continue
-
-        p1, _, p2, wmin = _bruhat_core(g, s_next, s_next)
-        gp = levi_projection(p1, s_next, size)
-        gpp = levi_projection(p2, s_next, size)
-        cmat = wdot_matrix(c)
-        g = matmul(
-            matmul(transpose(cmat), matmul(inverse(gpp), cmat)), gp
-        )
-        c = compose(rs, wmin, c)
+    # c keeps Phi+ of the block s_cur positive (w is in W^Gamma1, and wmin has no
+    # right descent in s_next), so a root's c-orbit stays in Phi_s_cur iff the
+    # orbits of the simple roots in its support do: the stable roots are Phi_S
+    # for the largest S in s_cur whose simple roots c permutes.
+    while (s_next := _stable_indices(_simple_map(c, s_cur))) != s_cur:
+        # a g inside the finer block already has a trivial minimal Weyl part
+        if _outside_blocks(g, s_next) is not None:
+            p1, _, p2, wmin = _bruhat_core(g, s_next, s_next)
+            gp = levi_projection(p1, s_next, size)
+            gpp = levi_projection(p2, s_next, size)
+            cmat = wdot_matrix(c)
+            g = matmul(
+                matmul(transpose(cmat), matmul(inverse(gpp), cmat)), gp
+            )
+            c = compose(rs, wmin, c)
         s_cur = s_next
-    else:
-        raise AssertionError("normalization did not terminate")
 
     if right_descent(rs, c, triple.gamma1) is not None:
         raise AssertionError("normalized representative is not coset-minimal")

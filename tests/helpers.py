@@ -72,6 +72,30 @@ def assert_simple_generated(rs, root_set):
                 )
 
 
+def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
+    """Sorted roots whose forward orbit under step stays in roots and comes
+    back to its start: the root walk that the classifiers and the coset
+    normalization replaced by shrinking a simple-root index set.
+
+    step is an injective partial map on roots (None where undefined), so an
+    orbit that stays in roots closes within len(roots) steps.
+    """
+    members = set(roots)
+    out = []
+    for a in members:
+        cur = a
+        for _ in range(len(members)):
+            cur = step(cur)
+            if cur is None or cur not in members:
+                break
+            if cur == a:
+                out.append(a)
+                break
+        else:
+            raise AssertionError("root orbit failed to close")
+    return tuple(sorted(out))
+
+
 # ---------------------------------------------------------------------------
 # lattice intersection through an integer kernel: an oracle for sigma_group,
 # which gets the same quotient from a lattice sum

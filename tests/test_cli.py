@@ -372,6 +372,26 @@ def test_matrix_files_and_texts_share_one_row_reader(tmp_path):
         cli._parse_matrix_file(str(f))
 
 
+@pytest.mark.parametrize(
+    "stage, argv",
+    [
+        ("r0", ["--r0", "file:{path}"]),
+        ("r0", ["--r0", "match_theta:{path}"]),
+        ("typea", ["--typea-checks", "true", "--orbit-sample", "{path}"]),
+    ],
+    ids=["file", "match_theta", "orbit_sample"],
+)
+def test_zero_denominator_in_a_matrix_file_is_an_input_error(tmp_path, capsys, stage, argv):
+    path = tmp_path / "bad.mat"
+    path.write_text("1 0 0\n0 1/0 0\n0 0 1\n")
+    argv = [a.format(path=path) for a in argv]
+    code, doc = _r0_job(capsys, ["--root-system", "A2", *argv])
+    assert code == 2
+    assert [(e["stage"], e["error"], e["detail"], e["severity"]) for e in doc["errors"]] == [
+        (stage, "ValueError", "zero denominator in matrix entry '1/0'", "input")
+    ]
+
+
 # ---------------------------------------------------------------------------
 # input errors name what they reject
 

@@ -12,12 +12,19 @@ decomposition, and are kept here only as oracles.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import assert_simple_generated, intersect, reference_cartan_split
+from helpers import (
+    assert_simple_generated,
+    intersect,
+    reference_cartan_split,
+    stable_roots,
+)
 from leafatlas import (
     build_root_system,
     classify_g,
@@ -25,6 +32,8 @@ from leafatlas import (
     compute_decomposition,
     enumerate_valid_triples,
     solve_r0,
+    stable_subalgebra_pair,
+    stable_subalgebra_v,
     validate_triple,
 )
 from leafatlas.bdtriple import tau_linear_matrix
@@ -33,7 +42,6 @@ from leafatlas.leafclass import (
     PairStableSubalgebra,
     StableSubalgebra,
     _require_coset_minimal,
-    stable_roots,
 )
 from leafatlas.linalg import (
     Subspace,
@@ -46,7 +54,12 @@ from leafatlas.linalg import (
     msub,
     rank,
 )
-from leafatlas.weyl import ParabolicSubgroup, enumerate_weyl, parabolic_elements
+from leafatlas.weyl import (
+    ParabolicSubgroup,
+    enumerate_weyl,
+    minimal_coset_reps,
+    parabolic_elements,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +263,45 @@ def test_single_frame_matches_reference_on_every_small_triple():
             assert len(records) == _coset_count(rs, t.gamma1)
             for r in records:
                 _assert_same(r.stable, reference_single(rs, t, d, split, r.v), (t, r.v))
+
+
+# labels of rank 4 or less: every simple type, products, and a central torus
+_RANK_4 = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
+    "A1xA1", "A2xA1", "A3xA1", "A2+T1",
+]
+
+
+@functools.cache
+def _triples(label):
+    rs = build_root_system(label)
+    return rs, enumerate_valid_triples(rs)
+
+
+@functools.cache
+def _triple_data(label, t):
+    """The decomposition, its reference split and both coset spaces."""
+    rs, _ = _triples(label)
+    reps = [
+        minimal_coset_reps(rs, ParabolicSubgroup.of(()), ParabolicSubgroup.of(g))
+        for g in (t.gamma1, t.gamma2)
+    ]
+    return (*_decomposition(rs, t), *reps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_frame_matches_reference_on_random_triples_of_rank_at_most_4(data):
+    label = data.draw(st.sampled_from(_RANK_4), label="label")
+    rs, triples = _triples(label)
+    t = data.draw(st.sampled_from(triples), label="triple")
+    d, split, reps1, reps2 = _triple_data(label, t)
+    v1 = data.draw(st.sampled_from(reps1), label="v1")
+    v2 = data.draw(st.sampled_from(reps2), label="v2")
+    where = (label, t, v1, v2)
+    _assert_same(stable_subalgebra_v(rs, t, d, v1), reference_single(rs, t, d, split, v1), where)
+    _assert_same(
+        stable_subalgebra_pair(rs, t, d, v1, v2),
+        reference_pair(rs, t, d, split, v1, v2),
+        where,
+    )

@@ -1,19 +1,24 @@
-"""The shared stable-root walk against the three walks it replaced, and
-the classifiers' stable sets from simple roots against the walk.
+"""The root walk against the three walks it replaced, and the stable sets
+from simple-root indices against the walk.
 
 The three reference walks below are the orbit walks that lived in
 ``stable_subalgebra_v``, ``stable_subalgebra_pair`` and
-``typea._stable_simple_set`` before they were merged into
-``leafclass.stable_roots``.  They are kept here only as oracles.  The
-classifiers no longer walk roots: they read which simple roots a
-representative sends to simple roots and shrink an index set to the largest
-one the map permutes, and ``stable_roots`` is the oracle for that.
+``typea._stable_simple_set`` before they were merged into one root walk,
+``helpers.stable_roots``.  No code in the package walks roots any more:
+the classifiers and ``typea.normalize_coset`` read which simple roots an
+element sends to simple roots (``leafclass._simple_map``) and shrink an
+index set to the largest one the map permutes
+(``leafclass._stable_indices``).  The walks are kept here only as oracles
+for that index walk.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
+from helpers import stable_roots
 from leafatlas import (
     build_root_system,
     classify_g,
@@ -24,10 +29,10 @@ from leafatlas import (
     validate_triple,
 )
 from leafatlas.bdtriple import tau_linear_matrix
-from leafatlas.leafclass import stable_roots
+from leafatlas.leafclass import _simple_map, _stable_indices
 from leafatlas.linalg import matvec, transpose
 from leafatlas.rootsys import levi_roots
-from leafatlas.weyl import ParabolicSubgroup, minimal_coset_reps
+from leafatlas.weyl import ParabolicSubgroup, enumerate_weyl, minimal_coset_reps
 
 
 # ---------------------------------------------------------------------------
@@ -231,3 +236,22 @@ def test_two_sided_simple_root_sets_match_the_walk_on_d4():
         assert r.stable.partner_root_set == tuple(sorted(r.v2(tau[a]) for a in root_set))
         sizes.add(len(root_set))
     assert sizes == {0, 2}
+
+
+def test_index_walk_is_the_root_walk_where_the_block_stays_positive():
+    """For every c in W and every s whose simple roots c sends to positive
+    roots (the invariant normalize_coset keeps), shrinking s on indices gives
+    the simple roots of the root walk on Phi_s, and Phi_S is that walk."""
+    cases = 0
+    for label in ("A1", "A2", "A3", "A4", "A5", "B3", "C3", "D4"):
+        rs = build_root_system(label)
+        for c in enumerate_weyl(rs):
+            ascents = [i for i, col in enumerate(zip(*c.matrix)) if min(col) >= 0]
+            for size in range(len(ascents) + 1):
+                for s in combinations(ascents, size):
+                    got = _stable_indices(_simple_map(c, s))
+                    want = stable_roots(levi_roots(rs, s), c)
+                    assert got == {i for i in s if rs.simple_roots[i] in want}, (label, c, s)
+                    assert levi_roots(rs, got) == want, (label, c, s)
+                    cases += 1
+    assert cases == 6474

@@ -6,8 +6,11 @@ lower-left corner submatrices, r(a, b) = rank(rows >= a, cols <= b), via
 the unit second difference criterion.
 """
 
+import hashlib
 import random
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from leafatlas.typea import (
     ParabolicBlocks,
     SubalgebraNotPreserved,
     TensorElement,
+    block_labels,
     bruhat_decompose,
     casimir_tensor,
     cg_orbit_correspondence,
@@ -50,9 +54,12 @@ from leafatlas.weyl import (
     ParabolicSubgroup,
     decompose_min,
     enumerate_weyl,
+    minimal_coset_reps,
     simple_reflection,
     weyl_identity,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def F(p, q=1):
@@ -446,6 +453,60 @@ def test_normalize_idempotent_on_outputs():
         assert reduced_word(rs, v) in {(0, 1), (1,), ()}
         v2, gk2 = normalize_coset(gk, v, t, d)
         assert v2.matrix == v.matrix
+
+
+def _levi_draw(rng, gamma1, size):
+    """A determinant-one element of the Levi of gamma1: a unit lower times a
+    unit upper triangular block on each block of the pattern, times a
+    diagonal of small rationals."""
+    labels = block_labels(gamma1, size)
+    lower = [[F(int(r == c)) for c in range(size)] for r in range(size)]
+    upper = [row[:] for row in lower]
+    for r in range(size):
+        for c in range(r):
+            if labels[r] == labels[c]:
+                lower[r][c] = F(rng.randint(-2, 2))
+                upper[c][r] = F(rng.randint(-2, 2))
+    diag = [F(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2, 3])) for _ in range(size - 1)]
+    last = 1 / prod(diag)
+    scale = [[F(0)] * size for _ in range(size)]
+    for i, x in enumerate(diag + [last]):
+        scale[i][i] = x
+    return MatrixElement(matmul(matmul(mat(lower), mat(upper)), mat(scale)), "group")
+
+
+def _normalize_outcomes():
+    """One line per (triple, w in W^Gamma1, draw) over the CG triples of
+    A2-A5 and every valid triple of A3: the output (v, gK), or the error."""
+    cases = [(n, cg_triple(build_root_system(f"A{n}"))) for n in range(2, 6)]
+    cases += [(3, t) for t in enumerate_valid_triples(build_root_system("A3"))]
+    rng = random.Random(19)
+    lines = []
+    for n, t in cases:
+        rs = build_root_system(f"A{n}")
+        d = compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
+        reps = minimal_coset_reps(
+            rs, ParabolicSubgroup.of(()), ParabolicSubgroup.of(t.gamma1)
+        )
+        for w in reps:
+            for draw in range(2):
+                l = _levi_draw(rng, t.gamma1, n + 1)
+                try:
+                    v, gk = normalize_coset(l, w, t, d)
+                    out = f"{v.matrix} {matrix_to_text(gk).replace(chr(10), '; ')}"
+                except (ValueError, AssertionError) as e:
+                    out = f"{type(e).__name__}: {e}"
+                lines.append(f"A{n} {t.tau} {reduced_word(rs, w)} {draw}: {out}")
+    return lines
+
+
+def test_normalize_outputs_match_their_pinned_digest():
+    # the pin reads as sha256sum -c input
+    lines = _normalize_outcomes()
+    raised = [x for x in lines if "Error: " in x]
+    assert len(lines) == 244 and 0 < len(raised) < len(lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (DATA / "normalize_coset.sha256").read_text().split()[0]
 
 
 @pytest.mark.xfail(
