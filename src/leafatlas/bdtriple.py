@@ -211,8 +211,9 @@ def partial_order_pairs(rs: RootSystem, triple: BDTriple):
     return sorted(pairs)
 
 
-def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> None:
-    """Raise Infeasible unless both r0 constraints hold exactly.
+def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> Matrix:
+    """Raise Infeasible unless both r0 constraints hold exactly; else return
+    f = r0·G.
 
     The slot constraint for alpha_i is r0^T·G·e_tau(i) + r0·G·e_i = 0.  Once
     r0 + r0^T = omega = G^-1 holds, r0^T·G = 1 - f for f = r0·G, so it reads
@@ -225,6 +226,7 @@ def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> Non
     for i, j in triple.tau:
         if any(row[i] - row[j] + (t == j) for t, row in enumerate(f)):
             raise Infeasible(f"r0 violates the slot constraint for alpha_{i + 1}")
+    return f
 
 
 def solve_r0(

@@ -230,8 +230,7 @@ def _record_dict(word, rec, pure_a: bool) -> dict:
         out["v2"] = word(rec.v2)
         out["length"] = rec.v1.length + rec.v2.length
         out["z_pair_dim"] = stable.z_pair_dim
-    if rec.simplified_leaf_dim is not None:
-        out["simplified_leaf_dim"] = str(rec.simplified_leaf_dim)
+    out["simplified_leaf_dim"] = str(rec.simplified_leaf_dim)
     return out
 
 

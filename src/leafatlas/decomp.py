@@ -57,7 +57,7 @@ def compute_decomposition(
 ) -> Decomposition:
     """Raise Infeasible unless r0 passes check_cartan_term; else the root
     content of both sides, f and theta = f·(f - 1)^-1."""
-    check_cartan_term(rs, triple, r0)
+    f_cartan = check_cartan_term(rs, triple, r0)
     l1 = levi_roots(rs, triple.gamma1)
     l2 = levi_roots(rs, triple.gamma2)
     l1pos = {a for a in l1 if rs.is_positive_root(a)}
@@ -66,7 +66,6 @@ def compute_decomposition(
     n_minus = tuple(
         tuple(-x for x in a) for a in rs.positive_roots if a not in l2pos
     )
-    f_cartan = matmul(r0.r0, rs.gram)
     # f - 1 = -r0^T·G is invertible once the check passes (module docstring)
     theta_cartan = matmul(f_cartan, inverse(msub(f_cartan, identity(rs.cartan_rank))))
     return Decomposition(

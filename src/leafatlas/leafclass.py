@@ -135,10 +135,10 @@ class LeafRecord:
     orbit_range: tuple[int, int]
     leaf_dim: AffineDim
     coset_dim: AffineDim
+    simplified_leaf_dim: AffineDim
     v: WeylElement | None = None
     v1: WeylElement | None = None
     v2: WeylElement | None = None
-    simplified_leaf_dim: AffineDim | None = None
 
 
 def _require_coset_minimal(rs: RootSystem, v: WeylElement, indices, label: str):

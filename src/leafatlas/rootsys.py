@@ -46,6 +46,7 @@ class RootSystem:
     torus_rank: rank of the central torus summand.
     simple_roots: unit vectors, one per simple root, length cartan_rank.
     positive_roots: all positive roots as integer vectors.
+    positive_set: the same roots as a frozenset, for membership tests.
     gram: matrix of the invariant form on simple-root coordinates.
     cartan_rank: dim h = semisimple rank + torus rank.
     reflections: integer matrix of each simple reflection on those
@@ -61,6 +62,7 @@ class RootSystem:
     torus_rank: int
     simple_roots: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
+    positive_set: frozenset
     gram: Matrix
     cartan_rank: int
     reflections: tuple[tuple[tuple[int, ...], ...], ...]
@@ -81,18 +83,11 @@ class RootSystem:
         )
 
     def is_positive_root(self, v) -> bool:
-        return tuple(v) in self._pos_set()
+        return tuple(v) in self.positive_set
 
     def is_root(self, v) -> bool:
         t = tuple(v)
-        return t in self._pos_set() or tuple(-x for x in t) in self._pos_set()
-
-    def _pos_set(self) -> frozenset:
-        cached = getattr(self, "_pos_cache", None)
-        if cached is None:
-            cached = frozenset(self.positive_roots)
-            object.__setattr__(self, "_pos_cache", cached)
-        return cached
+        return t in self.positive_set or tuple(-x for x in t) in self.positive_set
 
     def coroot(self, alpha) -> tuple[Fraction, ...]:
         """2·alpha/(alpha,alpha) in the same coordinates."""
@@ -197,8 +192,14 @@ def _component_gram(letter: str, n: int) -> list[list[Fraction]]:
     return g
 
 
+_BUILT: dict[str, RootSystem] = {}
+
+
 def build_root_system(type_label: str) -> RootSystem:
-    """Construct a root system from a label like "A3", "A2xA1" or "A2+T1"."""
+    """Construct a root system from a label like "A3", "A2xA1" or "A2+T1",
+    once per label string: later calls return the same object."""
+    if type_label in _BUILT:
+        return _BUILT[type_label]
     components, torus = _parse_label(type_label)
     ranks = [n for _, n in components]
     rank = sum(ranks)
@@ -238,12 +239,13 @@ def build_root_system(type_label: str) -> RootSystem:
     gram_inverse = inverse(gram)
     gram_int, s = _integer_scaled(gram)
     gram_inverse_int, t = _integer_scaled(gram_inverse)
-    return RootSystem(
+    rs = _BUILT[type_label] = RootSystem(
         type_label=type_label.strip().replace(" ", ""),
         components=components,
         torus_rank=torus,
         simple_roots=simple,
         positive_roots=positive,
+        positive_set=frozenset(positive),
         gram=gram,
         cartan_rank=cartan_rank,
         reflections=reflections,
@@ -252,6 +254,7 @@ def build_root_system(type_label: str) -> RootSystem:
         gram_inverse_int=gram_inverse_int,
         gram_int_scale=s * t,
     )
+    return rs
 
 
 def form_pairing(rs: RootSystem, x, y) -> Fraction:

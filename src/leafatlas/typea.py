@@ -222,15 +222,6 @@ def root_to_interval(root) -> tuple[int, int]:
 # r-matrix realization and the classical Yang-Baxter check
 
 
-_RS_CACHE: dict[int, RootSystem] = {}
-
-
-def _type_a(n: int) -> RootSystem:
-    if n not in _RS_CACHE:
-        _RS_CACHE[n] = build_root_system(f"A{n}")
-    return _RS_CACHE[n]
-
-
 def _cartan_tensor_terms(t: TensorElement, m: Matrix) -> None:
     n = len(m)
     for k in range(n):
@@ -244,10 +235,12 @@ def _cartan_tensor_terms(t: TensorElement, m: Matrix) -> None:
 
 def realize_r(n: int, triple: BDTriple, r0: CartanTerm) -> TensorElement:
     """Assemble the r-matrix tensor on sl(n+1) from a triple and r0."""
-    rs = _type_a(n)
+    rs = build_root_system(f"A{n}")
     for idx in triple.gamma1 + triple.gamma2:
         if idx >= n:
             raise ValueError("triple does not fit in A_n")
+    if len(r0.r0) != n:
+        raise ValueError(f"r0 is {len(r0.r0)}x{len(r0.r0)}, A{n} needs {n}x{n}")
     t = TensorElement(n + 1, 2)
     _cartan_tensor_terms(t, r0.r0)
     for alpha in rs.positive_roots:
@@ -269,7 +262,7 @@ def realize_r(n: int, triple: BDTriple, r0: CartanTerm) -> TensorElement:
 
 
 def casimir_tensor(n: int) -> TensorElement:
-    rs = _type_a(n)
+    rs = build_root_system(f"A{n}")
     t = TensorElement(n + 1, 2)
     for i in range(n + 1):
         for j in range(n + 1):
@@ -341,6 +334,8 @@ def weyl_to_perm(w: WeylElement) -> tuple[int, ...]:
 def perm_to_weyl(rs: RootSystem, perm) -> WeylElement:
     n = rs.rank
     perm = tuple(perm)
+    if sorted(perm) != list(range(n + 1)):
+        raise ValueError(f"{list(perm)} is not a permutation of 0..{n}")
 
     def root_coords(a: int, b: int):
         if a < b:
@@ -415,7 +410,7 @@ def _bruhat_core(g: Matrix, left_idx, right_idx):
     double-coset representative of the Borel-level permutation.
     """
     size = len(g)
-    rs = _type_a(size - 1)
+    rs = build_root_system(f"A{size - 1}")
     work = [list(row) for row in g]
     p1 = [list(row) for row in identity(size)]
     p2 = [list(row) for row in identity(size)]
@@ -449,12 +444,6 @@ def _bruhat_core(g: Matrix, left_idx, right_idx):
     for c in range(size):
         perm[c] = next(r for r in range(size) if monomial[r][c] != 0)
     w_borel = perm_to_weyl(rs, perm)
-
-    # split monomial into the sign-convention representative times a diagonal
-    wb = wdot_matrix(w_borel)
-    diag = matmul(transpose(wb), monomial)
-    p2m = matmul(diag, mat(p2))
-
     w1, w_min, w2 = decompose_min(
         rs,
         w_borel,
@@ -463,9 +452,10 @@ def _bruhat_core(g: Matrix, left_idx, right_idx):
     )
     m1 = wdot_matrix(w1)
     mmin = wdot_matrix(w_min)
+    # g = p1·monomial·p2 = (p1·m1)·mmin·(mmin^T·m1^T·monomial·p2), as the
+    # signed permutation matrices m1 and mmin are orthogonal
     p1m = matmul(mat(p1), m1)
-    rest = matmul(transpose(mmin), matmul(transpose(m1), wb))
-    p2m = matmul(rest, p2m)
+    p2m = matmul(transpose(mmin), matmul(transpose(m1), matmul(monomial, mat(p2))))
     return p1m, mmin, p2m, w_min
 
 
@@ -476,6 +466,8 @@ def bruhat_decompose(
     if left.lower != right.lower:
         raise ValueError("mixed parabolic orientations are not supported")
     size = g.size
+    if any(not 0 <= i < size - 1 for i in left.indices | right.indices):
+        raise ValueError(f"a block index is not a simple root of A{size - 1}")
     if not left.lower:
         p1, wd, p2, _ = _bruhat_core(g.entries, left.indices, right.indices)
     else:
@@ -488,7 +480,7 @@ def bruhat_decompose(
         p1, wd_raw, p2 = flip(p1j), flip(wdj), flip(p2j)
         # restore the sign convention, folding the correction into p2
         perm = [next(r for r in range(size) if wd_raw[r][c] != 0) for c in range(size)]
-        wd = wdot_matrix(perm_to_weyl(_type_a(size - 1), perm))
+        wd = wdot_matrix(perm_to_weyl(build_root_system(f"A{size - 1}"), perm))
         p2 = matmul(matmul(transpose(wd), wd_raw), p2)
     return (
         MatrixElement(p1, "group"),
@@ -591,10 +583,13 @@ def normalize_coset(
     Each pass shrinks the block S to the simple roots the accumulated
     element permutes (so both parabolics of the Bruhat step are standard),
     then splits off the minimal Weyl part and pushes the Levi factors back
-    into the element.
+    into the element.  d is not read; it stays in the signature because
+    the benchmark's sl_toolkit workload passes it.
     """
     size = l.size
-    rs = _type_a(size - 1)
+    rs = build_root_system(f"A{size - 1}")
+    if len(w.matrix) != size - 1:
+        raise ValueError(f"w is not in W(A{size - 1}) of the {size}x{size} l")
     outside = _outside_blocks(l.entries, triple.gamma1)
     if outside is not None:
         raise NotInLevi(f"entry {outside} outside the Levi block pattern")
@@ -651,7 +646,7 @@ def cg_orbit_correspondence(n: int, j: int, b: MatrixElement | None):
     conjugation; their difference must equal n - j."""
     if not 0 <= j <= n:
         raise ValueError("need 0 <= j <= n")
-    rs = _type_a(n)
+    rs = build_root_system(f"A{n}")
     size = n + 1
     if j == 0:
         f_entries = identity(size)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import assert_simple_generated
-from leafatlas import build_root_system, exp_kernel_lattice, form_pairing
+from leafatlas import build_root_system, exp_kernel_lattice, form_pairing, rootsys
+from leafatlas.cli import JobConfig, run_job
 from leafatlas.rootsys import levi_roots
 from leafatlas.linalg import Lattice, det, mat
 
@@ -82,6 +83,30 @@ def test_label_rejects_garbage():
     for bad in ("", "H3", "A0", "Q5", "A2xZ1"):
         with pytest.raises(ValueError):
             build_root_system(bad)
+
+
+def test_one_root_system_per_label_string():
+    assert build_root_system("B3") is build_root_system("B3")
+    # keyed on the raw label, so each spelling keeps its own type_label
+    lower, upper = build_root_system("a3"), build_root_system("A3")
+    assert (lower.type_label, upper.type_label) == ("a3", "A3")
+    assert lower.positive_roots == upper.positive_roots
+    with pytest.raises(ValueError):
+        build_root_system("Q5")
+    assert "Q5" not in rootsys._BUILT
+
+
+def test_jobs_on_one_label_build_its_root_system_once(monkeypatch):
+    calls = []
+    real = rootsys._simple_reflections
+    monkeypatch.setattr(rootsys, "_BUILT", {})
+    monkeypatch.setattr(
+        rootsys, "_simple_reflections", lambda *args: calls.append(args) or real(*args)
+    )
+    cfg = JobConfig(root_system="B3", gamma1=(0,), gamma2=(1,), tau=((0, 1),))
+    for _ in range(2):
+        assert not run_job(cfg).errors
+    assert len(calls) == 1
 
 
 def test_reflection_is_involution_preserving_roots():

@@ -142,6 +142,13 @@ def test_cybe_and_symmetric_part_all_valid_a2_triples():
         assert check_cybe(r).is_zero()
 
 
+def test_realize_r_rejects_a_cartan_term_of_another_rank():
+    rs3, rs4 = build_root_system("A3"), build_root_system("A4")
+    t4 = cg_triple(rs4)
+    with pytest.raises(ValueError, match="A3 needs 3x3"):
+        realize_r(3, cg_triple(rs3), solve_r0(rs4, t4, "canonical"))
+
+
 def test_cybe_detects_a_perturbed_tensor():
     rs = build_root_system("A2")
     t = cg_triple(rs)
@@ -173,6 +180,14 @@ def test_weyl_perm_round_trip_a3():
         assert sorted(p) == [0, 1, 2, 3]
         assert perm_to_weyl(rs, p).matrix == w.matrix
         assert det(wdot_matrix(w)) == 1
+
+
+def test_perm_to_weyl_rejects_non_permutations():
+    rs = build_root_system("A3")
+    # a repeated, an out-of-range and a short entry list
+    for bad in ([0, 0, 1, 2], [0, 1, 2, 5], [0, 1]):
+        with pytest.raises(ValueError, match="not a permutation of 0..3"):
+            perm_to_weyl(rs, bad)
 
 
 def _ref_weyl_to_perm(w):
@@ -336,6 +351,56 @@ def test_bruhat_lower_pair_and_mixed_rejection():
         )
 
 
+def test_bruhat_rejects_block_indices_outside_the_simple_roots():
+    g = _random_sl(3, random.Random(4))
+    for blocks in (ParabolicBlocks.upper, ParabolicBlocks.lower_of):
+        for bad in ((2,), (-1,)):
+            with pytest.raises(ValueError, match="not a simple root of A2"):
+                bruhat_decompose(g, blocks(bad), blocks(()))
+            with pytest.raises(ValueError, match="not a simple root of A2"):
+                bruhat_decompose(g, blocks(()), blocks(bad))
+
+
+def _unitriangular(size, rng):
+    return mat([
+        [F(int(r == c) or (rng.randint(-2, 2) if r < c else 0)) for c in range(size)]
+        for r in range(size)
+    ])
+
+
+def _bruhat_outcomes():
+    """One line per (rank, draw, orientation) on A2-A5: the blocks and the
+    factors (p1, wdot, p2) of bruhat_decompose on a seeded det-one matrix,
+    dense or u1·wdot·u2 with unitriangular u1, u2 (so every cell is met)."""
+    rng = random.Random(20)
+    lines = []
+    for n in range(2, 6):
+        rs = build_root_system(f"A{n}")
+        for draw in range(12):
+            if draw % 2:
+                g = _random_sl(n + 1, rng)
+            else:
+                perm = rng.sample(range(n + 1), n + 1)
+                wd = wdot_matrix(perm_to_weyl(rs, perm))
+                u1, u2 = _unitriangular(n + 1, rng), _unitriangular(n + 1, rng)
+                g = MatrixElement(matmul(matmul(u1, wd), u2), "group")
+            left = [i for i in range(n) if rng.random() < 0.35]
+            right = [i for i in range(n) if rng.random() < 0.35]
+            for blocks in (ParabolicBlocks.upper, ParabolicBlocks.lower_of):
+                factors = bruhat_decompose(g, blocks(left), blocks(right))
+                text = " | ".join(matrix_to_text(m).replace("\n", "; ") for m in factors)
+                lines.append(f"A{n} {draw} {blocks.__name__} {left} {right}: {text}")
+    return lines
+
+
+def test_bruhat_outputs_match_their_pinned_digest():
+    # the pin reads as sha256sum -c input
+    lines = _bruhat_outcomes()
+    assert len(lines) == 96
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (DATA / "bruhat_decompose.sha256").read_text().split()[0]
+
+
 # ---------------------------------------------------------------------------
 # twisted conjugation
 
@@ -414,6 +479,13 @@ def test_normalize_rejects_bad_inputs():
     l = MatrixElement(identity(3), "group")
     with pytest.raises(NotMinimalRep):
         normalize_coset(l, simple_reflection(rs, 0), t, d)
+
+
+def test_normalize_rejects_a_weyl_element_of_another_rank():
+    rs, t, d = _cg_setup("A3")
+    l = MatrixElement(identity(4), "group")
+    with pytest.raises(ValueError, match="not in W\\(A3\\)"):
+        normalize_coset(l, weyl_identity(build_root_system("A4")), t, d)
 
 
 def test_normalize_sl3_strata():
