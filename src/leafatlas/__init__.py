@@ -67,7 +67,6 @@ from .weyl import (
     WeylElement,
     decompose_min,
     enumerate_weyl,
-    longest_element,
     minimal_coset_reps,
     reduced_word,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import mul
 
 from .bdtriple import BDTriple
 from .decomp import Decomposition, dimension_summary, form_perp_of_simples
@@ -21,7 +22,9 @@ from .linalg import (
     Matrix,
     Subspace,
     _integer_scaled,
+    det,
     identity,
+    inverse,
     matmul,
     msub,
     quotient_invariants,
@@ -33,7 +36,6 @@ from .weyl import (
     ParabolicSubgroup,
     WeylElement,
     _weyl_bound,
-    inverse_element,
     minimal_coset_reps,
     right_descent,
 )
@@ -164,6 +166,16 @@ def _stable_indices(step: dict) -> frozenset[int]:
     return frozenset(s)
 
 
+def _unpack(packed: int, base: int, k: int) -> Matrix:
+    """The k x k matrix whose entry (i, j) is the balanced digit of packed
+    at base^(i·k + j), for an odd base."""
+    half, digits = base // 2, []
+    for _ in range(k * k):
+        digits.append((packed + half) % base - half)
+        packed = (packed - digits[-1]) // base
+    return tuple(tuple(digits[i * k : i * k + k]) for i in range(k))
+
+
 class _Frame:
     """What the records of one (rs, triple, d) share: tau on simple-root
     indices, the dimension summary, theta scaled to integers, and per stable
@@ -178,8 +190,10 @@ class _Frame:
     simple roots the map permutes.  An isometry that permutes Phi_S keeps
     lv_center, and a record is one rank of psi - 1 (psi = v one-sided) on
     lv_center: cong_dim, with moduli_dim = z_pair_dim = center_dim - cong_dim.
-    A record costs a walk on indices, one msub, one matmul and one integer
-    elimination.
+    A one-sided record costs a walk on indices and one integer elimination.
+    A pair costs the walk and its key (S, partner set, det(Theta)·psi packed
+    into one integer by k products; see packing), and pairs with equal keys
+    share one record: one elimination per distinct key.
 
     That uses h_ort1 = h_ort2 = 0, which compute_decomposition guarantees by
     validating the Cartan term (see the decomp module): the Cartan domains
@@ -197,16 +211,26 @@ class _Frame:
         self.tau = triple.tau_map
         self.tau_inv = {j: i for i, j in triple.tau}
         self._spans = {}
+        self._pairs = {}
 
     @cached_property
-    def theta_scaled(self) -> Matrix:
-        # c·theta for the lcm c of theta's denominators, built on first use:
-        # one-sided records never need it, and the two-sided ranks need it
-        # invertible, which a hand-built theta need not be
-        big, _ = _integer_scaled(self.d.theta_cartan)
-        if rank(big) < self.k:
+    def packing(self) -> tuple[Matrix, Matrix, int, int]:
+        """Theta = c·theta (c the lcm of theta's denominators), adj(Theta),
+        det(Theta) and the base B, built on first use: one-sided records never
+        need Theta invertible.  det·psi = v1·P(v2) for the integer
+        P(v2) = adj·v2·Theta.  The columns of a Weyl matrix are roots or torus
+        unit vectors, so its entries are at most the largest root coefficient
+        m, and |(v1·P)_ij| <= h = k·m²·(largest row sum of |adj|)·(largest
+        column sum of |Theta|).  With B = 2h + 1, det·psi packs exactly into
+        sum_ij (v1·P)_ij·B^(i·k + j) = u(v1)·y(v2), for
+        u(v1)_t = sum_i (v1)_it·B^(i·k) and y(v2)_t = sum_j P_tj·B^j."""
+        theta, _ = _integer_scaled(self.d.theta_cartan)
+        if not (scale := int(det(theta))):
             raise ValueError("singular matrix")
-        return big
+        adj = tuple(tuple(int(x * scale) for x in row) for row in inverse(theta))
+        m = max((x for a in self.rs.positive_roots for x in a), default=1)
+        h = self.k * m * m * max(sum(map(abs, r)) for r in adj)
+        return theta, adj, scale, 2 * h * max(sum(map(abs, c)) for c in zip(*theta)) + 1
 
     def _simple(self, v: WeylElement, gamma, label: str) -> dict[int, int | None]:
         """After checking v is minimal modulo W_gamma: its simple-root map on gamma."""
@@ -214,14 +238,18 @@ class _Frame:
         return _simple_map(v, gamma)
 
     def left(self, v1: WeylElement):
-        """The simple-root map of v1 and Theta·v1^{-1}."""
+        """The simple-root map of v1 and u(v1) (see packing)."""
         simple = self._simple(v1, self.triple.gamma1, "v1")
-        return simple, matmul(self.theta_scaled, inverse_element(self.rs, v1).matrix)
+        rows = [self.packing[3] ** (i * self.k) for i in range(self.k)]
+        return simple, tuple(sum(map(mul, col, rows)) for col in zip(*v1.matrix))
 
     def right(self, v2: WeylElement):
-        """The simple-root map of v2 and v2·Theta."""
+        """The simple-root map of v2 and y(v2) (see packing)."""
         simple = self._simple(v2, self.triple.gamma2, "v2")
-        return simple, matmul(v2.matrix, self.theta_scaled)
+        theta, adj, _, base = self.packing
+        cols = [base**j for j in range(self.k)]
+        p = matmul(adj, matmul(v2.matrix, theta))
+        return simple, tuple(sum(map(mul, row, cols)) for row in p)
 
     def span_data(self, s: frozenset[int]) -> tuple[tuple[tuple[int, ...], ...], Subspace]:
         """Phi_S and lv_center = (span Phi_S)^perp."""
@@ -247,26 +275,37 @@ class _Frame:
         lv = self.span_data(s)[1].basis
         return self._stable(StableSubalgebra, s, rank(msub(matmul(v.matrix, lv), lv)))
 
-    def pair(self, left, right) -> PairStableSubalgebra:
-        """The stable data of v1 and v2 from left(v1) and right(v2)."""
-        simple1, theta_v1inv = left
-        simple2, v2theta = right
+    def key(self, left, right) -> tuple[frozenset[int], frozenset[int], int]:
+        """S, the partner indices tau(S) moved by v2, and det(Theta)·psi
+        packed (see packing): what a pair's record depends on."""
+        simple1, u = left
+        simple2, y = right
         tau = self.tau
         # the twist on simple-root indices, None where it leaves them
         phi = {i: simple1.get(self.tau_inv.get(simple2[j])) for i, j in tau.items()}
         s = _stable_indices(phi)
-        lv_center = self.span_data(s)[1]
-        # D = v2·Theta - Theta·v1^-1 is c·theta·v1^-1·(psi - 1), and
-        # c·theta·v1^-1 is invertible, so D·lv_center has the rank of psi - 1
-        # there, and z_pair_dim is the dimension of its kernel there
-        cong_dim = rank(matmul(msub(v2theta, theta_v1inv), lv_center.basis))
-        return self._stable(
-            PairStableSubalgebra,
-            s,
-            cong_dim,
-            partner_root_set=self.span_data(frozenset(simple2[tau[i]] for i in s))[0],
-            z_pair_dim=lv_center.dim - cong_dim,
-        )
+        return s, frozenset(simple2[tau[i]] for i in s), sum(map(mul, u, y))
+
+    def pair(self, left, right) -> PairStableSubalgebra:
+        """The stable data of v1 and v2 from left(v1) and right(v2), once per key."""
+        key = self.key(left, right)
+        if (hit := self._pairs.get(key)) is None:
+            s, partner, packed = key
+            _, _, scale, base = self.packing
+            lv_center = self.span_data(s)[1]
+            # det·psi - det on lv_center has the rank of psi - 1 there, and
+            # z_pair_dim is the dimension of its kernel there
+            rows = enumerate(_unpack(packed, base, self.k))
+            shifted = [[x - scale * (i == j) for j, x in enumerate(r)] for i, r in rows]
+            cong_dim = rank(matmul(shifted, lv_center.basis))
+            hit = self._pairs[key] = self._stable(
+                PairStableSubalgebra,
+                s,
+                cong_dim,
+                partner_root_set=self.span_data(partner)[0],
+                z_pair_dim=lv_center.dim - cong_dim,
+            )
+        return hit
 
     def record(self, st: StableSubalgebra, const: int, offset: int, **reps) -> LeafRecord:
         """The record of st for reps (v, or v1 and v2): leaf constant const

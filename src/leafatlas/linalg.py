@@ -165,7 +165,7 @@ def _primitive_rref(a: Matrix) -> tuple[list[list[int]], list[int]]:
 
 def _kernel(a: Matrix) -> list[list[int]]:
     """Primitive integer basis of the right kernel of a: one vector per free
-    column, with a positive entry there (nullspace's vectors, lcm-scaled)."""
+    column, with a positive entry there."""
     nc = shape(a)[1]
     rows, pivots = _primitive_rref(a)
     big = lcm(*(row[c] for row, c in zip(rows, pivots)))
@@ -202,14 +202,6 @@ def solve(a: Matrix, b) -> Vector | None:
     for i, c in enumerate(pivots):
         x[c] = r[i][nc]
     return tuple(x)
-
-
-def nullspace(a: Matrix) -> tuple[Vector, ...]:
-    """Canonical basis of the right kernel (free variable = 1 pattern): the
-    primitive kernel vectors divided by their free entry, the last nonzero one."""
-    kernel = _kernel(a)
-    free = [next(x for x in reversed(v) if x) for v in kernel]
-    return tuple(tuple(Fraction(x, d) for x in v) for v, d in zip(kernel, free))
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -85,10 +85,6 @@ class RootSystem:
     def is_positive_root(self, v) -> bool:
         return tuple(v) in self.positive_set
 
-    def is_root(self, v) -> bool:
-        t = tuple(v)
-        return t in self.positive_set or tuple(-x for x in t) in self.positive_set
-
     def coroot(self, alpha) -> tuple[Fraction, ...]:
         """2·alpha/(alpha,alpha) in the same coordinates."""
         norm = form_pairing(self, alpha, alpha)

@@ -173,19 +173,6 @@ class TensorElement:
             out.add_term((b, a), val)
         return out
 
-    def legs_traceless(self) -> bool:
-        for leg in range(self.arity):
-            sums: dict = {}
-            for key, val in self.coefficients.items():
-                i, j = key[leg]
-                if i != j:
-                    continue
-                rest = key[:leg] + key[leg + 1:]
-                sums[rest] = sums.get(rest, Fraction(0)) + val
-            if any(v != 0 for v in sums.values()):
-                return False
-        return True
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TensorElement)
@@ -590,6 +577,8 @@ def normalize_coset(
     rs = build_root_system(f"A{size - 1}")
     if len(w.matrix) != size - 1:
         raise ValueError(f"w is not in W(A{size - 1}) of the {size}x{size} l")
+    if (top := max(triple.gamma1 + triple.gamma2, default=-1)) >= size - 1:
+        raise ValueError(f"the triple needs A{top + 1} or more, the l is A{size - 1}")
     outside = _outside_blocks(l.entries, triple.gamma1)
     if outside is not None:
         raise NotInLevi(f"entry {outside} outside the Levi block pattern")

@@ -24,7 +24,6 @@ __all__ = [
     "WeylElement",
     "ParabolicSubgroup",
     "enumerate_weyl",
-    "longest_element",
     "minimal_coset_reps",
     "decompose_min",
     "simple_reflection",
@@ -148,20 +147,6 @@ class ParabolicSubgroup:
     @staticmethod
     def of(indices) -> "ParabolicSubgroup":
         return ParabolicSubgroup(generators=frozenset(indices))
-
-
-def parabolic_elements(rs: RootSystem, p: ParabolicSubgroup) -> tuple[WeylElement, ...]:
-    return _orbit(rs, p.generators, (1,) * rs.rank)
-
-
-def longest_element(rs: RootSystem, parabolic: ParabolicSubgroup) -> WeylElement:
-    """The unique maximal-length element of the parabolic subgroup."""
-    elems = parabolic_elements(rs, parabolic)
-    best = max(elems, key=lambda w: w.length)
-    ties = [w for w in elems if w.length == best.length]
-    if len(ties) != 1:
-        raise AssertionError("longest element is not unique")
-    return best
 
 
 def left_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:

@@ -20,6 +20,47 @@ from leafatlas.linalg import (
     transpose,
     vec,
 )
+from leafatlas.weyl import _orbit
+
+
+def legs_traceless(t) -> bool:
+    """Whether every leg of the tensor t has zero trace: for each leg, the
+    diagonal terms that agree on the other legs sum to zero."""
+    for leg in range(t.arity):
+        sums: dict = {}
+        for key, val in t.coefficients.items():
+            i, j = key[leg]
+            if i != j:
+                continue
+            rest = key[:leg] + key[leg + 1:]
+            sums[rest] = sums.get(rest, Fraction(0)) + val
+        if any(v != 0 for v in sums.values()):
+            return False
+    return True
+
+
+def parabolic_elements(rs, p):
+    """Every element of the standard parabolic subgroup p, ordered by
+    matrix: the orbit of rho under p's simple reflections."""
+    return _orbit(rs, p.generators, (1,) * rs.rank)
+
+
+def longest_element(rs, p):
+    """The unique maximal-length element of the parabolic subgroup p."""
+    elems = parabolic_elements(rs, p)
+    best = max(elems, key=lambda w: w.length)
+    ties = [w for w in elems if w.length == best.length]
+    if len(ties) != 1:
+        raise AssertionError("longest element is not unique")
+    return best
+
+
+def nullspace(a):
+    """Canonical basis of the right kernel (free variable = 1 pattern): the
+    primitive kernel vectors divided by their free entry, the last nonzero one."""
+    kernel = _kernel(a)
+    free = [next(x for x in reversed(v) if x) for v in kernel]
+    return tuple(tuple(Fraction(x, d) for x in v) for v, d in zip(kernel, free))
 
 
 def in_parabolic(rs, w, p) -> bool:

@@ -18,7 +18,7 @@ from math import lcm
 
 import pytest
 
-from helpers import lattice_intersection
+from helpers import lattice_intersection, parabolic_elements
 from leafatlas import (
     AffineDim,
     FiniteAbelianGroup,
@@ -51,7 +51,7 @@ from leafatlas.linalg import (
     rank,
     solve,
 )
-from leafatlas.weyl import ParabolicSubgroup, enumerate_weyl, parabolic_elements, simple_reflection
+from leafatlas.weyl import ParabolicSubgroup, enumerate_weyl, simple_reflection
 
 
 def _setup(label, kind):

@@ -8,7 +8,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings, strategies as st
 
-from helpers import integer_kernel, intersect, lattice_intersection
+from helpers import integer_kernel, intersect, lattice_intersection, nullspace
 from leafatlas.linalg import (
     Lattice,
     Subspace,
@@ -17,7 +17,6 @@ from leafatlas.linalg import (
     inverse,
     mat,
     matmul,
-    nullspace,
     quotient_invariants,
     rank,
     row_hnf,

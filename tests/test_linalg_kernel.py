@@ -5,8 +5,8 @@
 is kept here as reference oracles: Gauss-Jordan `rref` on Fraction, Gaussian
 `det` on Fraction, the Bareiss `rank` with its Fraction-product row scaling,
 and the pivot read-out `solve_r0` did on its own `rref` call.  `solve`,
-`nullspace` and `inverse` keep their bodies, so their references are the
-same bodies over the reference `rref`.
+`nullspace` (now in ``helpers``) and `inverse` keep their bodies, so their
+references are the same bodies over the reference `rref`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import nullspace
 from leafatlas import build_root_system, enumerate_valid_triples, solve_r0
 from leafatlas.bdtriple import Infeasible
 from leafatlas.linalg import (
@@ -28,7 +29,6 @@ from leafatlas.linalg import (
     mat,
     matvec,
     mscale,
-    nullspace,
     rank,
     rref,
     shape,

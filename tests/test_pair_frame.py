@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     assert_simple_generated,
     intersect,
+    parabolic_elements,
     reference_cartan_split,
     stable_roots,
 )
@@ -58,7 +59,6 @@ from leafatlas.weyl import (
     ParabolicSubgroup,
     enumerate_weyl,
     minimal_coset_reps,
-    parabolic_elements,
 )
 
 

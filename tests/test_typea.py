@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import legs_traceless
 from leafatlas import (
     build_root_system,
     cg_triple,
@@ -166,7 +167,7 @@ def test_cybe_detects_a_perturbed_tensor():
 def test_casimir_is_swap_invariant_and_traceless_legs():
     c = casimir_tensor(2)
     assert c.swap_legs() == c
-    assert c.legs_traceless()
+    assert legs_traceless(c)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +487,14 @@ def test_normalize_rejects_a_weyl_element_of_another_rank():
     l = MatrixElement(identity(4), "group")
     with pytest.raises(ValueError, match="not in W\\(A3\\)"):
         normalize_coset(l, weyl_identity(build_root_system("A4")), t, d)
+
+
+def test_normalize_rejects_a_triple_of_another_rank():
+    # cg_triple(A4) has gamma2 = {1, 2, 3}; alpha_4 (index 3) is not a root of A3
+    _, t, d = _cg_setup("A4")
+    l = MatrixElement(identity(4), "group")
+    with pytest.raises(ValueError, match="needs A4 or more, the l is A3"):
+        normalize_coset(l, weyl_identity(build_root_system("A3")), t, d)
 
 
 def test_normalize_sl3_strata():

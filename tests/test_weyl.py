@@ -3,13 +3,12 @@ import os
 
 import pytest
 
-from helpers import in_parabolic
+from helpers import in_parabolic, longest_element, parabolic_elements
 from leafatlas import (
     ParabolicSubgroup,
     build_root_system,
     decompose_min,
     enumerate_weyl,
-    longest_element,
     minimal_coset_reps,
     reduced_word,
 )
@@ -18,7 +17,6 @@ from leafatlas.weyl import (
     compose,
     inverse_element,
     left_descent,
-    parabolic_elements,
     right_descent,
     simple_reflection,
     weyl_identity,

@@ -17,12 +17,12 @@ import itertools
 
 import pytest
 
+from helpers import parabolic_elements
 from leafatlas import build_root_system, enumerate_weyl, minimal_coset_reps
 from leafatlas.weyl import (
     ParabolicSubgroup,
     WeylElement,
     left_descent,
-    parabolic_elements,
     right_descent,
 )
 
