@@ -11,7 +11,7 @@ quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 from operator import mul
 
@@ -171,9 +171,15 @@ def _unpack(packed: int, base: int, k: int) -> Matrix:
     at base^(i·k + j), for an odd base."""
     half, digits = base // 2, []
     for _ in range(k * k):
-        digits.append((packed + half) % base - half)
-        packed = (packed - digits[-1]) // base
+        packed, digit = divmod(packed + half, base)
+        digits.append(digit - half)
     return tuple(tuple(digits[i * k : i * k + k]) for i in range(k))
+
+
+def _shifted_rank(m: Matrix, c: int, lv: Matrix) -> int:
+    """rank((m - c·1)·lv) for integers: the rank of m/c - 1 on lv's columns."""
+    mlv = [[sum(map(mul, r, col)) for col in zip(*lv)] for r in m]
+    return rank([[y - c * x for y, x in zip(a, b)] for a, b in zip(mlv, lv)])
 
 
 class _Frame:
@@ -191,9 +197,9 @@ class _Frame:
     lv_center, and a record is one rank of psi - 1 (psi = v one-sided) on
     lv_center: cong_dim, with moduli_dim = z_pair_dim = center_dim - cong_dim.
     A one-sided record costs a walk on indices and one integer elimination.
-    A pair costs the walk and its key (S, partner set, det(Theta)·psi packed
-    into one integer by k products; see packing), and pairs with equal keys
-    share one record: one elimination per distinct key.
+    A pair's S and partner set are walked once per pair of simple-root maps,
+    its cong_dim ranked once per (S, det(Theta)·psi packed into one integer by
+    k products; see packing), its stable data built once per (S, partner, cong_dim).
 
     That uses h_ort1 = h_ort2 = 0, which compute_decomposition guarantees by
     validating the Cartan term (see the decomp module): the Cartan domains
@@ -210,46 +216,51 @@ class _Frame:
         # tau on the simple-root indices of the first Levi and back
         self.tau = triple.tau_map
         self.tau_inv = {j: i for i, j in triple.tau}
-        self._spans = {}
-        self._pairs = {}
+        self._spans, self._ids = {}, {}  # Phi_S and lv_center per S; map ids by items
+        self._sets = {}  # (id of v1's map, id of v2's map) -> (S, partner set)
+        self._ranks = {}  # (S, packed) -> cong_dim
+        self._stables = {}  # (S, partner set, cong_dim) -> PairStableSubalgebra
+        self._affine = cache(AffineDim)  # one AffineDim per value
 
     @cached_property
-    def packing(self) -> tuple[Matrix, Matrix, int, int]:
-        """Theta = c·theta (c the lcm of theta's denominators), adj(Theta),
-        det(Theta) and the base B, built on first use: one-sided records never
-        need Theta invertible.  det·psi = v1·P(v2) for the integer
-        P(v2) = adj·v2·Theta.  The columns of a Weyl matrix are roots or torus
-        unit vectors, so its entries are at most the largest root coefficient
-        m, and |(v1·P)_ij| <= h = k·m²·(largest row sum of |adj|)·(largest
-        column sum of |Theta|).  With B = 2h + 1, det·psi packs exactly into
-        sum_ij (v1·P)_ij·B^(i·k + j) = u(v1)·y(v2), for
-        u(v1)_t = sum_i (v1)_it·B^(i·k) and y(v2)_t = sum_j P_tj·B^j."""
+    def packing(self) -> tuple[tuple[int, ...], Matrix, int, int]:
+        """Theta·b for b = (B^j)_j, adj(Theta), det(Theta) and the base B,
+        for Theta = c·theta (c the lcm of theta's denominators), built on first
+        use: one-sided records never need Theta invertible.  det·psi = v1·P(v2)
+        for the integer P(v2) = adj·v2·Theta.  The columns of a Weyl matrix are
+        roots or torus unit vectors, so its entries are at most the largest
+        root coefficient m, and |(v1·P)_ij| <= h = k·m²·(largest row sum of
+        |adj|)·(largest column sum of |Theta|).  With B = 2h + 1, det·psi packs
+        exactly into sum_ij (v1·P)_ij·B^(i·k + j) = u(v1)·y(v2), for
+        u(v1)_t = sum_i (v1)_it·B^(i·k) and y(v2) = P(v2)·b = adj·v2·(Theta·b)."""
         theta, _ = _integer_scaled(self.d.theta_cartan)
         if not (scale := int(det(theta))):
             raise ValueError("singular matrix")
         adj = tuple(tuple(int(x * scale) for x in row) for row in inverse(theta))
         m = max((x for a in self.rs.positive_roots for x in a), default=1)
         h = self.k * m * m * max(sum(map(abs, r)) for r in adj)
-        return theta, adj, scale, 2 * h * max(sum(map(abs, c)) for c in zip(*theta)) + 1
+        base = 2 * h * max(sum(map(abs, c)) for c in zip(*theta)) + 1
+        return tuple(sum(x * base**j for j, x in enumerate(r)) for r in theta), adj, scale, base
 
-    def _simple(self, v: WeylElement, gamma, label: str) -> dict[int, int | None]:
-        """After checking v is minimal modulo W_gamma: its simple-root map on gamma."""
+    def _simple(self, v: WeylElement, gamma, label: str) -> tuple[int, dict[int, int | None]]:
+        """After checking v is minimal modulo W_gamma: an id of its simple-root
+        map on gamma, equal for equal maps, and the map."""
         _require_coset_minimal(self.rs, v, gamma, label)
-        return _simple_map(v, gamma)
+        simple = _simple_map(v, gamma)
+        return self._ids.setdefault(tuple(simple.items()), len(self._ids)), simple
 
     def left(self, v1: WeylElement):
-        """The simple-root map of v1 and u(v1) (see packing)."""
-        simple = self._simple(v1, self.triple.gamma1, "v1")
+        """The id of v1's simple-root map, the map and u(v1) (see packing)."""
+        mid, simple = self._simple(v1, self.triple.gamma1, "v1")
         rows = [self.packing[3] ** (i * self.k) for i in range(self.k)]
-        return simple, tuple(sum(map(mul, col, rows)) for col in zip(*v1.matrix))
+        return mid, simple, tuple(sum(map(mul, col, rows)) for col in zip(*v1.matrix))
 
     def right(self, v2: WeylElement):
-        """The simple-root map of v2 and y(v2) (see packing)."""
-        simple = self._simple(v2, self.triple.gamma2, "v2")
-        theta, adj, _, base = self.packing
-        cols = [base**j for j in range(self.k)]
-        p = matmul(adj, matmul(v2.matrix, theta))
-        return simple, tuple(sum(map(mul, row, cols)) for row in p)
+        """The id of v2's simple-root map, the map and y(v2) (see packing)."""
+        mid, simple = self._simple(v2, self.triple.gamma2, "v2")
+        tb, adj, _, _ = self.packing
+        vtb = [sum(map(mul, row, tb)) for row in v2.matrix]
+        return mid, simple, tuple(sum(map(mul, row, vtb)) for row in adj)
 
     def span_data(self, s: frozenset[int]) -> tuple[tuple[tuple[int, ...], ...], Subspace]:
         """Phi_S and lv_center = (span Phi_S)^perp."""
@@ -271,59 +282,57 @@ class _Frame:
         )
 
     def single(self, v: WeylElement) -> StableSubalgebra:
-        s = _stable_indices(self._simple(v, self.triple.gamma1, "v"))
+        s = _stable_indices(self._simple(v, self.triple.gamma1, "v")[1])
         lv = self.span_data(s)[1].basis
-        return self._stable(StableSubalgebra, s, rank(msub(matmul(v.matrix, lv), lv)))
+        return self._stable(StableSubalgebra, s, _shifted_rank(v.matrix, 1, lv))
 
     def key(self, left, right) -> tuple[frozenset[int], frozenset[int], int]:
-        """S, the partner indices tau(S) moved by v2, and det(Theta)·psi
-        packed (see packing): what a pair's record depends on."""
-        simple1, u = left
-        simple2, y = right
-        tau = self.tau
-        # the twist on simple-root indices, None where it leaves them
-        phi = {i: simple1.get(self.tau_inv.get(simple2[j])) for i, j in tau.items()}
-        s = _stable_indices(phi)
-        return s, frozenset(simple2[tau[i]] for i in s), sum(map(mul, u, y))
+        """S, the partner indices tau(S) moved by v2 (once per pair of map
+        ids), and det(Theta)·psi packed (see packing): a pair's record's key."""
+        (id1, simple1, u), (id2, simple2, y), tau = left, right, self.tau
+        if (sets := self._sets.get((id1, id2))) is None:
+            # the twist on simple-root indices, None where it leaves them
+            phi = {i: simple1.get(self.tau_inv.get(simple2[j])) for i, j in tau.items()}
+            s = _stable_indices(phi)
+            sets = self._sets[id1, id2] = (s, frozenset(simple2[tau[i]] for i in s))
+        return *sets, sum(map(mul, u, y))
 
     def pair(self, left, right) -> PairStableSubalgebra:
-        """The stable data of v1 and v2 from left(v1) and right(v2), once per key."""
-        key = self.key(left, right)
-        if (hit := self._pairs.get(key)) is None:
-            s, partner, packed = key
-            _, _, scale, base = self.packing
-            lv_center = self.span_data(s)[1]
-            # det·psi - det on lv_center has the rank of psi - 1 there, and
-            # z_pair_dim is the dimension of its kernel there
-            rows = enumerate(_unpack(packed, base, self.k))
-            shifted = [[x - scale * (i == j) for j, x in enumerate(r)] for i, r in rows]
-            cong_dim = rank(matmul(shifted, lv_center.basis))
-            hit = self._pairs[key] = self._stable(
+        """The stable data of v1 and v2 from left(v1) and right(v2): one rank
+        per (S, packed psi), one object per (S, partner set, cong_dim)."""
+        s, partner, packed = self.key(left, right)
+        if (cong_dim := self._ranks.get((s, packed))) is None:
+            # det·psi - det on lv_center has the rank of psi - 1 there
+            psi = _unpack(packed, self.packing[3], self.k)
+            lv = self.span_data(s)[1].basis
+            cong_dim = self._ranks[s, packed] = _shifted_rank(psi, self.packing[2], lv)
+        if (hit := self._stables.get((s, partner, cong_dim))) is None:
+            # z_pair_dim is the dimension of the kernel of psi - 1 on lv_center
+            hit = self._stables[s, partner, cong_dim] = self._stable(
                 PairStableSubalgebra,
                 s,
                 cong_dim,
                 partner_root_set=self.span_data(partner)[0],
-                z_pair_dim=lv_center.dim - cong_dim,
+                z_pair_dim=self.span_data(s)[1].dim - cong_dim,
             )
         return hit
 
     def record(self, st: StableSubalgebra, const: int, offset: int, **reps) -> LeafRecord:
         """The record of st for reps (v, or v1 and v2): leaf constant const
         plus their lengths, coset constant offset more.  The simplified
-        dim l1 - dim g_v + lengths + cong_dim must agree."""
-        lengths = sum(w.length for w in reps.values())
-        leaf = AffineDim(const + lengths)
-        dim_gv = self.k + len(st.root_set)
-        simplified = AffineDim(self.dims["dim_l1"] - dim_gv + lengths + st.cong_dim)
-        if simplified != leaf:
+        dim l1 - (k + |Phi_S|) + lengths + cong_dim must agree: the lengths
+        cancel, so the check compares integers without the lengths."""
+        roots = len(st.root_set)
+        if const != self.dims["dim_l1"] - self.k - roots + st.cong_dim:
             raise AssertionError("simplified leaf dimension disagrees")
+        leaf = self._affine(const + sum(w.length for w in reps.values()))
         return LeafRecord(
             stable=st,
             orbit_dim="d_orb",
-            orbit_range=(0, len(st.root_set)),
+            orbit_range=(0, roots),
             leaf_dim=leaf,
-            coset_dim=AffineDim(leaf.constant + offset),
-            simplified_leaf_dim=simplified,
+            coset_dim=self._affine(leaf.constant + offset),
+            simplified_leaf_dim=leaf,
             **reps,
         )
 

@@ -85,17 +85,6 @@ class RootSystem:
     def is_positive_root(self, v) -> bool:
         return tuple(v) in self.positive_set
 
-    def coroot(self, alpha) -> tuple[Fraction, ...]:
-        """2·alpha/(alpha,alpha) in the same coordinates."""
-        norm = form_pairing(self, alpha, alpha)
-        return tuple(Fraction(2, 1) * frac(x) / norm for x in alpha)
-
-    def reflect(self, i: int, v) -> tuple[int, ...]:
-        """Reflection of v through the i-th simple root."""
-        if len(v) != self.cartan_rank:
-            raise ValueError("vector dimension does not match cartan_rank")
-        return _apply(self.reflections[i], v)
-
 
 def _apply(m, v) -> tuple[int, ...]:
     return tuple(sum(a * x for a, x in zip(row, v)) for row in m)

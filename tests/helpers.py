@@ -20,6 +20,7 @@ from leafatlas.linalg import (
     transpose,
     vec,
 )
+from leafatlas.rootsys import _apply, form_pairing
 from leafatlas.weyl import _orbit
 
 
@@ -82,6 +83,19 @@ def element_length(rs, m) -> int:
         1 for alpha in rs.positive_roots
         if all(sum(r * a for r, a in zip(row, alpha)) <= 0 for row in m)
     )
+
+
+def coroot(rs, alpha) -> tuple[Fraction, ...]:
+    """2·alpha/(alpha,alpha) in the coordinates of alpha."""
+    norm = form_pairing(rs, alpha, alpha)
+    return tuple(Fraction(2, 1) * Fraction(x) / norm for x in alpha)
+
+
+def reflect(rs, i: int, v) -> tuple[int, ...]:
+    """Reflection of v through the i-th simple root, by its stored matrix."""
+    if len(v) != rs.cartan_rank:
+        raise ValueError("vector dimension does not match cartan_rank")
+    return _apply(rs.reflections[i], v)
 
 
 def coroot_matrix(size: int, i: int):

@@ -36,6 +36,8 @@ from leafatlas import (
     stable_subalgebra_v,
     validate_triple,
 )
+from leafatlas import leafclass
+from leafatlas.cli import JobConfig, run_job
 from leafatlas.leafclass import (
     NonCommensurableLattices,
     NotMinimalRep,
@@ -135,6 +137,29 @@ def test_simplified_path_agrees_when_available():
         assert r.simplified_leaf_dim == r.leaf_dim
     for r in classify_g(rs, t, d):
         assert r.simplified_leaf_dim == r.leaf_dim
+
+
+def test_simplified_check_fires_when_the_dimension_summary_is_off(monkeypatch):
+    """dim l1 one too large: every record's simplified leaf dimension is off
+    by one, so both classifiers raise, and run_job reports it as internal."""
+    rs, t, d = _setup("A3", "cg")
+    summary = leafclass.dimension_summary
+
+    def shifted(*args):
+        dims = summary(*args)
+        return {**dims, "dim_l1": dims["dim_l1"] + 1}
+
+    monkeypatch.setattr(leafclass, "dimension_summary", shifted)
+    for classify in (classify_gminus, classify_g):
+        with pytest.raises(AssertionError, match="simplified leaf dimension disagrees"):
+            classify(rs, t, d)
+    cg = {"gamma1": (0, 1), "gamma2": (1, 2), "tau": ((0, 1), (1, 2))}
+    for mode in ("gminus", "full"):
+        report = run_job(JobConfig(root_system="A3", mode=mode, **cg))
+        assert [(e["stage"], e["error"], e["detail"], e["severity"]) for e in report.errors] == [
+            ("classification", "AssertionError", "simplified leaf dimension disagrees", "internal")
+        ], mode
+        assert not report.records, mode
 
 
 def test_full_trivial_triple_sl2_table():

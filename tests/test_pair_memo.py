@@ -1,10 +1,11 @@
-"""The pair memo of ``leafclass._Frame``: one record per distinct key.
+"""The pair memos of ``leafclass._Frame``: work once per distinct key.
 
 A pair's record depends on (v1, v2) only through its stable set S, the
-partner set and the twist psi = v1·theta^-1·v2·theta.  The frame packs
-det(Theta)·psi (Theta = c·theta, integral) into one integer and builds one
-record per distinct key (S, partner set, packed psi).  These tests drive
-one shared frame over many pairs, so that the memo hits, and check every
+partner set and the twist psi = v1·theta^-1·v2·theta.  The frame walks S
+and the partner set once per pair of simple-root maps, packs
+det(Theta)·psi (Theta = c·theta, integral) into one integer, and ranks
+once per (S, packed psi).  These tests count that work, drive one shared
+frame over many pairs, so that the memos hit, and check every
 record against a fresh frame and against the rank of
 D = v2·theta - theta·v1^-1 on (span Phi_S)^perp, which is the rank of
 psi - 1 there (theta·v1^-1 is invertible).  Everything on the reference
@@ -26,6 +27,7 @@ from helpers import stable_roots
 from leafatlas import (
     build_root_system,
     cg_triple,
+    classify_g,
     classify_gminus,
     compute_decomposition,
     solve_r0,
@@ -33,7 +35,8 @@ from leafatlas import (
     validate_triple,
 )
 from leafatlas.bdtriple import tau_linear_matrix
-from leafatlas.leafclass import _Frame, _unpack
+from leafatlas import leafclass
+from leafatlas.leafclass import _Frame, _simple_map, _unpack
 from leafatlas.linalg import Subspace, inverse, matmul, matvec, msub, rank
 from leafatlas.weyl import ParabolicSubgroup, minimal_coset_reps
 
@@ -99,7 +102,7 @@ def _reference(rs, t, d, v1, v2):
 
 def _check_shared_frame(rs, t, d, pairs) -> int:
     """Every record of one shared frame against a fresh frame and the
-    reference; returns the number of memo hits."""
+    reference; returns the number of pairs that reused a rank."""
     frame = _Frame(rs, t, d)
     lefts = {v1: frame.left(v1) for v1, _ in pairs}
     rights = {v2: frame.right(v2) for _, v2 in pairs}
@@ -113,7 +116,7 @@ def _check_shared_frame(rs, t, d, pairs) -> int:
         assert got.lv_center == lv, where
         assert got.cong_dim == cong_dim, where
         assert got.z_pair_dim == lv.dim - cong_dim, where
-    return len(pairs) - len(frame._pairs)
+    return len(pairs) - len(frame._ranks)
 
 
 @pytest.mark.parametrize("label,g1,g2,tau", RANK_4, ids=[r[0] for r in RANK_4])
@@ -175,6 +178,43 @@ def test_pairs_share_a_key_exactly_when_psi_and_both_sets_agree():
         # equal keys <=> equal references: both partitions are the same
         assert classes == len(set(refs)) == len(set(zip(keys, refs))), (label, t)
         assert classes < len(pairs), (label, t)
+
+
+# the three A3 triples of the benchmark's pairs workload, and the CG triple
+A3_JOBS = [("A3", (a,), (b,), {a: b}) for a, b in ((0, 1), (0, 2), (1, 2))]
+A3_JOBS.append(("A3", None, None, None))
+
+
+@pytest.mark.parametrize("label,g1,g2,tau", A3_JOBS, ids=["01", "02", "12", "cg"])
+def test_classify_g_walks_once_per_map_pair_and_ranks_once_per_key(
+    monkeypatch, label, g1, g2, tau
+):
+    rs, t, d, reps = _setup(label, g1, g2, tau)
+    pairs = [(v1, v2) for v1 in reps[0] for v2 in reps[1]]
+    frame = _Frame(rs, t, d)
+    map_pairs = {
+        (tuple(_simple_map(v1, t.gamma1).items()), tuple(_simple_map(v2, t.gamma2).items()))
+        for v1, v2 in pairs
+    }
+    keys = {key[0::2] for key in (frame.key(frame.left(v1), frame.right(v2)) for v1, v2 in pairs)}
+    calls = {"walk": 0, "rank": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(leafclass, "_stable_indices", counted("walk", leafclass._stable_indices))
+    monkeypatch.setattr(leafclass, "rank", counted("rank", leafclass.rank))
+    records = classify_g(rs, t, d)
+    monkeypatch.undo()
+    assert len(records) == len(pairs)
+    assert calls["walk"] <= len(map_pairs)
+    assert calls["rank"] == len(keys) < len(pairs)
+    for r in records:
+        assert r.stable == stable_subalgebra_pair(rs, t, d, r.v1, r.v2), (r.v1, r.v2)
 
 
 def test_a_singular_theta_stops_the_pairs_but_not_the_one_sided_records():
