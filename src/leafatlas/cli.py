@@ -2,8 +2,9 @@
 
 Config files are line-oriented ``key = value`` text; lists are comma
 separated ("1,2,3"), maps use colon pairs ("1:2,2:3"), ``#`` starts a
-comment.  All user-facing simple-root indices are 1-based.  Command-line
-flags mirror the config keys and override file values.
+comment.  All user-facing simple-root indices are 1-based.  _KEYS declares
+each config key once: its JobConfig field, how its value is read and written
+back, and so its command-line flag, which overrides the file value.
 
 The machine format is byte-identical to json.dumps(doc, indent=2,
 sort_keys=True) + "\\n" for doc the report's six sections; report_to_machine
@@ -15,13 +16,13 @@ Exit codes: 0 success, 2 invalid input, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Callable
 
 from .bdtriple import solve_r0, validate_triple
 from .decomp import compute_decomposition, dimension_summary
@@ -45,20 +46,6 @@ CONVENTION_NOTE = (
     "convention: the symmetric part of the Cartan term r0 is fixed to half "
     "the inverse Gram tensor (Omega0/2); all tables use this normalization"
 )
-
-_CONFIG_KEYS = (
-    "root_system",
-    "gamma1",
-    "gamma2",
-    "tau",
-    "r0",
-    "mode",
-    "typea_checks",
-    "orbit_samples",
-    "format",
-    "out",
-)
-
 
 @dataclass
 class JobConfig:
@@ -105,13 +92,56 @@ def _parse_pair_map(key: str, text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(key: str, text: str) -> bool:
     val = text.strip().lower()
     if val in ("1", "true", "yes", "on"):
         return True
     if val in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _choice(*names: str) -> Callable[[str, str], str]:
+    """The reader of a key whose value is one of names, spelled exactly."""
+
+    def read(key: str, text: str) -> str:
+        if text not in names:
+            raise ValueError(f"unknown {key} {text!r}")
+        return text
+
+    return read
+
+
+def _parse_r0(key: str, text: str) -> str:
+    if text.split(":", 1)[0] not in ("canonical", "file", "match_theta"):
+        raise ValueError(f"unknown r0 mode {text!r}")
+    return text
+
+
+def _write_indices(indices: tuple[int, ...]) -> str:
+    return ",".join(str(i + 1) for i in indices)
+
+
+# Every config key, in file, report and flag order: its JobConfig field, its
+# reader (key, value text) -> field value, and its writer back to 1-based
+# text.  The flag of a key is --key with "-" for "_", except the repeatable
+# --orbit-sample FILE.
+_KEYS = {
+    "root_system": ("root_system", lambda key, text: text, str),
+    "gamma1": ("gamma1", _parse_index_list, _write_indices),
+    "gamma2": ("gamma2", _parse_index_list, _write_indices),
+    "tau": ("tau", _parse_pair_map, lambda tau: ",".join(f"{a + 1}:{b + 1}" for a, b in tau)),
+    "r0": ("r0_mode", _parse_r0, str),
+    "mode": ("mode", _choice("gminus", "full", "both"), str),
+    "typea_checks": ("typea_checks", _parse_bool, lambda on: "true" if on else "false"),
+    "orbit_samples": (
+        "orbit_samples",
+        lambda key, text: tuple(p.strip() for p in text.split(",") if p.strip()),
+        ",".join,
+    ),
+    "format": ("format", _choice("table", "machine"), str),
+    "out": ("out", lambda key, text: text or None, lambda out: out or ""),
+}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -124,53 +154,24 @@ def parse_config_text(text: str) -> dict[str, str]:
         if not sep:
             raise ValueError(f"line {lineno}: expected key = value")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     return raw
 
 
 def build_config(raw: dict[str, str]) -> JobConfig:
+    """JobConfig of the keys present in raw; JobConfig defaults the rest."""
     if "root_system" not in raw:
         raise ValueError("root_system is required")
-    cfg = JobConfig(
-        root_system=raw["root_system"],
-        gamma1=_parse_index_list("gamma1", raw.get("gamma1", "")),
-        gamma2=_parse_index_list("gamma2", raw.get("gamma2", "")),
-        tau=_parse_pair_map("tau", raw.get("tau", "")),
-        r0_mode=raw.get("r0", "canonical"),
-        mode=raw.get("mode", "both"),
-        typea_checks=_parse_bool(raw.get("typea_checks", "false")),
-        orbit_samples=tuple(
-            p.strip() for p in raw.get("orbit_samples", "").split(",") if p.strip()
-        ),
-        format=raw.get("format", "table"),
-        out=raw.get("out") or None,
+    return JobConfig(
+        **{field: read(key, raw[key]) for key, (field, read, _) in _KEYS.items() if key in raw}
     )
-    if cfg.mode not in ("gminus", "full", "both"):
-        raise ValueError(f"unknown mode {cfg.mode!r}")
-    if cfg.format not in ("table", "machine"):
-        raise ValueError(f"unknown format {cfg.format!r}")
-    head = cfg.r0_mode.split(":", 1)[0]
-    if head not in ("canonical", "file", "match_theta"):
-        raise ValueError(f"unknown r0 mode {cfg.r0_mode!r}")
-    return cfg
 
 
 def _config_values(cfg: JobConfig) -> dict[str, str]:
     """Each config key's value as a config file writes it (1-based)."""
-    return {
-        "root_system": cfg.root_system,
-        "gamma1": ",".join(str(i + 1) for i in cfg.gamma1),
-        "gamma2": ",".join(str(i + 1) for i in cfg.gamma2),
-        "tau": ",".join(f"{a + 1}:{b + 1}" for a, b in cfg.tau),
-        "r0": cfg.r0_mode,
-        "mode": cfg.mode,
-        "typea_checks": "true" if cfg.typea_checks else "false",
-        "orbit_samples": ",".join(cfg.orbit_samples),
-        "format": cfg.format,
-        "out": cfg.out or "",
-    }
+    return {key: write(getattr(cfg, field)) for key, (field, _, write) in _KEYS.items()}
 
 
 def config_to_text(cfg: JobConfig) -> str:
@@ -336,13 +337,19 @@ def run_job(cfg: JobConfig) -> Report:
 
     # classification
     if d is not None:
-        # a representative recurs in many records; render its word once,
-        # and share the words of strip prefixes across representatives
+        # a representative recurs in many records, as equal but distinct
+        # objects in mode=both; render its word once per matrix, and share
+        # the words of strip prefixes across representatives
         memo: dict = {}
+        words: dict = {}
 
-        @functools.cache
         def word(w: WeylElement) -> str:
-            return " ".join(f"s{i + 1}" for i in reduced_word(rs, w, memo)) or "e"
+            text = words.get(w.matrix)
+            if text is None:
+                text = words[w.matrix] = (
+                    " ".join(f"s{i + 1}" for i in reduced_word(rs, w, memo)) or "e"
+                )
+            return text
 
         try:
             if cfg.mode in ("gminus", "both"):
@@ -387,7 +394,7 @@ def run_job(cfg: JobConfig) -> Report:
 def _table(report: Report) -> str:
     lines = ["leafatlas classification report", ""]
     cfg = report.provenance["config"]
-    for key in _CONFIG_KEYS:
+    for key in _KEYS:
         if key in cfg and cfg[key]:
             lines.append(f"{key}: {cfg[key]}")
     lines.append(f"note: {report.provenance['note']}")
@@ -491,27 +498,12 @@ def _json_text(value, pad: str, layouts: dict) -> str:
 
 
 def report_to_machine(report: Report) -> str:
-    doc = {
-        "provenance": report.provenance,
-        "decomposition": report.decomposition,
-        "records": report.records,
-        "sigma": report.sigma,
-        "verification": report.verification,
-        "errors": report.errors,
-    }
-    return _json_text(doc, "", {}) + "\n"
+    return _json_text(vars(report), "", {}) + "\n"
 
 
 def report_from_machine(text: str) -> Report:
     doc = json.loads(text)
-    return Report(
-        provenance=doc["provenance"],
-        decomposition=doc["decomposition"],
-        records=doc["records"],
-        sigma=doc["sigma"],
-        verification=doc["verification"],
-        errors=doc["errors"],
-    )
+    return Report(**{section.name: doc[section.name] for section in fields(Report)})
 
 
 def emit(report: Report, fmt: str) -> str:
@@ -532,21 +524,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="classification pipeline for factorizable Poisson structures",
     )
     p.add_argument("config", nargs="?", help="config file (key = value lines)")
-    p.add_argument("--root-system", dest="root_system")
-    p.add_argument("--gamma1")
-    p.add_argument("--gamma2")
-    p.add_argument("--tau")
-    p.add_argument("--r0")
-    p.add_argument("--mode", choices=("gminus", "full", "both"))
-    p.add_argument("--typea-checks", dest="typea_checks")
-    p.add_argument(
-        "--orbit-sample",
-        dest="orbit_samples",
-        action="append",
-        metavar="FILE",
-    )
-    p.add_argument("--format", choices=("table", "machine"))
-    p.add_argument("--out")
+    for key in _KEYS:
+        if key == "orbit_samples":
+            p.add_argument("--orbit-sample", dest=key, action="append", metavar="FILE")
+        else:
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
     return p
 
 
@@ -556,13 +538,10 @@ def main(argv=None) -> int:
         raw: dict[str, str] = {}
         if args.config:
             raw = parse_config_text(Path(args.config).read_text())
-        for key in _CONFIG_KEYS:
+        for key in _KEYS:
             val = getattr(args, key)
-            if key == "orbit_samples":
-                if val:
-                    raw[key] = ",".join(val)
-            elif val is not None:
-                raw[key] = val
+            if val is not None:  # an empty value still overrides the file
+                raw[key] = ",".join(val) if key == "orbit_samples" else val
         cfg = build_config(raw)
     except (ValueError, OSError) as e:
         print(f"leafatlas: invalid input: {e}", file=sys.stderr)

@@ -127,54 +127,26 @@ def _parse_label(label: str) -> tuple[tuple[tuple[str, int], ...], int]:
     return tuple(components), torus
 
 
-def _component_gram(letter: str, n: int) -> list[list[Fraction]]:
-    """Symmetrized Cartan matrix with long roots of squared length 2."""
-    g = [[Fraction(0)] * n for _ in range(n)]
-    two = Fraction(2)
-
-    def chain(pairs, lengths):
-        for i in range(n):
-            g[i][i] = lengths[i]
-        for i, j, v in pairs:
-            g[i][j] = v
-            g[j][i] = v
-
-    if letter == "A":
-        chain([(i, i + 1, Fraction(-1)) for i in range(n - 1)], [two] * n)
-    elif letter == "B":
-        # last simple root short
-        lengths = [two] * (n - 1) + [Fraction(1)]
-        chain([(i, i + 1, Fraction(-1)) for i in range(n - 1)], lengths)
-    elif letter == "C":
-        # last simple root long
-        lengths = [Fraction(1)] * (n - 1) + [two]
-        pairs = [(i, i + 1, Fraction(-1, 2)) for i in range(n - 2)]
-        if n >= 2:
-            pairs.append((n - 2, n - 1, Fraction(-1)))
-        chain(pairs, lengths)
-    elif letter == "D":
-        pairs = [(i, i + 1, Fraction(-1)) for i in range(n - 2)]
-        if n >= 3:
-            pairs.append((n - 3, n - 1, Fraction(-1)))
-        chain(pairs, [two] * n)
+def _dynkin(letter: str, n: int) -> tuple[list[tuple[int, int]], list[Fraction]]:
+    """The Dynkin edges i - j of a simple component and its squared
+    simple-root lengths, long roots of squared length 2 (Bourbaki, Lie Groups
+    and Lie Algebras, ch. VI, plates I-IX)."""
+    one, two = Fraction(1), Fraction(2)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    lengths = [two] * n
+    if letter == "B":  # last simple root short
+        lengths[-1] = one
+    elif letter == "C":  # last simple root long
+        lengths = [one] * (n - 1) + [two]
+    elif letter == "D":  # the fork: n-3 - n-2 and n-3 - n-1
+        edges = edges[: n - 2] + ([(n - 3, n - 1)] if n >= 3 else [])
     elif letter == "E":
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-        if n >= 7:
-            edges.append((5, 6))
-        if n == 8:
-            edges.append((6, 7))
-        chain([(i, j, Fraction(-1)) for i, j in edges], [two] * n)
+        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3), (5, 6), (6, 7)][: n - 1]
     elif letter == "F":
-        lengths = [two, two, Fraction(1), Fraction(1)]
-        chain(
-            [(0, 1, Fraction(-1)), (1, 2, Fraction(-1)), (2, 3, Fraction(-1, 2))],
-            lengths,
-        )
+        lengths = [two, two, one, one]
     elif letter == "G":
-        chain([(0, 1, Fraction(-1))], [Fraction(2, 3), two])
-    else:  # pragma: no cover
-        raise ValueError(letter)
-    return g
+        lengths = [Fraction(2, 3), two]
+    return edges, lengths
 
 
 _BUILT: dict[str, RootSystem] = {}
@@ -186,20 +158,22 @@ def build_root_system(type_label: str) -> RootSystem:
     if type_label in _BUILT:
         return _BUILT[type_label]
     components, torus = _parse_label(type_label)
-    ranks = [n for _, n in components]
-    rank = sum(ranks)
+    rank = sum(n for _, n in components)
     cartan_rank = rank + torus
 
-    gram_rows = [[Fraction(0)] * cartan_rank for _ in range(cartan_rank)]
-    offset = 0
+    # the symmetrized Cartan matrix: squared lengths on the diagonal (1 on
+    # the torus block), g_ij = -max(g_ii, g_jj)/2 on every Dynkin edge i - j
+    edges, lengths = [], []
     for letter, n in components:
-        block = _component_gram(letter, n)
-        for i in range(n):
-            for j in range(n):
-                gram_rows[offset + i][offset + j] = block[i][j]
-        offset += n
-    for i in range(rank, cartan_rank):
-        gram_rows[i][i] = Fraction(1)
+        block_edges, block_lengths = _dynkin(letter, n)
+        edges += [(len(lengths) + i, len(lengths) + j) for i, j in block_edges]
+        lengths += block_lengths
+    lengths += [Fraction(1)] * torus
+    gram_rows = [[Fraction(0)] * cartan_rank for _ in range(cartan_rank)]
+    for i, g in enumerate(lengths):
+        gram_rows[i][i] = g
+    for i, j in edges:
+        gram_rows[i][j] = gram_rows[j][i] = -max(lengths[i], lengths[j]) / 2
     gram = mat(gram_rows)
 
     simple = tuple(

@@ -229,21 +229,20 @@ def decompose_min(
 def reduced_word(rs: RootSystem, w: WeylElement, memo: dict | None = None) -> tuple[int, ...]:
     """A reduced word (s_{i1}·...·s_{il} = w), chosen deterministically.
 
-    _strip removes the smallest right descent j first, so word(m) =
+    The strip removes the smallest right descent j first, so word(m) =
     word(m·s_j) + (j,).  Callers with many elements of one root system pass
-    one memo dict to every call: it keeps the word of every matrix a strip
-    passes, in W^J or not, and a call strips only down to a known matrix.
+    one memo dict to every call (None is a fresh one): it keeps the word of
+    every matrix a strip passes, and a call strips only down to a known matrix.
     """
     if memo is None:
-        word = tuple(reversed(_strip(rs, w.matrix, range(rs.rank))[1]))
-    else:
-        path, m = [], w.matrix
-        while m not in memo and (j := _descent(m, range(rs.rank))) is not None:
-            path.append((m, j))
-            m = _right_step(rs, m, j)
-        word = memo.get(m, ())
-        for m, j in reversed(path):
-            word = memo[m] = word + (j,)
+        memo = {}
+    path, m = [], w.matrix
+    while m not in memo and (j := _descent(m, range(rs.rank))) is not None:
+        path.append((m, j))
+        m = _right_step(rs, m, j)
+    word = memo.get(m, ())
+    for m, j in reversed(path):
+        word = memo[m] = word + (j,)
     if len(word) != w.length:
         raise AssertionError("reduced word is not as long as the element")
     return word

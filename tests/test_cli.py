@@ -433,6 +433,114 @@ def _write_cfg(tmp_path, text):
     return str(p)
 
 
+# each config key's flag, in --help order
+FLAGS = {
+    "root_system": "--root-system",
+    "gamma1": "--gamma1",
+    "gamma2": "--gamma2",
+    "tau": "--tau",
+    "r0": "--r0",
+    "mode": "--mode",
+    "typea_checks": "--typea-checks",
+    "orbit_samples": "--orbit-sample",
+    "format": "--format",
+    "out": "--out",
+}
+
+
+def _every_key(tmp_path):
+    """A job that sets every config key, each away from its default where it
+    has one: the CG triple of A2 with its theta matched to the Coxeter
+    rotation, two orbit samples, a machine report to a file."""
+    samples = [tmp_path / "f.mat", tmp_path / "g.mat"]
+    samples[0].write_text("2 0 0\n0 1 0\n0 0 1/2\n")
+    samples[1].write_text("1 1 0\n0 1 0\n0 0 1\n")
+    return {
+        "root_system": "A2",
+        "gamma1": "1",
+        "gamma2": "2",
+        "tau": "1:2",
+        "r0": f"match_theta:{DATA / 'a2_coxeter.mat'}",
+        "mode": "full",
+        "typea_checks": "true",
+        "orbit_samples": ",".join(map(str, samples)),
+        "format": "machine",
+        "out": str(tmp_path / "report.json"),
+    }
+
+
+def test_file_flags_and_build_config_give_one_report(tmp_path):
+    values = _every_key(tmp_path)
+    out = Path(values["out"])
+    assert main([_write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))]) == 0
+    by_file = out.read_text()
+    out.unlink()
+    argv = [
+        arg
+        for key, val in values.items()
+        for part in (val.split(",") if key == "orbit_samples" else [val])
+        for arg in (FLAGS[key], part)
+    ]
+    assert argv.count("--orbit-sample") == 2
+    assert main(argv) == 0
+    by_flags = out.read_text()
+    by_call = report_to_machine(run_job(build_config(values)))
+    assert by_file == by_flags == by_call
+    doc = json.loads(by_call)
+    assert doc["errors"] == [] and len(doc["records"]) == 9
+    assert len(doc["verification"]["orbit_samples"]) == 2
+    assert doc["provenance"]["config"] == values
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("root_system", "A3"),
+        ("gamma1", "2"),
+        ("gamma1", ""),  # an empty flag value still overrides the file
+        ("gamma2", "1"),
+        ("tau", "2:1"),
+        ("r0", "canonical"),
+        ("mode", "gminus"),
+        ("typea_checks", "false"),
+        ("orbit_samples", "h.mat"),
+        ("format", "table"),
+        ("out", "other.txt"),
+    ],
+)
+def test_each_flag_overrides_its_file_value(tmp_path, monkeypatch, key, value):
+    seen = []
+
+    def job(cfg):
+        seen.append(cfg)
+        return cli.Report(provenance={"config": {}, "note": ""})
+
+    monkeypatch.setattr(cli, "run_job", job)
+    monkeypatch.chdir(tmp_path)
+    values = _every_key(tmp_path)
+    path = _write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main([path, FLAGS[key], value]) == 0
+    assert seen == [build_config({**values, key: value})]
+    assert seen != [build_config(values)]
+
+
+def test_flags_follow_the_config_keys_in_order():
+    parser = cli._build_parser()
+    flags = [a.option_strings[-1] for a in parser._actions if a.option_strings]
+    assert flags == ["--help", *FLAGS.values()]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("mode", "sideways"), ("mode", "full:x"), ("format", "yaml")]
+)
+def test_bad_mode_or_format_exits_two_with_one_message(tmp_path, capsys, key, value):
+    message = f"leafatlas: invalid input: unknown {key} {value!r}\n"
+    assert main(["--root-system", "A2", FLAGS[key], value]) == 2
+    assert capsys.readouterr().err == message
+    assert main([_write_cfg(tmp_path, f"root_system = A2\n{key} = {value}\n")]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_main_success_writes_out_file(tmp_path):
     out = tmp_path / "report.txt"
     path = _write_cfg(

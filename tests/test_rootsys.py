@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from leafatlas import build_root_system, exp_kernel_lattice, form_pairing, roots
 from leafatlas.cli import JobConfig, run_job
 from leafatlas.rootsys import levi_roots
 from leafatlas.linalg import Lattice, det, mat
+
+DATA = Path(__file__).parent / "data"
 
 # positive root counts from the closed forms per family:
 # A_n n(n+1)/2, B_n/C_n n^2, D_n n(n-1), G2 6, F4 24, E6/7/8 36/63/120
@@ -167,3 +171,27 @@ def test_levi_roots_are_generated_by_their_simple_roots(label):
     a2 = build_root_system("A2")
     with pytest.raises(AssertionError, match="not generated by its simple roots"):
         assert_simple_generated(a2, ((1, 1), (0, 1), (0, -1), (-1, -1)))
+
+
+# every valid (letter, n) with n <= 8, and one product with a torus
+GRAM_LABELS = [
+    *(f"{letter}{n}" for letter in "ABC" for n in range(1, 9)),
+    *(f"D{n}" for n in range(2, 9)),
+    "E6", "E7", "E8", "F4", "G2", "B2xG2+T1",
+]
+
+
+def _gram_text(labels):
+    return "".join(
+        f"{label}: " + "; ".join(" ".join(map(str, row)) for row in build_root_system(label).gram) + "\n"
+        for label in labels
+    )
+
+
+def test_gram_blocks_match_their_pinned_digest():
+    # the pin reads as sha256sum -c input; it was written by the per-family
+    # hand-written Gram blocks that the Dynkin-edge rule replaced
+    assert len(GRAM_LABELS) == 37
+    digest = hashlib.sha256(_gram_text(GRAM_LABELS).encode()).hexdigest()
+    assert digest == (DATA / "gram_blocks.sha256").read_text().split()[0]
+    assert _gram_text(["G2"]) == "G2: 2/3 -1; -1 2\n"
