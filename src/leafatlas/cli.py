@@ -98,7 +98,7 @@ def _parse_bool(key: str, text: str) -> bool:
         return True
     if val in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise ValueError(f"{key}: not a boolean: {text!r}")
 
 
 def _choice(*names: str) -> Callable[[str, str], str]:

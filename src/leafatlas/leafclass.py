@@ -35,6 +35,7 @@ from .rootsys import RootSystem, levi_roots
 from .weyl import (
     ParabolicSubgroup,
     WeylElement,
+    _orbit_size,
     _weyl_bound,
     minimal_coset_reps,
     right_descent,
@@ -384,12 +385,14 @@ def classify_g(
     triple: BDTriple,
     d: Decomposition,
 ) -> tuple[LeafRecord, ...]:
-    """One record per pair of minimal coset representatives."""
+    """One record per pair of minimal coset representatives.  The pair count
+    is checked against the bound before either coset space is walked."""
+    n1, n2 = (_orbit_size(rs, range(rs.rank), g) for g in (triple.gamma1, triple.gamma2))
+    bound = _weyl_bound()
+    if max(n1, n2) <= bound < n1 * n2:
+        raise ValueError(f"{n1 * n2} pairs of coset representatives exceed bound {bound}")
     reps1 = _coset_space(rs, triple.gamma1)
     reps2 = _coset_space(rs, triple.gamma2)
-    count, bound = len(reps1) * len(reps2), _weyl_bound()
-    if count > bound:
-        raise ValueError(f"{count} pairs of coset representatives exceed bound {bound}")
     frame = _Frame(rs, triple, d)
     dims = frame.dims
     base = dims["dim_lprime1_a1"]
@@ -425,8 +428,7 @@ def sigma_group(
 
     kerp = kernel
     if lambda2 is not None:
-        span = kernel.rational_span()
-        if not all(span.contains(c) for c in lambda2.columns()):
+        if rank(kernel.columns() + lambda2.columns()) > kernel.rank:
             raise NonCommensurableLattices(
                 "supplied lattice leaves the rational span of the kernel"
             )

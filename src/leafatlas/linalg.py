@@ -333,83 +333,40 @@ def row_hnf(rows) -> list[list[int]]:
     return [row for row in work[:r]]
 
 
-def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: returns (U, D, V) with U·a·V = D.
+def smith_normal_form(a) -> list[int]:
+    """The nonzero invariant factors d_1 | d_2 | ... of the integer matrix a.
 
-    U and V are unimodular; D is diagonal with d_i | d_{i+1}, d_i >= 0.
+    Hermite forms of the rows and of the columns alternate until the matrix
+    is diagonal.  The loop ends: each pass puts at top left the positive gcd
+    of the first column it reads, a column that holds the entry there
+    before.  So the top-left entry falls strictly until its row and column
+    are clear, and the passes then act on the block below it alone.
+    Replacing a diagonal pair (d_i, d_j) with their gcd and lcm keeps the
+    quotient, and makes each factor divide the next.
     """
-    d = [list(r) for r in _int_matrix(a)]
-    m = len(d)
-    n = len(d[0]) if d else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = row_hnf(a)
+    while any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        m = row_hnf(transpose(m))
+    diag = [row[i] for i, row in enumerate(m)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        d[dst] = [x - q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in d:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # locate a pivot of minimal absolute value in the working block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(t, i, q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(t, j, q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # enforce divisibility of the remaining block by the pivot
-        stuck = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    stuck = i
-                    break
-            if stuck is not None:
-                break
-        if stuck is not None:
-            add_row(stuck, t, -1)
-            continue
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, d, v
+def _coords(rows, v) -> list[int] | None:
+    """The integer coordinates of v along the Hermite rows, pivot by pivot,
+    or None when v is not in the lattice they span."""
+    v, out = list(v), []
+    for row in rows:
+        p = next(j for j, x in enumerate(row) if x)
+        c, r = divmod(v[p], row[p])
+        if r:
+            return None
+        out.append(c)
+        v = [x - c * y for x, y in zip(v, row)]
+    return None if any(v) else out
 
 
 class Lattice:
@@ -437,18 +394,12 @@ class Lattice:
         return tuple(zip(*self.basis)) if self.rank else ()
 
     def contains(self, v) -> bool:
-        if self.rank == 0:
-            return all(frac(x) == 0 for x in v)
-        c = solve(self.basis, v)
-        return c is not None and all(x.denominator == 1 for x in c)
+        return _coords(self.columns(), v) is not None
 
     def sum(self, other: "Lattice") -> "Lattice":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
         return Lattice(self.ambient, self.columns() + other.columns())
-
-    def rational_span(self) -> Subspace:
-        return Subspace(self.ambient, self.columns())
 
     def __eq__(self, other):
         return (
@@ -470,18 +421,10 @@ def quotient_invariants(sup: Lattice, sub: Lattice) -> tuple[tuple[int, ...], in
     Returns (torsion factors > 1, free rank). Raises if sub is not contained
     in sup.
     """
-    if sub.rank == 0:
-        return ((), sup.rank)
-    coords = []
-    for c in sub.columns():
-        x = solve(sup.basis, c)
-        if x is None or any(e.denominator != 1 for e in x):
-            raise ValueError("second lattice is not a sublattice of the first")
-        coords.append([int(e) for e in x])
-    # columns of the coordinate matrix express sub in the basis of sup
-    a = [[coords[j][i] for j in range(len(coords))] for i in range(sup.rank)]
-    _, d, _ = smith_normal_form(a)
-    k = min(len(a), len(a[0]) if a else 0)
-    diag = [d[i][i] for i in range(k) if d[i][i] != 0]
-    free = sup.rank - len(diag)
-    return tuple(x for x in diag if x > 1), free
+    rows = sup.columns()
+    # one row per generator of sub: its coordinates in sup's Hermite basis
+    coords = [_coords(rows, c) for c in sub.columns()]
+    if None in coords:
+        raise ValueError("second lattice is not a sublattice of the first")
+    factors = smith_normal_form(coords)
+    return tuple(x for x in factors if x > 1), sup.rank - len(factors)

@@ -236,17 +236,13 @@ def levi_roots(rs: RootSystem, indices) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def exp_kernel_lattice(rs: RootSystem, user_kernel: Lattice | None = None) -> Lattice:
+def exp_kernel_lattice(rs: RootSystem) -> Lattice:
     """Kernel of the exponential map on h, up to a global scalar unit.
 
     For a semisimple simply connected group this is the lattice spanned by
-    the simple coroots.  A central torus has no canonical kernel, so it must
-    be supplied by the caller (and is then returned unchanged).
+    the simple coroots.  A central torus has no canonical kernel: a caller
+    with one passes its own kernel to sigma_group.
     """
-    if user_kernel is not None:
-        if user_kernel.ambient != rs.cartan_rank:
-            raise ValueError("supplied kernel has wrong ambient dimension")
-        return user_kernel
     if rs.torus_rank > 0:
         raise ValueError(
             "central torus present: exp kernel must be supplied explicitly"

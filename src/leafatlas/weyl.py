@@ -8,17 +8,19 @@ sign reads: w has a right descent at i when column i of w, w(alpha_i), is
 negative.  W, W_J and the minimal coset representatives W^J are each one BFS
 over a Weyl orbit in fundamental-weight coordinates, with lengths as BFS
 depths and a bound on the set's size (env var LEAFATLAS_WEYL_BOUND, default
-10^6); the double-coset representatives W_L\\W/W_R are the orbit points of
-W^R that are dominant for L.  Lengths, reduced words and the factorization
-u = w1·w·w2 strip right descents, each step w·s_j a column update.
+10^6), checked before the walk from Macdonald's product over positive roots;
+the double-coset representatives W_L\\W/W_R are the orbit points of W^R that
+are dominant for L.  Lengths, reduced words and decompose_min strip right
+descents, each step w·s_j a column update.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import prod
 
-from .rootsys import RootSystem, _apply as apply_matrix
+from .rootsys import RootSystem, levi_roots, _apply as apply_matrix
 
 __all__ = [
     "WeylElement",
@@ -94,6 +96,15 @@ def _weyl_bound() -> int:
     return int(raw)
 
 
+def _orbit_size(rs: RootSystem, indices, fixed) -> int:
+    """|W_I / W_F| for I = indices and F = fixed, a subset of I: the product
+    of (ht a + 1)/ht a over the positive roots a of I that are not roots of
+    F, Macdonald's product for |W_I| divided by the one for |W_F|."""
+    roots = set(levi_roots(rs, indices)) - set(levi_roots(rs, fixed))
+    heights = [sum(a) for a in roots if sum(a) > 0]
+    return prod(h + 1 for h in heights) // prod(heights)
+
+
 def _orbit(rs: RootSystem, indices, lam, dominant=()) -> tuple[WeylElement, ...]:
     """One element of W_I (I = indices) per point of the W_I-orbit of the
     dominant weight lam in fundamental-weight coordinates, ordered by matrix,
@@ -101,8 +112,11 @@ def _orbit(rs: RootSystem, indices, lam, dominant=()) -> tuple[WeylElement, ...]
     sum of the omega_i with i not in J, these are W^J, and s_i·w < w for w
     in W^J exactly when mu_i < 0 (Deodhar's lemma).  s_i steps from mu only
     when mu_i > 0: that lengthens the element by one and still reaches every
-    point, so the length is the BFS depth."""
+    point, so the length is the BFS depth.  The orbit's size, |W_I| over the
+    stabilizer's order, is checked against the bound before the walk."""
     bound = _weyl_bound()
+    if _orbit_size(rs, indices, (i for i in indices if lam[i] == 0)) > bound:
+        raise ValueError(f"Weyl enumeration exceeded bound {bound}")
     # s_i differs from the identity only in row i, and alpha_i has the weight
     # coordinates <alpha_i, alpha_j^vee> = delta_ij - (s_j)_ji
     gens = []
@@ -124,8 +138,6 @@ def _orbit(rs: RootSystem, indices, lam, dominant=()) -> tuple[WeylElement, ...]
                         row = tuple(sum(c * x for c, x in zip(s_row, col)) for col in cols)
                         m = w.matrix[:i] + (row,) + w.matrix[i + 1 :]
                         found[nu] = WeylElement(m, w.length + 1)
-                        if len(found) > bound:
-                            raise ValueError(f"Weyl enumeration exceeded bound {bound}")
                         nxt.append(nu)
         frontier = nxt
     kept = (w for mu, w in found.items() if all(mu[i] >= 0 for i in dominant))

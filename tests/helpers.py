@@ -16,7 +16,7 @@ from leafatlas.linalg import (
     _kernel,
     madd,
     matvec,
-    smith_normal_form,
+    row_hnf,
     transpose,
     vec,
 )
@@ -157,20 +157,14 @@ def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
 
 
 def integer_kernel(a) -> list[list[int]]:
-    """Basis of the integer solution lattice of a·x = 0, read off the
-    columns of V in a Smith form U·a·V = D."""
+    """Basis of the integer solution lattice of a·x = 0: the rows of the
+    Hermite form of [a^T | 1] whose a^T part is zero.  The rows of [a^T | 1]
+    span the pairs (a·x, x) for integer x, and the row operations are
+    unimodular, so those rows span every integer solution."""
     rows = [[int(x) for x in row] for row in a]
-    n = len(rows[0]) if rows else 0
-    if n == 0:
-        return []
-    _, d, v = smith_normal_form(rows)
-    m = len(rows)
-    kernel = []
-    for j in range(n):
-        diag = d[j][j] if j < min(m, n) else 0
-        if diag == 0:
-            kernel.append([v[i][j] for i in range(n)])
-    return kernel
+    m, n = len(rows), len(rows[0]) if rows else 0
+    stacked = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    return [h[m:] for h in row_hnf(stacked) if not any(h[:m])]
 
 
 def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:

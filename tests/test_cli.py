@@ -4,12 +4,13 @@ import builtins
 import dataclasses
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from leafatlas import cli
+from leafatlas import cli, weyl
 from leafatlas.cli import (
     JobConfig,
     build_config,
@@ -408,6 +409,7 @@ def test_zero_denominator_in_a_matrix_file_is_an_input_error(tmp_path, capsys, s
         ("--gamma1", "1_0", "gamma1: bad index '1_0'"),
         ("--gamma1", "+1", "gamma1: bad index '+1'"),
         ("--gamma2", "-1", "gamma2: bad index '-1'"),
+        ("--typea-checks", "maybe", "typea_checks: not a boolean: 'maybe'"),
     ],
 )
 def test_bad_index_tokens_name_the_key_and_token(capsys, flag, value, message):
@@ -668,6 +670,32 @@ def test_weyl_bound_caps_the_pair_count(capsys, monkeypatch):
     assert main(PAIRS_A3_ARGS) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["errors"] == [] and len(doc["records"]) == 144
+
+
+def test_pair_bound_fails_before_either_coset_space_is_walked(capsys, monkeypatch):
+    # |W^{Gamma1}|·|W^{Gamma2}| comes from the closed form, so the job
+    # stops without walking a Weyl orbit
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a coset space was walked")
+
+    monkeypatch.setattr(weyl, "_orbit", no_walk)
+    monkeypatch.setenv("LEAFATLAS_WEYL_BOUND", "100")
+    assert main(PAIRS_A3_ARGS) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["stage"] for e in doc["errors"]] == ["classification"]
+    assert "144 pairs of coset representatives exceed bound 100" in doc["errors"][0]["detail"]
+
+
+def test_one_sided_job_over_the_default_bound_exits_two_at_once(capsys, monkeypatch):
+    # |W(A9)| = 10! > 10^6: the job fails on the orbit size, before a walk
+    # that would build 10^6 elements first
+    monkeypatch.delenv("LEAFATLAS_WEYL_BOUND", raising=False)
+    start = time.perf_counter()
+    assert main(["--root-system", "A9", "--mode", "gminus", "--format", "machine"]) == 2
+    assert time.perf_counter() - start < 2.0
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["stage"] for e in doc["errors"]] == ["classification"]
+    assert "exceeded bound 1000000" in doc["errors"][0]["detail"]
 
 
 def test_f4_one_sided_report_matches_its_pinned_digest(capsys):

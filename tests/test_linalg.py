@@ -1,5 +1,6 @@
 """Exact linear algebra cross-checked against sympy."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -30,11 +31,11 @@ small_frac = st.fractions(
 )
 
 
-def _matrices(max_dim=4):
+def _matrices(max_dim=4, entries=small_frac):
     return st.integers(1, max_dim).flatmap(
         lambda m: st.integers(1, max_dim).flatmap(
             lambda n: st.lists(
-                st.lists(small_frac, min_size=n, max_size=n),
+                st.lists(entries, min_size=n, max_size=n),
                 min_size=m,
                 max_size=m,
             )
@@ -109,33 +110,61 @@ def test_rref_matches_sympy(rows):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-        min_size=2,
-        max_size=4,
-    )
-)
-def test_smith_form_transforms_and_divisibility(rows):
-    u, d, v = smith_normal_form(rows)
-    m, n = len(rows), len(rows[0])
-    assert abs(det(mat(u))) == 1
-    assert abs(det(mat(v))) == 1
-    prod = matmul(matmul(mat(u), mat(rows)), mat(v))
-    assert prod == mat(d)
-    diag = [d[i][i] for i in range(min(m, n))]
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0
-    nonzero = [x for x in diag if x]
-    for a, b in zip(nonzero, nonzero[1:]):
+@settings(max_examples=80, deadline=None)
+@given(_matrices(6, st.integers(-60, 60)))
+def test_smith_diagonal_matches_sympy_invariant_factors(rows):
+    diag = smith_normal_form(rows)
+    assert all(isinstance(x, int) and x > 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
         assert b % a == 0
-    # the diagonal itself against sympy
     sd = sympy_snf(sympy.Matrix(rows))
-    sdiag = [abs(int(sd[i, i])) for i in range(min(m, n))]
-    assert [abs(int(x)) for x in diag] == sdiag
+    expected = [abs(int(sd[i, i])) for i in range(min(sd.shape)) if sd[i, i] != 0]
+    assert diag == expected
+
+
+def test_smith_diagonal_of_a_matrix_whose_transforms_blow_up():
+    # eliminating with unimodular transforms and no reduction of their
+    # entries ran here past 60 s with entries of about 1.5 million bits
+    rows = [
+        [-6, 0, 0, 0, 0, -6, 5, 0],
+        [3, 7, 0, 0, -11, 2, -3, 8],
+        [-9, 0, 11, 12, 6, 0, 1, 4],
+        [8, 2, 4, -8, -7, -12, 0, 0],
+        [-1, -3, 0, 0, -10, 0, 0, 2],
+        [-1, 3, 0, -9, -8, -12, 0, 0],
+        [-8, -3, 0, 4, 1, 1, 3, 3],
+    ]
+    start = time.perf_counter()
+    assert smith_normal_form(rows) == [1, 1, 1, 1, 1, 1, 2]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_smith_diagonal_of_zero_and_empty_matrices():
+    assert smith_normal_form([]) == []
+    assert smith_normal_form([[0, 0], [0, 0]]) == []
+    assert smith_normal_form([[0, 4], [0, 6]]) == [2]
+
+
+def _solve_contains(lat, v):
+    """Membership through the Fraction solve Lattice.contains used before."""
+    if lat.rank == 0:
+        return not any(v)
+    x = solve(lat.basis, v)
+    return x is not None and all(e.denominator == 1 for e in x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(4, st.integers(-6, 6)), st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.integers(0, 3))
+def test_lattice_membership_matches_the_rational_solve(gens, coeffs, bump):
+    # v is an integer combination of the generators, moved off the lattice
+    # by bump in its first coordinate; v/2 has Fraction entries
+    k = len(gens[0])
+    lat = Lattice(k, gens)
+    v = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(k)]
+    v[0] += bump
+    half = [Fraction(x, 2) for x in v]
+    assert lat.contains(v) == _solve_contains(lat, v)
+    assert lat.contains(half) == _solve_contains(lat, half)
 
 
 def test_row_hnf_canonicalizes_equal_lattices():

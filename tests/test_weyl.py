@@ -11,9 +11,12 @@ from leafatlas import (
     enumerate_weyl,
     minimal_coset_reps,
     reduced_word,
+    weyl,
 )
 from leafatlas.weyl import (
     WeylElement,
+    _orbit,
+    _orbit_size,
     compose,
     inverse_element,
     left_descent,
@@ -56,6 +59,44 @@ def test_enumeration_bound_must_be_a_positive_integer(monkeypatch, raw):
     with pytest.raises(ValueError) as err:
         enumerate_weyl(build_root_system("A1"))
     assert str(err.value) == f"LEAFATLAS_WEYL_BOUND must be a positive integer, got {raw!r}"
+
+
+ORBIT_SIZE_SYSTEMS = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4",
+    "A1xA1", "A2xA1", "A2+T1", "B2xG2+T1",
+)
+
+
+@pytest.mark.parametrize("label", ORBIT_SIZE_SYSTEMS)
+def test_orbit_size_closed_form_matches_the_walk(label):
+    # every W_I-orbit of a weight with zeros exactly on F, for F within I
+    rs = build_root_system(label)
+    for indices in itertools.chain.from_iterable(
+        itertools.combinations(range(rs.rank), k) for k in range(rs.rank + 1)
+    ):
+        for k in range(len(indices) + 1):
+            for fixed in itertools.combinations(indices, k):
+                lam = tuple(int(i not in fixed) for i in range(rs.rank))
+                assert _orbit_size(rs, indices, fixed) == len(_orbit(rs, indices, lam))
+
+
+@pytest.mark.parametrize(
+    "label,order", [("E6", 51840), ("E7", 2903040), ("E8", 696729600), ("A9", 3628800)]
+)
+def test_orbit_size_closed_form_gives_the_group_order(label, order):
+    rs = build_root_system(label)
+    assert _orbit_size(rs, range(rs.rank), ()) == order
+
+
+def test_orbit_over_the_bound_raises_before_the_walk(monkeypatch):
+    # |W(A9)| = 10! is over the default bound; the walk would build 10^6
+    # elements before it got there.  The walk starts from weyl_identity, so
+    # with that gone a walk fails with TypeError instead
+    monkeypatch.delenv("LEAFATLAS_WEYL_BOUND", raising=False)
+    monkeypatch.setattr(weyl, "weyl_identity", None)
+    rs = build_root_system("A9")
+    with pytest.raises(ValueError, match="exceeded bound 1000000"):
+        minimal_coset_reps(rs, ParabolicSubgroup.of(()), ParabolicSubgroup.of(()))
 
 
 def test_e7_coset_space_under_the_default_bound(monkeypatch):
