@@ -5,30 +5,16 @@ Levi induction chain.
 The r0 conventions: r0 is a rational matrix in the basis dual to the simple
 roots under the invariant form; the symmetric part of any admissible r0 is
 half the Cartan Casimir block.  The constraint system coming from the triple
-is solved exactly; the canonical solution zeroes the lexicographically first
-free parameters of the skew part.
+is solved exactly; the canonical solution sets every free unknown of the
+skew part (a non-pivot column of the reduced row echelon form) to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 
-from .linalg import (
-    Matrix,
-    identity,
-    inverse,
-    madd,
-    mat,
-    matmul,
-    matvec,
-    mscale,
-    msub,
-    solve,
-    transpose,
-    vec,
-)
+from .linalg import Matrix, identity, inverse, madd, mat, matmul, matvec, msub, solve, transpose
 from .rootsys import RootSystem, levi_roots
 
 __all__ = [
@@ -159,23 +145,18 @@ def validate_triple(rs: RootSystem, gamma1, gamma2, tau) -> BDTriple:
                     f"{rhs} -> {lhs}"
                 )
 
-    g1set, g2set = set(g1), set(g2)
+    # every tau-image lies in gamma2, so a chain ends when it leaves gamma1
     ord_tau = 0
     for start in g1:
-        cur = start
-        seen = [start]
-        n = 0
-        while True:
-            cur = tmap[cur]
-            n += 1
-            if cur in g2set and cur not in g1set:
-                break
-            if cur in seen:
-                cycle = seen[seen.index(cur):] + [cur]
+        chain, cur = [], start
+        while cur in tmap:
+            if cur in chain:
+                cycle = chain[chain.index(cur):] + [cur]
                 names = " -> ".join(f"alpha_{c + 1}" for c in cycle)
                 raise NotNilpotent(f"tau cycles: {names}")
-            seen.append(cur)
-        ord_tau = max(ord_tau, n)
+            chain.append(cur)
+            cur = tmap[cur]
+        ord_tau = max(ord_tau, len(chain))
     return BDTriple(gamma1=g1, gamma2=g2, tau=pairs, ord_tau=ord_tau)
 
 
@@ -240,7 +221,7 @@ def solve_r0(
     """Solve the two r0 constraints exactly.
 
     canonical: symmetric part = half the Cartan Casimir, skew part from
-    deterministic pivoting with the lexicographically first free variables
+    the reduced row echelon form of the slot rows with every free unknown
     set to zero.  match_theta: additionally pins the Cayley transform on h
     to the supplied isometry.  from_file: validates a supplied matrix.
     """
@@ -279,46 +260,28 @@ def solve_r0(
     if mode != "canonical":
         raise ValueError(f"unknown r0 mode: {mode!r}")
 
-    # unknowns: entries s_ij (i<j) of the skew part S; r0 = omega/2 + S
-    unknowns = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    index = {p: t for t, p in enumerate(unknowns)}
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for a_idx, t_idx in triple.tau:
-        a = vec(rs.simple_roots[a_idx])
-        t = vec(rs.simple_roots[t_idx])
-        d = matvec(g, tuple(x - y for x, y in zip(a, t)))
-        target = tuple(-(x + y) / 2 for x, y in zip(a, t))
-        # S·d = target, with S skew built from the unknowns
+    # With r0 = omega/2 + S and S skew, the slot constraint for (a, b) reads
+    # S·d = -(e_a + e_b) for d = 2·G·(e_a - e_b): one row per coordinate r
+    # over the unknowns S[i][j], i < j, with d[j] where i = r, -d[i] where j = r
+    unknowns = tuple(combinations(range(k), 2))
+    rows, rhs = [], []
+    for a, b in triple.tau:
+        d = [2 * (x - y) for x, y in zip(g[a], g[b])]  # G is symmetric
         for r in range(k):
-            row = [Fraction(0)] * len(unknowns)
-            for c in range(k):
-                if r == c:
-                    continue
-                coeff = d[c]
-                if coeff == 0:
-                    continue
-                if r < c:
-                    row[index[(r, c)]] += coeff
-                else:
-                    row[index[(c, r)]] -= coeff
-            rows.append(row)
-            rhs.append(target[r])
+            rows.append(tuple(d[j] if i == r else -d[i] if j == r else 0 for i, j in unknowns))
+            rhs.append(-(r == a) - (r == b))
 
     # with no tau there are no rows, and the skew part is zero
-    sol = solve(tuple(rows), rhs) if rows else (Fraction(0),) * len(unknowns)
+    sol = solve(tuple(rows), rhs) if rows else (0,) * len(unknowns)
     if sol is None:
         raise Infeasible("r0 constraint system inconsistent")
-
-    s = [[Fraction(0)] * k for _ in range(k)]
-    for (i, j), val in zip(unknowns, sol):
-        s[i][j] = val
-        s[j][i] = -val
-    half = mscale(Fraction(1, 2), omega)
-    m = tuple(
-        tuple(half[i][j] + s[i][j] for j in range(k)) for i in range(k)
+    s = dict(zip(unknowns, sol))
+    return CartanTerm(
+        r0=tuple(
+            tuple(omega[i][j] / 2 + s.get((i, j), 0) - s.get((j, i), 0) for j in range(k))
+            for i in range(k)
+        )
     )
-    return CartanTerm(r0=m)
 
 
 def assemble_r(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> AbstractRMatrix:

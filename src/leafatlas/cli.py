@@ -113,8 +113,14 @@ def _choice(*names: str) -> Callable[[str, str], str]:
 
 
 def _parse_r0(key: str, text: str) -> str:
-    if text.split(":", 1)[0] not in ("canonical", "file", "match_theta"):
+    """canonical, or file:<path> or match_theta:<path> with a path."""
+    head, sep, path = text.partition(":")
+    if head not in ("canonical", "file", "match_theta"):
         raise ValueError(f"unknown r0 mode {text!r}")
+    if head == "canonical" and sep:
+        raise ValueError(f"{key}: canonical takes no path, got {text!r}")
+    if head != "canonical" and not path.strip():
+        raise ValueError(f"{key}: {head} needs a path, as {head}:<path>, got {text!r}")
     return text
 
 

@@ -256,6 +256,8 @@ class Subspace:
         return tuple(zip(*self.basis)) if self.dim else ()
 
     def contains(self, v) -> bool:
+        if len(v) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
         if self.dim == 0:
             return all(frac(x) == 0 for x in v)
         return solve(self.basis, v) is not None
@@ -394,6 +396,8 @@ class Lattice:
         return tuple(zip(*self.basis)) if self.rank else ()
 
     def contains(self, v) -> bool:
+        if len(v) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
         return _coords(self.columns(), v) is not None
 
     def sum(self, other: "Lattice") -> "Lattice":

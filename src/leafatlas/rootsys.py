@@ -86,10 +86,6 @@ class RootSystem:
         return tuple(v) in self.positive_set
 
 
-def _apply(m, v) -> tuple[int, ...]:
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
-
-
 def _simple_reflections(gram: Matrix, rank: int) -> tuple:
     """s_i(e_j) = e_j - a_ij·e_i with the Cartan integer a_ij = 2 g_ij / g_ii:
     only row i of the identity changes."""
@@ -189,7 +185,7 @@ def build_root_system(type_label: str) -> RootSystem:
         nxt = []
         for v in frontier:
             for s in reflections:
-                w = _apply(s, v)
+                w = matvec(s, v)
                 if all(x >= 0 for x in w) and w not in known:
                     known.add(w)
                     nxt.append(w)

@@ -20,7 +20,8 @@ import os
 from dataclasses import dataclass
 from math import prod
 
-from .rootsys import RootSystem, levi_roots, _apply as apply_matrix
+from .linalg import matmul, matvec, transpose
+from .rootsys import RootSystem, levi_roots
 
 __all__ = [
     "WeylElement",
@@ -48,12 +49,7 @@ class WeylElement:
     length: int
 
     def __call__(self, v) -> tuple[int, ...]:
-        return apply_matrix(self.matrix, v)
-
-
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+        return matvec(self.matrix, v)
 
 
 def make_element(rs: RootSystem, m: IntMatrix) -> WeylElement:
@@ -71,7 +67,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 
 def compose(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
-    return make_element(rs, _matmul(a.matrix, b.matrix))
+    return make_element(rs, matmul(a.matrix, b.matrix))
 
 
 def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
@@ -80,7 +76,7 @@ def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
     The product runs on the integer-scaled G and G^{-1} stored on rs and is
     divided by their scale once, at the end.
     """
-    m = _matmul(rs.gram_inverse_int, _matmul(tuple(zip(*w.matrix)), rs.gram_int))
+    m = matmul(rs.gram_inverse_int, matmul(transpose(w.matrix), rs.gram_int))
     q = rs.gram_int_scale
     if any(x % q for row in m for x in row):
         raise AssertionError("inverse of a Weyl element is not an integer matrix")
@@ -229,11 +225,11 @@ def decompose_min(
     x_inv = inverse_element(rs, WeylElement(x, u.length - len(word2)))
     w_inv, word1 = _strip(rs, x_inv.matrix, left.generators)
     w = inverse_element(rs, WeylElement(w_inv, x_inv.length - len(word1)))
-    w1 = WeylElement(_matmul(x, w_inv), len(word1))
-    w2 = WeylElement(_matmul(x_inv.matrix, u.matrix), len(word2))
+    w1 = WeylElement(matmul(x, w_inv), len(word1))
+    w2 = WeylElement(matmul(x_inv.matrix, u.matrix), len(word2))
     if right_descent(rs, w, right.generators) is not None:
         raise AssertionError("decompose_min representative left W^R")
-    if _matmul(_matmul(w1.matrix, w.matrix), w2.matrix) != u.matrix:
+    if matmul(matmul(w1.matrix, w.matrix), w2.matrix) != u.matrix:
         raise AssertionError("decompose_min product mismatch")
     return w1, w, w2
 

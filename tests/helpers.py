@@ -20,7 +20,7 @@ from leafatlas.linalg import (
     transpose,
     vec,
 )
-from leafatlas.rootsys import _apply, form_pairing
+from leafatlas.rootsys import form_pairing
 from leafatlas.weyl import _orbit
 
 
@@ -95,7 +95,7 @@ def reflect(rs, i: int, v) -> tuple[int, ...]:
     """Reflection of v through the i-th simple root, by its stored matrix."""
     if len(v) != rs.cartan_rank:
         raise ValueError("vector dimension does not match cartan_rank")
-    return _apply(rs.reflections[i], v)
+    return matvec(rs.reflections[i], v)
 
 
 def coroot_matrix(size: int, i: int):

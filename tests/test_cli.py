@@ -543,6 +543,25 @@ def test_bad_mode_or_format_exits_two_with_one_message(tmp_path, capsys, key, va
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("canonical:junk", "r0: canonical takes no path, got 'canonical:junk'"),
+        ("canonical:", "r0: canonical takes no path, got 'canonical:'"),
+        ("file", "r0: file needs a path, as file:<path>, got 'file'"),
+        ("file:", "r0: file needs a path, as file:<path>, got 'file:'"),
+        ("match_theta", "r0: match_theta needs a path, as match_theta:<path>, got 'match_theta'"),
+        ("guess", "unknown r0 mode 'guess'"),
+    ],
+)
+def test_r0_value_is_read_whole(tmp_path, capsys, value, message):
+    message = f"leafatlas: invalid input: {message}\n"
+    assert main(["--root-system", "A2", "--r0", value]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert main([_write_cfg(tmp_path, f"root_system = A2\nr0 = {value}\n")]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_main_success_writes_out_file(tmp_path):
     out = tmp_path / "report.txt"
     path = _write_cfg(

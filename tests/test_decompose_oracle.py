@@ -16,7 +16,7 @@ import pytest
 
 from helpers import element_length, in_parabolic
 from leafatlas import ParabolicSubgroup, build_root_system, decompose_min, enumerate_weyl
-from leafatlas.rootsys import _apply as apply_matrix
+from leafatlas.linalg import matvec
 from leafatlas.weyl import (
     compose,
     inverse_element,
@@ -36,7 +36,7 @@ def cross_parabolic(rs, w, left, right):
     winv_m = inverse_element(rs, w).matrix
     gens = set()
     for i in left.generators:
-        img = apply_matrix(winv_m, rs.simple_roots[i])
+        img = matvec(winv_m, rs.simple_roots[i])
         support = {t for t, x in enumerate(img) if x != 0}
         if support <= right.generators:
             gens.add(i)

@@ -23,7 +23,7 @@ from leafatlas import (
     minimal_coset_reps,
     reduced_word,
 )
-from leafatlas.rootsys import _apply as apply_matrix
+from leafatlas.linalg import matvec
 from leafatlas.weyl import WeylElement, inverse_element
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ def _matmul(a, b):
 def reference_right_descent(rs, w, indices):
     """i with l(w·s_i) < l(w): holds iff w(alpha_i) is negative."""
     for i in sorted(indices):
-        img = apply_matrix(w.matrix, rs.simple_roots[i])
+        img = matvec(w.matrix, rs.simple_roots[i])
         if all(x <= 0 for x in img):
             return i
     return None

@@ -181,6 +181,23 @@ def test_lattice_membership_sum_intersection():
     assert lattice_intersection(two, three) == Lattice(1, [[6]])
 
 
+@pytest.mark.parametrize(
+    "space, v",
+    [
+        (Lattice(2, [[1, 0], [0, 1]]), [1, 0, 5]),
+        (Lattice(2, [[1, 0], [0, 1]]), [1]),
+        (Lattice(2, []), [0, 0, 0]),
+        (Subspace(2, [(1, 0)]), [1, 0, 7]),
+        (Subspace(2, [(1, 0)]), [1]),
+        (Subspace(2, []), [0]),
+    ],
+)
+def test_membership_rejects_a_vector_of_another_length(space, v):
+    # a longer vector must not pass on its first coordinates alone
+    with pytest.raises(ValueError, match="^vector length does not match ambient dimension$"):
+        space.contains(v)
+
+
 def test_integer_kernel_is_integral_and_spans():
     a = [[2, -4, 0], [1, -2, 0]]
     ker = integer_kernel(a)
