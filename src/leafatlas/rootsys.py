@@ -51,6 +51,8 @@ class RootSystem:
     cartan_rank: dim h = semisimple rank + torus rank.
     reflections: integer matrix of each simple reflection on those
         coordinates (the torus block is fixed).
+    neighbours: the sparse Cartan table: neighbours[i] holds (k, (s_i)_ik)
+        for each Dynkin neighbour k of i, the nonzeros of row i of s_i off k = i.
     gram_inverse: the inverse of gram.
     gram_int, gram_inverse_int: gram and gram_inverse scaled to integer
         matrices; gram_int_scale is the product of the two scales, so
@@ -66,6 +68,7 @@ class RootSystem:
     gram: Matrix
     cartan_rank: int
     reflections: tuple[tuple[tuple[int, ...], ...], ...]
+    neighbours: tuple[tuple[tuple[int, int], ...], ...]
     gram_inverse: Matrix
     gram_int: tuple[tuple[int, ...], ...]
     gram_inverse_int: tuple[tuple[int, ...], ...]
@@ -204,6 +207,10 @@ def build_root_system(type_label: str) -> RootSystem:
         gram=gram,
         cartan_rank=cartan_rank,
         reflections=reflections,
+        neighbours=tuple(
+            tuple((k, c) for k, c in enumerate(r[i]) if c and k != i)
+            for i, r in enumerate(reflections)
+        ),
         gram_inverse=gram_inverse,
         gram_int=gram_int,
         gram_inverse_int=gram_inverse_int,

@@ -2,16 +2,16 @@
 minimal-length (double) coset representatives.
 
 Elements are integer matrices acting on simple-root coordinates; the torus
-block is fixed pointwise.  Every decision reads the integer simple-reflection
-matrices and the inverse Gram matrix stored on the RootSystem.  Descents are
-sign reads: w has a right descent at i when column i of w, w(alpha_i), is
-negative.  W, W_J and the minimal coset representatives W^J are each one BFS
-over a Weyl orbit in fundamental-weight coordinates, with lengths as BFS
-depths and a bound on the set's size (env var LEAFATLAS_WEYL_BOUND, default
-10^6), checked before the walk from Macdonald's product over positive roots;
-the double-coset representatives W_L\\W/W_R are the orbit points of W^R that
-are dominant for L.  Lengths, reduced words and decompose_min strip right
-descents, each step w·s_j a column update.
+block is fixed pointwise.  Descents are sign reads: w has a right descent at
+i when column i of w, w(alpha_i), is negative.  W, W_J and the minimal coset
+representatives W^J are each one BFS over a Weyl orbit in fundamental-coweight
+coordinates, with lengths as BFS depths and a bound on the set's size (env
+var LEAFATLAS_WEYL_BOUND, default 10^6), checked before the walk from
+Macdonald's product over positive roots; the double-coset representatives
+W_L\\W/W_R are the orbit points of W^R that are dominant for L.  Lengths,
+reduced words and decompose_min strip right descents.  Both steps read the
+sparse Cartan table RootSystem.neighbours: s_i·w replaces row i of w with its
+Dynkin-neighbour combination, and w·s_j changes column j and its neighbours'.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import prod
+from operator import add, neg
 
 from .linalg import matmul, matvec, transpose
 from .rootsys import RootSystem, levi_roots
@@ -103,38 +104,34 @@ def _orbit_size(rs: RootSystem, indices, fixed) -> int:
 
 def _orbit(rs: RootSystem, indices, lam, dominant=()) -> tuple[WeylElement, ...]:
     """One element of W_I (I = indices) per point of the W_I-orbit of the
-    dominant weight lam in fundamental-weight coordinates, ordered by matrix,
-    keeping the points with no negative coordinate in dominant.  For lam =
-    sum of the omega_i with i not in J, these are W^J, and s_i·w < w for w
-    in W^J exactly when mu_i < 0 (Deodhar's lemma).  s_i steps from mu only
-    when mu_i > 0: that lengthens the element by one and still reaches every
-    point, so the length is the BFS depth.  The orbit's size, |W_I| over the
-    stabilizer's order, is checked against the bound before the walk."""
+    dominant coweight lam in fundamental-coweight coordinates, ordered by
+    matrix, keeping the points with no negative coordinate in dominant.  For
+    lam = sum of the omega_i^vee with i not in J, these are W^J, and s_i·w <
+    w for w in W^J exactly when mu_i < 0 (Deodhar's lemma).  s_i steps from
+    mu only when mu_i > 0: that lengthens the element by one and still
+    reaches every point, so the length is the BFS depth; the weight with
+    lam's coordinates gives the same elements.  The orbit size is checked
+    against the bound before the walk."""
     bound = _weyl_bound()
     if _orbit_size(rs, indices, (i for i in indices if lam[i] == 0)) > bound:
         raise ValueError(f"Weyl enumeration exceeded bound {bound}")
-    # s_i differs from the identity only in row i, and alpha_i has the weight
-    # coordinates <alpha_i, alpha_j^vee> = delta_ij - (s_j)_ji
-    gens = []
-    for i in sorted(indices):
-        alpha = [int(i == j) - rs.reflections[j][j][i] for j in range(rs.rank)]
-        gens.append((i, simple_reflection(rs, i).matrix[i], alpha))
+    # s_i·mu has the coweight coordinates mu·s_i; row i of s_i·w is -(row i
+    # of w) plus c·(row k of w) for each Dynkin neighbour k of i, c = (s_i)_ik
+    gens = [(i, rs.neighbours[i]) for i in sorted(indices)]
     found = {tuple(lam): weyl_identity(rs)}
     frontier = list(found)
     while frontier:
         nxt = []
         for mu in frontier:
             w = found[mu]
-            cols = tuple(zip(*w.matrix))
-            for i, s_row, alpha in gens:
-                if mu[i] > 0:
-                    nu = tuple(x - mu[i] * a for x, a in zip(mu, alpha))
-                    if nu not in found:
-                        # row i of s_i·w; the other rows are those of w
-                        row = tuple(sum(c * x for c, x in zip(s_row, col)) for col in cols)
-                        m = w.matrix[:i] + (row,) + w.matrix[i + 1 :]
-                        found[nu] = WeylElement(m, w.length + 1)
-                        nxt.append(nu)
+            m = w.matrix
+            for i, steps in gens:
+                if mu[i] > 0 and (nu := _times_s(mu, i, steps)) not in found:
+                    row = map(neg, m[i])
+                    for k, c in steps:
+                        row = map(add, row, m[k] if c == 1 else [c * y for y in m[k]])
+                    found[nu] = WeylElement(m[:i] + (tuple(row),) + m[i + 1 :], w.length + 1)
+                    nxt.append(nu)
         frontier = nxt
     kept = (w for mu, w in found.items() if all(mu[i] >= 0 for i in dominant))
     return tuple(sorted(kept, key=lambda w: w.matrix))
@@ -171,16 +168,21 @@ def _descent(m: IntMatrix, indices) -> int | None:
     return next((i for i in sorted(indices) if all(row[i] <= 0 for row in m)), None)
 
 
+def _times_s(row: tuple[int, ...], j: int, steps) -> tuple[int, ...]:
+    """row·s_j for steps = rs.neighbours[j]: s_j is the identity outside row
+    j, so entry j changes sign and entry k gains c times it per (k, c)."""
+    if not (x := row[j]):
+        return row
+    out = list(row)
+    out[j] = -x
+    for k, c in steps:
+        out[k] += c * x
+    return tuple(out)
+
+
 def _right_step(rs: RootSystem, m: IntMatrix, j: int) -> IntMatrix:
-    """m·s_j.  s_j differs from the identity only in row j, so column k of m
-    gains (s_j)_jk - delta_jk = -<alpha_k, alpha_j^vee> times column j: -2 for
-    k = j, nonzero only for the Dynkin neighbours k of j otherwise."""
-    coef = [(k, c - (k == j)) for k, c in enumerate(rs.reflections[j][j]) if c != (k == j)]
-    rows = [list(row) for row in m]
-    for r, row in zip(rows, m):
-        for k, c in coef:
-            r[k] += c * row[j]
-    return tuple(map(tuple, rows))
+    """m·s_j, one row at a time."""
+    return tuple(_times_s(row, j, rs.neighbours[j]) for row in m)
 
 
 def minimal_coset_reps(
@@ -239,18 +241,19 @@ def reduced_word(rs: RootSystem, w: WeylElement, memo: dict | None = None) -> tu
 
     The strip removes the smallest right descent j first, so word(m) =
     word(m·s_j) + (j,).  Callers with many elements of one root system pass
-    one memo dict to every call (None is a fresh one): it keeps the word of
-    every matrix a strip passes, and a call strips only down to a known matrix.
+    one memo dict to every call: it keeps the word of every matrix a strip
+    passes, and a call strips only down to a known matrix.
     """
-    if memo is None:
-        memo = {}
-    path, m = [], w.matrix
-    while m not in memo and (j := _descent(m, range(rs.rank))) is not None:
-        path.append((m, j))
+    known = {} if memo is None else memo
+    path, word, m = [], [], w.matrix
+    while m not in known and (j := _descent(m, range(rs.rank))) is not None:
+        path.append(m)
+        word.append(j)
         m = _right_step(rs, m, j)
-    word = memo.get(m, ())
-    for m, j in reversed(path):
-        word = memo[m] = word + (j,)
+    word = known.get(m, ()) + tuple(reversed(word))
     if len(word) != w.length:
         raise AssertionError("reduced word is not as long as the element")
+    if memo is not None:
+        for t, m in enumerate(path):
+            memo[m] = word[: len(word) - t]
     return word

@@ -21,7 +21,7 @@ from leafatlas.linalg import (
     vec,
 )
 from leafatlas.rootsys import form_pairing
-from leafatlas.weyl import _orbit
+from leafatlas.weyl import WeylElement, _orbit, weyl_identity
 
 
 def legs_traceless(t) -> bool:
@@ -44,6 +44,35 @@ def parabolic_elements(rs, p):
     """Every element of the standard parabolic subgroup p, ordered by
     matrix: the orbit of rho under p's simple reflections."""
     return _orbit(rs, p.generators, (1,) * rs.rank)
+
+
+def reference_orbit(rs, indices, lam, dominant=()):
+    """The dense walk that weyl._orbit ran before its steps read the sparse
+    Cartan table (the bound check left out): row i of s_i·w is row i of s_i
+    times every column of w, and the orbit point, in fundamental-weight
+    coordinates, steps by a dense update mu - mu_i·alpha_i."""
+    gens = []
+    for i in sorted(indices):
+        alpha = [int(i == j) - rs.reflections[j][j][i] for j in range(rs.rank)]
+        gens.append((i, rs.reflections[i][i], alpha))
+    found = {tuple(lam): weyl_identity(rs)}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            w = found[mu]
+            cols = tuple(zip(*w.matrix))
+            for i, s_row, alpha in gens:
+                if mu[i] > 0:
+                    nu = tuple(x - mu[i] * a for x, a in zip(mu, alpha))
+                    if nu not in found:
+                        row = tuple(sum(c * x for c, x in zip(s_row, col)) for col in cols)
+                        m = w.matrix[:i] + (row,) + w.matrix[i + 1 :]
+                        found[nu] = WeylElement(m, w.length + 1)
+                        nxt.append(nu)
+        frontier = nxt
+    kept = (w for mu, w in found.items() if all(mu[i] >= 0 for i in dominant))
+    return tuple(sorted(kept, key=lambda w: w.matrix))
 
 
 def longest_element(rs, p):

@@ -143,6 +143,9 @@ def test_reduced_words_sharing_prefixes_match_single_calls(label, right):
     memo = {}
     for w in elements:
         assert reduced_word(rs, w, memo) == reduced_word(rs, w), w
+    # the strip prefixes the memo keeps carry their own words (every 20th)
+    for m, word in list(memo.items())[::20]:
+        assert reduced_word(rs, WeylElement(m, len(word))) == word
     longest = max(elements, key=lambda w: w.length)
     for shared in (None, memo):
         with pytest.raises(AssertionError, match="not as long"):
