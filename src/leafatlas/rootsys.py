@@ -51,8 +51,7 @@ class RootSystem:
     cartan_rank: dim h = semisimple rank + torus rank.
     reflections: integer matrix of each simple reflection on those
         coordinates (the torus block is fixed).
-    neighbours: the sparse Cartan table: neighbours[i] holds (k, (s_i)_ik)
-        for each Dynkin neighbour k of i, the nonzeros of row i of s_i off k = i.
+    neighbours: sparse Cartan table; neighbours[i] holds (k, (s_i)_ik) per Dynkin neighbour k.
     gram_inverse: the inverse of gram.
     gram_int, gram_inverse_int: gram and gram_inverse scaled to integer
         matrices; gram_int_scale is the product of the two scales, so
@@ -151,6 +150,11 @@ def _dynkin(letter: str, n: int) -> tuple[list[tuple[int, int]], list[Fraction]]
 _BUILT: dict[str, RootSystem] = {}
 
 
+def _off_diagonal(row: tuple[int, ...], i: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (k, row[k]) with row[k] != 0 and k != i."""
+    return tuple((k, c) for k, c in enumerate(row) if c and k != i)
+
+
 def build_root_system(type_label: str) -> RootSystem:
     """Construct a root system from a label like "A3", "A2xA1" or "A2+T1",
     once per label string: later calls return the same object."""
@@ -207,10 +211,7 @@ def build_root_system(type_label: str) -> RootSystem:
         gram=gram,
         cartan_rank=cartan_rank,
         reflections=reflections,
-        neighbours=tuple(
-            tuple((k, c) for k, c in enumerate(r[i]) if c and k != i)
-            for i, r in enumerate(reflections)
-        ),
+        neighbours=tuple(_off_diagonal(r[i], i) for i, r in enumerate(reflections)),
         gram_inverse=gram_inverse,
         gram_int=gram_int,
         gram_inverse_int=gram_inverse_int,

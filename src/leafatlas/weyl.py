@@ -9,9 +9,10 @@ coordinates, with lengths as BFS depths and a bound on the set's size (env
 var LEAFATLAS_WEYL_BOUND, default 10^6), checked before the walk from
 Macdonald's product over positive roots; the double-coset representatives
 W_L\\W/W_R are the orbit points of W^R that are dominant for L.  Lengths,
-reduced words and decompose_min strip right descents.  Both steps read the
-sparse Cartan table RootSystem.neighbours: s_i·w replaces row i of w with its
-Dynkin-neighbour combination, and w·s_j changes column j and its neighbours'.
+reduced words and decompose_min strip right descents.  Both steps use the
+table RootSystem.neighbours, the off-diagonal nonzeros of row i of s_i: s_i·w
+replaces row i of w with its Dynkin-neighbour combination, and w·s_j changes
+column j and its neighbours'.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import prod
-from operator import add, neg
+from itertools import repeat
+from operator import add, mul, neg
 
 from .linalg import matmul, matvec, transpose
-from .rootsys import RootSystem, levi_roots
+from .rootsys import RootSystem, _off_diagonal, levi_roots
 
 __all__ = [
     "WeylElement",
@@ -110,14 +112,13 @@ def _orbit(rs: RootSystem, indices, lam, dominant=()) -> tuple[WeylElement, ...]
     w for w in W^J exactly when mu_i < 0 (Deodhar's lemma).  s_i steps from
     mu only when mu_i > 0: that lengthens the element by one and still
     reaches every point, so the length is the BFS depth; the weight with
-    lam's coordinates gives the same elements.  The orbit size is checked
-    against the bound before the walk."""
+    lam's coordinates gives the same elements."""
     bound = _weyl_bound()
     if _orbit_size(rs, indices, (i for i in indices if lam[i] == 0)) > bound:
         raise ValueError(f"Weyl enumeration exceeded bound {bound}")
     # s_i·mu has the coweight coordinates mu·s_i; row i of s_i·w is -(row i
-    # of w) plus c·(row k of w) for each Dynkin neighbour k of i, c = (s_i)_ik
-    gens = [(i, rs.neighbours[i]) for i in sorted(indices)]
+    # of w) plus c·(row k of w) for each off-diagonal nonzero c = (s_i)_ik
+    gens = [(i, _off_diagonal(simple_reflection(rs, i).matrix[i], i)) for i in sorted(indices)]
     found = {tuple(lam): weyl_identity(rs)}
     frontier = list(found)
     while frontier:
@@ -129,7 +130,7 @@ def _orbit(rs: RootSystem, indices, lam, dominant=()) -> tuple[WeylElement, ...]
                 if mu[i] > 0 and (nu := _times_s(mu, i, steps)) not in found:
                     row = map(neg, m[i])
                     for k, c in steps:
-                        row = map(add, row, m[k] if c == 1 else [c * y for y in m[k]])
+                        row = map(add, row, map(mul, repeat(c), m[k]))
                     found[nu] = WeylElement(m[:i] + (tuple(row),) + m[i + 1 :], w.length + 1)
                     nxt.append(nu)
         frontier = nxt
@@ -190,7 +191,7 @@ def minimal_coset_reps(
 ) -> tuple[WeylElement, ...]:
     """Unique minimal-length representatives of the double cosets W_L\\W/W_R.
 
-    W^R is the orbit of the sum of the fundamental weights outside R; a
+    W^R is the orbit of the sum of the fundamental coweights outside R; a
     representative is a point of it that is dominant for L.
     """
     lam = tuple(int(i not in right.generators) for i in range(rs.rank))
@@ -245,15 +246,13 @@ def reduced_word(rs: RootSystem, w: WeylElement, memo: dict | None = None) -> tu
     passes, and a call strips only down to a known matrix.
     """
     known = {} if memo is None else memo
-    path, word, m = [], [], w.matrix
+    path, m = [], w.matrix
     while m not in known and (j := _descent(m, range(rs.rank))) is not None:
-        path.append(m)
-        word.append(j)
+        path.append((m, j))
         m = _right_step(rs, m, j)
-    word = known.get(m, ()) + tuple(reversed(word))
+    word = known.get(m, ()) + tuple(j for _, j in reversed(path))
     if len(word) != w.length:
         raise AssertionError("reduced word is not as long as the element")
     if memo is not None:
-        for t, m in enumerate(path):
-            memo[m] = word[: len(word) - t]
+        memo.update((m, word[: len(word) - t]) for t, (m, _) in enumerate(path))
     return word
