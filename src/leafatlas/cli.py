@@ -345,7 +345,7 @@ def run_job(cfg: JobConfig) -> Report:
     if d is not None:
         # a representative recurs in many records, as equal but distinct
         # objects in mode=both; render its word once per matrix, and share
-        # the words of strip prefixes across representatives
+        # the words of strip prefixes, keyed by height row, across them
         memo: dict = {}
         words: dict = {}
 

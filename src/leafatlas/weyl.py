@@ -1,18 +1,14 @@
 """Weyl group arithmetic: elements, lengths, parabolic subgroups, and
 minimal-length (double) coset representatives.
 
-Elements are integer matrices acting on simple-root coordinates; the torus
-block is fixed pointwise.  Descents are sign reads: w has a right descent at
-i when column i of w, w(alpha_i), is negative.  W, W_J and the minimal coset
-representatives W^J are each one BFS over a Weyl orbit in fundamental-coweight
-coordinates, with lengths as BFS depths and a bound on the set's size (env
-var LEAFATLAS_WEYL_BOUND, default 10^6), checked before the walk from
-Macdonald's product over positive roots; the double-coset representatives
-W_L\\W/W_R are the orbit points of W^R that are dominant for L.  Lengths,
-reduced words and decompose_min strip right descents.  Both steps use the
-table RootSystem.neighbours, the off-diagonal nonzeros of row i of s_i: s_i·w
-replaces row i of w with its Dynkin-neighbour combination, and w·s_j changes
-column j and its neighbours'.
+Elements are integer matrices acting on simple-root coordinates, fixing the
+torus block.  W, W_J and W^J are each one BFS over a Weyl orbit in
+fundamental-coweight coordinates, with BFS depths as lengths and a size bound
+(env var LEAFATLAS_WEYL_BOUND, default 10^6) checked first by Macdonald's
+product; W_L\\W/W_R is the part of W^R dominant for L.  Descents are sign
+reads of the height row 1·w (entry i is the height of w(alpha_i)) or 1·w^{-1};
+lengths, reduced words and decompose_min strip right descents off height
+rows.  All steps read the sparse table RootSystem.neighbours.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ import os
 from dataclasses import dataclass
 from math import prod
 from itertools import repeat
-from operator import add, mul, neg
+from operator import add, attrgetter, mul, neg
 
 from .linalg import matmul, matvec, transpose
 from .rootsys import RootSystem, _off_diagonal, levi_roots
@@ -56,8 +52,8 @@ class WeylElement:
 
 
 def make_element(rs: RootSystem, m: IntMatrix) -> WeylElement:
-    """m with its length: the number of right descents stripped to reach e."""
-    return WeylElement(matrix=m, length=len(_strip(rs, m, range(rs.rank))[1]))
+    """m with its length: the number of right descents stripped off 1·m."""
+    return WeylElement(matrix=m, length=len(_descend(rs, _heights(m), range(rs.rank))[0]))
 
 
 def weyl_identity(rs: RootSystem) -> WeylElement:
@@ -74,11 +70,7 @@ def compose(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
-    """G^{-1}·w^T·G: w preserves the invariant form G.
-
-    The product runs on the integer-scaled G and G^{-1} stored on rs and is
-    divided by their scale once, at the end.
-    """
+    """G^{-1}·w^T·G (w preserves the form G) on the integer-scaled forms."""
     m = matmul(rs.gram_inverse_int, matmul(transpose(w.matrix), rs.gram_int))
     q = rs.gram_int_scale
     if any(x % q for row in m for x in row):
@@ -105,19 +97,18 @@ def _orbit_size(rs: RootSystem, indices, fixed) -> int:
 
 
 def _orbit(rs: RootSystem, indices, lam, dominant=()) -> tuple[WeylElement, ...]:
-    """One element of W_I (I = indices) per point of the W_I-orbit of the
-    dominant coweight lam in fundamental-coweight coordinates, ordered by
-    matrix, keeping the points with no negative coordinate in dominant.  For
-    lam = sum of the omega_i^vee with i not in J, these are W^J, and s_i·w <
-    w for w in W^J exactly when mu_i < 0 (Deodhar's lemma).  s_i steps from
-    mu only when mu_i > 0: that lengthens the element by one and still
-    reaches every point, so the length is the BFS depth; the weight with
-    lam's coordinates gives the same elements."""
+    """One element of W_I (I = indices) per point of the W_I-orbit of the dominant
+    coweight lam in fundamental-coweight coordinates, ordered by matrix, keeping the
+    points with no negative coordinate in dominant.  For lam = sum of the omega_i^vee
+    with i not in J, these are W^J, and s_i·w < w for w in W^J exactly when mu_i < 0
+    (Deodhar's lemma).  s_i steps from mu only when mu_i > 0: that lengthens the
+    element by one and still reaches every point, so the length is the BFS depth;
+    the weight with lam's coordinates gives the same elements."""
     bound = _weyl_bound()
     if _orbit_size(rs, indices, (i for i in indices if lam[i] == 0)) > bound:
         raise ValueError(f"Weyl enumeration exceeded bound {bound}")
-    # s_i·mu has the coweight coordinates mu·s_i; row i of s_i·w is -(row i
-    # of w) plus c·(row k of w) for each off-diagonal nonzero c = (s_i)_ik
+    # s_i·mu has the coweight coordinates mu·s_i; steps are the off-diagonal
+    # nonzeros c = (s_i)_ik of row i of s_i
     gens = [(i, _off_diagonal(simple_reflection(rs, i).matrix[i], i)) for i in sorted(indices)]
     found = {tuple(lam): weyl_identity(rs)}
     frontier = list(found)
@@ -125,17 +116,13 @@ def _orbit(rs: RootSystem, indices, lam, dominant=()) -> tuple[WeylElement, ...]
         nxt = []
         for mu in frontier:
             w = found[mu]
-            m = w.matrix
             for i, steps in gens:
                 if mu[i] > 0 and (nu := _times_s(mu, i, steps)) not in found:
-                    row = map(neg, m[i])
-                    for k, c in steps:
-                        row = map(add, row, map(mul, repeat(c), m[k]))
-                    found[nu] = WeylElement(m[:i] + (tuple(row),) + m[i + 1 :], w.length + 1)
+                    found[nu] = WeylElement(_left_step(w.matrix, i, steps), w.length + 1)
                     nxt.append(nu)
         frontier = nxt
     kept = (w for mu, w in found.items() if all(mu[i] >= 0 for i in dominant))
-    return tuple(sorted(kept, key=lambda w: w.matrix))
+    return tuple(sorted(kept if dominant else found.values(), key=attrgetter("matrix")))
 
 
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -155,26 +142,43 @@ class ParabolicSubgroup:
         return ParabolicSubgroup(generators=frozenset(indices))
 
 
+def _simple_indices(rs: RootSystem, indices) -> list[int]:
+    """indices sorted, after checking that each names a simple root."""
+    out = sorted(indices)
+    if bad := [i for i in out if not 0 <= i < rs.rank]:
+        raise ValueError(f"{rs.type_label} has no simple root {bad[0]}, only 0..{rs.rank - 1}")
+    return out
+
+
 def left_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:
-    """i with l(s_i·w) < l(w): a right descent of w^{-1}."""
-    return right_descent(rs, inverse_element(rs, w), indices) if indices else None
+    """i with l(s_i·w) < l(w): w^{-1}(alpha_i) < 0, a negative entry i of 1·w^{-1}."""
+    return _negative(_inverse_heights(rs, w.matrix), _simple_indices(rs, indices))
 
 
 def right_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:
-    """i with l(w·s_i) < l(w): holds iff w(alpha_i), column i of w, is negative."""
-    return _descent(w.matrix, indices)
+    """i with l(w·s_i) < l(w): w(alpha_i) < 0, a negative entry i of 1·w."""
+    return _negative(_heights(w.matrix), _simple_indices(rs, indices))
 
 
-def _descent(m: IntMatrix, indices) -> int | None:
-    return next((i for i in sorted(indices) if all(row[i] <= 0 for row in m)), None)
+def _heights(m: IntMatrix) -> tuple[int, ...]:
+    """The height row 1·m: entry i is the height of the root m(alpha_i)."""
+    return tuple(map(sum, zip(*m)))
+
+
+def _inverse_heights(rs: RootSystem, m: IntMatrix) -> tuple[int, ...]:
+    """1·m^{-1} = (1·G^{-1})·m^T·G on the integer-scaled (symmetric) forms."""
+    q = rs.gram_int_scale
+    return tuple(x // q for x in matvec(rs.gram_int, matvec(m, _heights(rs.gram_inverse_int))))
+
+
+def _negative(h: tuple[int, ...], indices) -> int | None:
+    return next((i for i in indices if h[i] < 0), None)
 
 
 def _times_s(row: tuple[int, ...], j: int, steps) -> tuple[int, ...]:
     """row·s_j for steps = rs.neighbours[j]: s_j is the identity outside row
     j, so entry j changes sign and entry k gains c times it per (k, c)."""
-    if not (x := row[j]):
-        return row
-    out = list(row)
+    x, out = row[j], list(row)
     out[j] = -x
     for k, c in steps:
         out[k] += c * x
@@ -186,6 +190,24 @@ def _right_step(rs: RootSystem, m: IntMatrix, j: int) -> IntMatrix:
     return tuple(_times_s(row, j, rs.neighbours[j]) for row in m)
 
 
+def _left_step(m: IntMatrix, i: int, steps) -> IntMatrix:
+    """s_i·m for steps = rs.neighbours[i]: row i becomes -(row i) + c·(row k) per (k, c)."""
+    row = map(neg, m[i])
+    for k, c in steps:
+        row = map(add, row, map(mul, repeat(c), m[k]))
+    return m[:i] + (tuple(row),) + m[i + 1 :]
+
+
+def _descend(rs: RootSystem, h: tuple[int, ...], indices, known=()) -> tuple[list, tuple[int, ...]]:
+    """Strip right descents in indices (sorted), smallest first, off h = 1·w until none
+    is left or h is in known: [(h, j), ...] per step (w·s_j has the row h·s_j), last h."""
+    path = []
+    while h not in known and (j := _negative(h, indices)) is not None:
+        path.append((h, j))
+        h = _times_s(h, j, rs.neighbours[j])
+    return path, h
+
+
 def minimal_coset_reps(
     rs: RootSystem, left: ParabolicSubgroup, right: ParabolicSubgroup
 ) -> tuple[WeylElement, ...]:
@@ -194,42 +216,34 @@ def minimal_coset_reps(
     W^R is the orbit of the sum of the fundamental coweights outside R; a
     representative is a point of it that is dominant for L.
     """
-    lam = tuple(int(i not in right.generators) for i in range(rs.rank))
-    return _orbit(rs, range(rs.rank), lam, left.generators)
-
-
-def _strip(rs: RootSystem, m: IntMatrix, indices) -> tuple[IntMatrix, list[int]]:
-    """Remove right descents in indices, smallest first, one at a time: the
-    matrix x and the word [j1, ..., jk] with m = x·s_jk·...·s_j1 reduced."""
-    word: list[int] = []
-    while (j := _descent(m, indices)) is not None:
-        m = _right_step(rs, m, j)
-        word.append(j)
-    return m, word
+    right_set = _simple_indices(rs, right.generators)
+    lam = tuple(int(i not in right_set) for i in range(rs.rank))
+    return _orbit(rs, range(rs.rank), lam, _simple_indices(rs, left.generators))
 
 
 def decompose_min(
-    rs: RootSystem,
-    u: WeylElement,
-    left: ParabolicSubgroup,
-    right: ParabolicSubgroup,
+    rs: RootSystem, u: WeylElement, left: ParabolicSubgroup, right: ParabolicSubgroup
 ) -> tuple[WeylElement, WeylElement, WeylElement]:
     """Write u = w1·w·w2 with additive lengths.
 
-    w is the minimal double-coset representative, w1 the minimal
-    representative of its coset modulo the absorbing parabolic
-    W_L ∩ w·W_R·w^{-1}, w2 in the right parabolic subgroup.  The
-    decomposition is unique.  Stripping u on the right by R gives
-    u = x·w2 with x in W^R; stripping x^{-1} on the right by L gives
-    x = w1·w.  Left descents keep x in W^R, and Kilmoyer's theorem makes
-    w1 minimal modulo the absorbing parabolic (Björner–Brenti §2.4).
+    w is the minimal double-coset representative, w1 the minimal representative of its
+    coset modulo the absorbing parabolic W_L ∩ w·W_R·w^{-1}, w2 in the right parabolic
+    subgroup; the decomposition is unique.  Stripping 1·u of right descents in R gives
+    u = x·w2 with x in W^R; stripping 1·x^{-1} of those in L (left descents of x) gives
+    x = w1·w.  Left descents keep x in W^R, and Kilmoyer's theorem makes w1 minimal
+    modulo the absorbing parabolic (Björner–Brenti §2.4).
     """
-    x, word2 = _strip(rs, u.matrix, right.generators)
-    x_inv = inverse_element(rs, WeylElement(x, u.length - len(word2)))
-    w_inv, word1 = _strip(rs, x_inv.matrix, left.generators)
-    w = inverse_element(rs, WeylElement(w_inv, x_inv.length - len(word1)))
-    w1 = WeylElement(matmul(x, w_inv), len(word1))
-    w2 = WeylElement(matmul(x_inv.matrix, u.matrix), len(word2))
+    e = weyl_identity(rs).matrix
+    path2, _ = _descend(rs, _heights(u.matrix), _simple_indices(rs, right.generators))
+    x, w2 = u.matrix, e
+    for _, j in path2:
+        x, w2 = _right_step(rs, x, j), _left_step(w2, j, rs.neighbours[j])
+    path1, _ = _descend(rs, _inverse_heights(rs, x), _simple_indices(rs, left.generators))
+    m, w1 = x, e
+    for _, i in path1:
+        m, w1 = _left_step(m, i, rs.neighbours[i]), _right_step(rs, w1, i)
+    w = WeylElement(m, u.length - len(path1) - len(path2))
+    w1, w2 = WeylElement(w1, len(path1)), WeylElement(w2, len(path2))
     if right_descent(rs, w, right.generators) is not None:
         raise AssertionError("decompose_min representative left W^R")
     if matmul(matmul(w1.matrix, w.matrix), w2.matrix) != u.matrix:
@@ -240,19 +254,15 @@ def decompose_min(
 def reduced_word(rs: RootSystem, w: WeylElement, memo: dict | None = None) -> tuple[int, ...]:
     """A reduced word (s_{i1}·...·s_{il} = w), chosen deterministically.
 
-    The strip removes the smallest right descent j first, so word(m) =
-    word(m·s_j) + (j,).  Callers with many elements of one root system pass
-    one memo dict to every call: it keeps the word of every matrix a strip
-    passes, and a call strips only down to a known matrix.
+    The strip removes the smallest right descent j off 1·w first, so word(w)
+    = word(w·s_j) + (j,).  Callers with many elements of one root system
+    pass one memo dict to every call, keyed by the height rows a strip
+    passes (1·w determines w), and a call strips only down to a known row.
     """
-    known = {} if memo is None else memo
-    path, m = [], w.matrix
-    while m not in known and (j := _descent(m, range(rs.rank))) is not None:
-        path.append((m, j))
-        m = _right_step(rs, m, j)
-    word = known.get(m, ()) + tuple(j for _, j in reversed(path))
+    path, h = _descend(rs, _heights(w.matrix), range(rs.rank), () if memo is None else memo)
+    word = (memo.get(h, ()) if memo else ()) + tuple(j for _, j in reversed(path))
     if len(word) != w.length:
         raise AssertionError("reduced word is not as long as the element")
     if memo is not None:
-        memo.update((m, word[: len(word) - t]) for t, (m, _) in enumerate(path))
+        memo.update((h, word[: len(word) - t]) for t, (h, _) in enumerate(path))
     return word

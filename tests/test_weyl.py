@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 
 import pytest
 
@@ -15,6 +16,8 @@ from leafatlas import (
 )
 from leafatlas.weyl import (
     WeylElement,
+    _heights,
+    _inverse_heights,
     _orbit,
     _orbit_size,
     compose,
@@ -143,9 +146,14 @@ def test_reduced_words_sharing_prefixes_match_single_calls(label, right):
     memo = {}
     for w in elements:
         assert reduced_word(rs, w, memo) == reduced_word(rs, w), w
-    # the strip prefixes the memo keeps carry their own words (every 20th)
-    for m, word in list(memo.items())[::20]:
-        assert reduced_word(rs, WeylElement(m, len(word))) == word
+    # the memo keys the height rows 1·w of the strip prefixes; each keeps
+    # its element's word (every 20th): the word multiplies out to an element
+    # with that height row and as long as the word
+    for h, word in list(memo.items())[::20]:
+        w = weyl_identity(rs)
+        for i in word:
+            w = compose(rs, w, simple_reflection(rs, i))
+        assert (_heights(w.matrix), w.length) == (h, len(word))
     longest = max(elements, key=lambda w: w.length)
     for shared in (None, memo):
         with pytest.raises(AssertionError, match="not as long"):
@@ -163,6 +171,40 @@ def test_descents_match_definition():
                 winv = inverse_element(rs, w)
                 left_negative = not all(x >= 0 for x in winv(alpha))
                 assert (left_descent(rs, w, (i,)) == i) == left_negative
+
+
+@pytest.mark.parametrize(
+    "label, step", [(x, 1) for x in ("A3", "B3", "C3", "D4", "G2", "A2+T1")] + [("F4", 10)]
+)
+def test_height_rows_read_the_inverse_and_determine_the_element(label, step):
+    # 1·w^{-1} from the forms is the height row of the inverse matrix, and
+    # the height row 1·w tells elements apart (the reduced-word memo key)
+    rs = build_root_system(label)
+    elements = enumerate_weyl(rs)
+    for w in elements[::step]:
+        assert _inverse_heights(rs, w.matrix) == _heights(inverse_element(rs, w).matrix), w
+    assert len({_heights(w.matrix) for w in elements}) == len(elements)
+
+
+@pytest.mark.parametrize("label, bad", [("A3", -1), ("A3", 3), ("A2+T1", 2), ("A2+T1", 5)])
+def test_parabolic_index_outside_the_simple_roots_is_rejected(label, bad):
+    # -1 is no alias of the last simple root, and a torus index of A2+T1
+    # names no simple root
+    rs = build_root_system(label)
+    w0 = max(enumerate_weyl(rs), key=lambda w: w.length)
+    none, j = ParabolicSubgroup.of(()), ParabolicSubgroup.of((0, bad))
+    calls = [
+        lambda: decompose_min(rs, w0, none, j),
+        lambda: decompose_min(rs, w0, j, none),
+        lambda: minimal_coset_reps(rs, none, j),
+        lambda: minimal_coset_reps(rs, j, none),
+        lambda: right_descent(rs, w0, (bad,)),
+        lambda: left_descent(rs, w0, (bad,)),
+    ]
+    message = rf"{re.escape(label)} has no simple root {bad}, only 0\.\.{rs.rank - 1}$"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_parabolic_elements_are_the_subgroup():
