@@ -9,7 +9,6 @@ for type A.  All arithmetic is rational and exact.
 """
 
 from .bdtriple import (
-    AbstractRMatrix,
     BDTriple,
     CartanTerm,
     Infeasible,
@@ -19,8 +18,6 @@ from .bdtriple import (
     NotNilpotent,
     TargetThetaNotIsometry,
     TripleError,
-    assemble_r,
-    cg_theta_target,
     cg_triple,
     enumerate_valid_triples,
     induction_chain,
@@ -46,7 +43,7 @@ from .leafclass import (
     stable_subalgebra_v,
 )
 from .linalg import Lattice, Subspace
-from .rootsys import RootSystem, build_root_system, exp_kernel_lattice, form_pairing
+from .rootsys import RootSystem, build_root_system, exp_kernel_lattice
 from .typea import (
     MatrixElement,
     NotInLevi,
@@ -54,7 +51,6 @@ from .typea import (
     TensorElement,
     bruhat_decompose,
     casimir_tensor,
-    cg_orbit_correspondence,
     check_cybe,
     check_symmetric_part,
     normalize_coset,

@@ -1,6 +1,5 @@
 """Belavin-Drinfeld triples: validation, the induced partial order on
-positive roots, the Cartan r0 solver, abstract r-matrix assembly, and the
-Levi induction chain.
+positive roots, the Cartan r0 solver, and the Levi induction chain.
 
 The r0 conventions: r0 is a rational matrix in the basis dual to the simple
 roots under the invariant form; the symmetric part of any admissible r0 is
@@ -20,7 +19,6 @@ from .rootsys import RootSystem, levi_roots
 __all__ = [
     "BDTriple",
     "CartanTerm",
-    "AbstractRMatrix",
     "InductionChain",
     "TripleError",
     "NotBijective",
@@ -31,13 +29,11 @@ __all__ = [
     "validate_triple",
     "partial_order_pairs",
     "solve_r0",
-    "assemble_r",
     "induction_chain",
     "check_cartan_term",
     "tau_linear_matrix",
     "enumerate_valid_triples",
     "cg_triple",
-    "cg_theta_target",
 ]
 
 
@@ -91,15 +87,6 @@ class CartanTerm:
     """
 
     r0: Matrix
-
-
-@dataclass(frozen=True)
-class AbstractRMatrix:
-    """Basis-free r-matrix data: Cartan part, diagonal pairs, wedge pairs."""
-
-    cartan: CartanTerm
-    diagonal_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    wedge_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -284,17 +271,6 @@ def solve_r0(
     )
 
 
-def assemble_r(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> AbstractRMatrix:
-    diag = tuple(
-        (tuple(-x for x in alpha), alpha) for alpha in rs.positive_roots
-    )
-    wedge = tuple(
-        (tuple(-x for x in alpha), beta)
-        for alpha, beta in partial_order_pairs(rs, triple)
-    )
-    return AbstractRMatrix(cartan=r0, diagonal_pairs=diag, wedge_pairs=wedge)
-
-
 def induction_chain(rs: RootSystem, triple: BDTriple) -> InductionChain:
     """Iterated restriction to the Levi of gamma2 until gamma1 is empty."""
     steps = [(frozenset(range(rs.rank)), triple)]
@@ -323,22 +299,6 @@ def cg_triple(rs: RootSystem) -> BDTriple:
         range(1, n),
         {i: i + 1 for i in range(n - 1)},
     )
-
-
-def cg_theta_target(rs: RootSystem) -> Matrix:
-    """Cayley-transform target on h for the shift triple on A_n.
-
-    Sends the i-th coroot to the (i+1)-st and the last one to minus the sum
-    of all of them (the block-swap action on diagonal matrices).
-    """
-    n = rs.rank
-    cols = []
-    for i in range(n):
-        if i < n - 1:
-            cols.append([1 if t == i + 1 else 0 for t in range(n)])
-        else:
-            cols.append([-1] * n)
-    return mat([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 def _isometry_bijections(rs: RootSystem, g1: tuple[int, ...], g2: tuple[int, ...]):

@@ -16,10 +16,9 @@ Exit codes: 0 success, 2 invalid input, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable
@@ -31,6 +30,7 @@ from .linalg import mat
 from .rootsys import build_root_system, exp_kernel_lattice
 from .typea import (
     MatrixElement,
+    _is_pure_type_a,
     check_cybe,
     check_symmetric_part,
     identity_twist,
@@ -180,11 +180,6 @@ def _config_values(cfg: JobConfig) -> dict[str, str]:
     return {key: write(getattr(cfg, field)) for key, (field, _, write) in _KEYS.items()}
 
 
-def config_to_text(cfg: JobConfig) -> str:
-    """Canonical round-trippable config file text (1-based on disk)."""
-    return "".join(f"{key} = {val}\n" for key, val in _config_values(cfg).items())
-
-
 @dataclass
 class Report:
     """Primitive-typed (JSON-shaped) result of a pipeline run."""
@@ -204,14 +199,6 @@ def _parse_matrix_file(path: str):
     return mat(rows)
 
 
-def _is_pure_type_a(rs) -> bool:
-    return (
-        len(rs.components) == 1
-        and rs.components[0][0] == "A"
-        and rs.torus_rank == 0
-    )
-
-
 def _record_dict(word, rec, pure_a: bool) -> dict:
     stable = rec.stable
     out = {
@@ -220,7 +207,7 @@ def _record_dict(word, rec, pure_a: bool) -> dict:
         "dim_stable": stable.derived_dim + stable.center_dim,
         "root_set_size": len(stable.root_set),
         "cong_dim": stable.cong_dim,
-        "orbit_dim": rec.orbit_dim,
+        "orbit_dim": "d_orb",
         "orbit_range": list(rec.orbit_range),
         "leaf_dim": str(rec.leaf_dim),
         "leaf_const": rec.leaf_dim.constant,
@@ -237,7 +224,7 @@ def _record_dict(word, rec, pure_a: bool) -> dict:
         out["v2"] = word(rec.v2)
         out["length"] = rec.v1.length + rec.v2.length
         out["z_pair_dim"] = stable.z_pair_dim
-    out["simplified_leaf_dim"] = str(rec.simplified_leaf_dim)
+    out["simplified_leaf_dim"] = out["leaf_dim"]
     return out
 
 
@@ -505,11 +492,6 @@ def _json_text(value, pad: str, layouts: dict) -> str:
 
 def report_to_machine(report: Report) -> str:
     return _json_text(vars(report), "", {}) + "\n"
-
-
-def report_from_machine(text: str) -> Report:
-    doc = json.loads(text)
-    return Report(**{section.name: doc[section.name] for section in fields(Report)})
 
 
 def emit(report: Report, fmt: str) -> str:

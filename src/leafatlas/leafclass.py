@@ -33,12 +33,15 @@ from .linalg import (
 )
 from .rootsys import RootSystem, levi_roots
 from .weyl import (
+    NotMinimalRep,
     ParabolicSubgroup,
     WeylElement,
     _orbit_size,
+    _require_coset_minimal,
+    _simple_map,
+    _stable_indices,
     _weyl_bound,
     minimal_coset_reps,
-    right_descent,
 )
 
 __all__ = [
@@ -58,10 +61,6 @@ __all__ = [
 ]
 
 
-class NotMinimalRep(ValueError):
-    pass
-
-
 class ThetaMinusOneSingular(ValueError):
     pass
 
@@ -72,21 +71,15 @@ class NonCommensurableLattices(ValueError):
 
 @dataclass(frozen=True)
 class AffineDim:
-    """Integer constant plus an optional multiple of the orbit parameter."""
+    """Integer constant plus the orbit parameter d_orb."""
 
     constant: int
-    orbit_coeff: int = 1
 
     def at(self, d_orb: int) -> int:
-        return self.constant + self.orbit_coeff * d_orb
+        return self.constant + d_orb
 
     def __str__(self) -> str:
-        if self.orbit_coeff == 0:
-            return str(self.constant)
-        lead = "d_orb" if self.orbit_coeff == 1 else f"{self.orbit_coeff}*d_orb"
-        if self.constant == 0:
-            return lead
-        return f"{lead} + {self.constant}"
+        return f"d_orb + {self.constant}" if self.constant else "d_orb"
 
 
 @dataclass(frozen=True)
@@ -133,38 +126,16 @@ class PairStableSubalgebra(StableSubalgebra):
 
 @dataclass(frozen=True)
 class LeafRecord:
+    """A leaf's stable data, the range of d_orb and its leaf and coset
+    dimensions, for a representative v or a pair (v1, v2)."""
+
     stable: StableSubalgebra
-    orbit_dim: str
     orbit_range: tuple[int, int]
     leaf_dim: AffineDim
     coset_dim: AffineDim
-    simplified_leaf_dim: AffineDim
     v: WeylElement | None = None
     v1: WeylElement | None = None
     v2: WeylElement | None = None
-
-
-def _require_coset_minimal(rs: RootSystem, v: WeylElement, indices, label: str):
-    if right_descent(rs, v, indices) is not None:
-        raise NotMinimalRep(f"{label} is not the minimal element of its coset")
-
-
-def _simple_map(w: WeylElement, indices) -> dict[int, int | None]:
-    """i -> j for each i in indices whose simple root alpha_i w sends to a
-    simple root alpha_j, i -> None otherwise.  Column i of w is the root
-    w(alpha_i), which is simple exactly when its height is one; it is e_j."""
-    cols = tuple(zip(*w.matrix))
-    return {i: cols[i].index(1) if sum(cols[i]) == 1 else None for i in indices}
-
-
-def _stable_indices(step: dict) -> frozenset[int]:
-    """The largest S among step's keys that step maps into itself (so
-    permutes, step being injective): drop each i whose image is not in S
-    until none is dropped."""
-    s = set(step)
-    while (kept := {i for i in s if step[i] in s}) != s:
-        s = kept
-    return frozenset(s)
 
 
 def _unpack(packed: int, base: int, k: int) -> Matrix:
@@ -329,11 +300,9 @@ class _Frame:
         leaf = self._affine(const + sum(w.length for w in reps.values()))
         return LeafRecord(
             stable=st,
-            orbit_dim="d_orb",
             orbit_range=(0, roots),
             leaf_dim=leaf,
             coset_dim=self._affine(leaf.constant + offset),
-            simplified_leaf_dim=leaf,
             **reps,
         )
 

@@ -19,10 +19,6 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vec(entries) -> Vector:
-    return tuple(frac(x) for x in entries)
-
-
 def mat(rows) -> Matrix:
     m = tuple(tuple(frac(x) for x in row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
@@ -78,11 +74,6 @@ def madd(a: Matrix, b: Matrix) -> Matrix:
 
 def msub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mscale(c, a: Matrix) -> Matrix:
-    c = frac(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def _integral(a) -> bool:

@@ -14,16 +14,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Lattice, Matrix, Subspace, _integer_scaled, frac, inverse, mat, matvec, vec
+from .linalg import Lattice, Matrix, _integer_scaled, inverse, mat, matvec
 
 __all__ = [
     "RootSystem",
     "build_root_system",
-    "form_pairing",
     "exp_kernel_lattice",
     "levi_roots",
-    "Lattice",
-    "Subspace",
 ]
 
 _LETTER_RANKS = {
@@ -56,6 +53,8 @@ class RootSystem:
     gram_int, gram_inverse_int: gram and gram_inverse scaled to integer
         matrices; gram_int_scale is the product of the two scales, so
         gram_inverse_int·x·gram_int = gram_int_scale·gram_inverse·x·gram.
+    gram_inverse_heights: the column sums 1·gram_inverse_int.
+    identity_int: the integer identity matrix of size cartan_rank.
     """
 
     type_label: str
@@ -72,6 +71,8 @@ class RootSystem:
     gram_int: tuple[tuple[int, ...], ...]
     gram_inverse_int: tuple[tuple[int, ...], ...]
     gram_int_scale: int
+    gram_inverse_heights: tuple[int, ...]
+    identity_int: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -88,11 +89,9 @@ class RootSystem:
         return tuple(v) in self.positive_set
 
 
-def _simple_reflections(gram: Matrix, rank: int) -> tuple:
+def _simple_reflections(gram: Matrix, rank: int, ident) -> tuple:
     """s_i(e_j) = e_j - a_ij·e_i with the Cartan integer a_ij = 2 g_ij / g_ii:
-    only row i of the identity changes."""
-    k = len(gram)
-    ident = [tuple(int(t == j) for j in range(k)) for t in range(k)]
+    only row i of the identity ident changes."""
     out = []
     for i in range(rank):
         cartan = [2 * g / gram[i][i] for g in gram[i]]
@@ -179,11 +178,9 @@ def build_root_system(type_label: str) -> RootSystem:
         gram_rows[i][j] = gram_rows[j][i] = -max(lengths[i], lengths[j]) / 2
     gram = mat(gram_rows)
 
-    simple = tuple(
-        tuple(1 if j == i else 0 for j in range(cartan_rank)) for i in range(rank)
-    )
-
-    reflections = _simple_reflections(gram, rank)
+    ident = tuple(tuple(int(i == j) for j in range(cartan_rank)) for i in range(cartan_rank))
+    simple = ident[:rank]
+    reflections = _simple_reflections(gram, rank, ident)
 
     # closure generation: reflect known roots through simple roots until stable
     known = set(simple)
@@ -216,16 +213,10 @@ def build_root_system(type_label: str) -> RootSystem:
         gram_int=gram_int,
         gram_inverse_int=gram_inverse_int,
         gram_int_scale=s * t,
+        gram_inverse_heights=tuple(map(sum, zip(*gram_inverse_int))),
+        identity_int=ident,
     )
     return rs
-
-
-def form_pairing(rs: RootSystem, x, y) -> Fraction:
-    """(x, y) = x^T · gram · y in simple-root coordinates."""
-    if len(x) != rs.cartan_rank or len(y) != rs.cartan_rank:
-        raise ValueError("vector dimension does not match cartan_rank")
-    gy = matvec(rs.gram, vec(y))
-    return sum((frac(a) * b for a, b in zip(x, gy)), Fraction(0))
 
 
 def levi_roots(rs: RootSystem, indices) -> tuple[tuple[int, ...], ...]:

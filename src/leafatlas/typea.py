@@ -20,7 +20,6 @@ from math import lcm
 
 from .bdtriple import BDTriple, CartanTerm, partial_order_pairs
 from .decomp import Decomposition
-from .leafclass import _require_coset_minimal, _simple_map, _stable_indices
 from .linalg import (
     Matrix,
     det,
@@ -32,10 +31,13 @@ from .linalg import (
     rank,
     transpose,
 )
-from .rootsys import RootSystem, build_root_system, levi_roots
+from .rootsys import RootSystem, build_root_system
 from .weyl import (
     ParabolicSubgroup,
     WeylElement,
+    _require_coset_minimal,
+    _simple_map,
+    _stable_indices,
     compose,
     decompose_min,
     make_element,
@@ -49,7 +51,6 @@ __all__ = [
     "SubalgebraNotPreserved",
     "NotInLevi",
     "matrix_rows",
-    "matrix_from_text",
     "matrix_to_text",
     "realize_r",
     "casimir_tensor",
@@ -59,12 +60,10 @@ __all__ = [
     "perm_to_weyl",
     "wdot_matrix",
     "bruhat_decompose",
-    "conjugation_twist",
     "identity_twist",
     "tc_orbit_dim",
     "normalize_coset",
     "cg_sigma",
-    "cg_orbit_correspondence",
 ]
 
 
@@ -124,10 +123,6 @@ def matrix_rows(text: str) -> list[tuple[Fraction, ...]]:
         if toks:
             rows.append(tuple(map(_entry, toks)))
     return rows
-
-
-def matrix_from_text(text: str, kind: str) -> MatrixElement:
-    return MatrixElement(matrix_rows(text), kind)
 
 
 def matrix_to_text(m: MatrixElement | Matrix) -> str:
@@ -318,7 +313,15 @@ def weyl_to_perm(w: WeylElement) -> tuple[int, ...]:
     return (ends[0][0],) + tuple(b for _, b in ends)
 
 
+def _is_pure_type_a(rs: RootSystem) -> bool:
+    """Whether rs is one simple A_n with no central torus."""
+    return len(rs.components) == 1 and rs.components[0][0] == "A" and rs.torus_rank == 0
+
+
 def perm_to_weyl(rs: RootSystem, perm) -> WeylElement:
+    """The element of W(A_n) = S_(n+1) that permutes eps_i to eps_perm(i)."""
+    if not _is_pure_type_a(rs):
+        raise ValueError(f"permutations give Weyl elements of A_n only, not of {rs.type_label}")
     n = rs.rank
     perm = tuple(perm)
     if sorted(perm) != list(range(n + 1)):
@@ -485,14 +488,6 @@ def identity_twist() -> None:
     return None
 
 
-def conjugation_twist(g: MatrixElement | Matrix) -> Matrix:
-    """The twist x -> g x g^{-1}, represented by its conjugating matrix."""
-    m = g.entries if isinstance(g, MatrixElement) else mat(g)
-    if det(m) == 0:
-        raise ValueError("singular matrix")
-    return m
-
-
 def _conjugation_images(h: Matrix, intervals) -> list[tuple[list, list]]:
     """Flattened integer pairs (D b D^{-1} H, H b), scaled by d_j for b = E_ij,
     over the basis b of S: the coroots, then the root vectors of the intervals.
@@ -526,7 +521,8 @@ def _orbit_rank(products) -> int:
 
 def tc_orbit_dim(f: MatrixElement, twist: Matrix | None, subalgebra_roots) -> int:
     """Rank of x -> f g x g^{-1} f^{-1} - x over the stable subalgebra span,
-    with g the twist's conjugating matrix (none for the identity twist).
+    for the twist x -> g x g^{-1} given by its conjugating matrix g, an
+    invertible matrix (None for the identity twist).
 
     The span is the full Cartan plus the root vectors of the given roots;
     central directions therefore contribute alongside the derived part.
@@ -535,6 +531,8 @@ def tc_orbit_dim(f: MatrixElement, twist: Matrix | None, subalgebra_roots) -> in
     roots = list(subalgebra_roots)
     if any(len(root) != size - 1 for root in roots):
         raise ValueError(f"a {size}x{size} matrix needs roots of A{size - 1}")
+    if twist is not None and det(twist) == 0:
+        raise ValueError("singular matrix")
     # f (g x g^{-1}) f^{-1} = (fg) x (fg)^{-1}
     h = f.entries if twist is None else matmul(f.entries, twist)
     intervals = dict.fromkeys(root_to_interval(root) for root in roots)
@@ -629,42 +627,3 @@ def cg_sigma(rs: RootSystem, j: int) -> WeylElement:
             perm[i] = j
     return perm_to_weyl(rs, perm)
 
-
-def cg_orbit_correspondence(n: int, j: int, b: MatrixElement | None):
-    """Orbit dimension of the embedded block element versus plain gl(j)
-    conjugation; their difference must equal n - j."""
-    if not 0 <= j <= n:
-        raise ValueError("need 0 <= j <= n")
-    rs = build_root_system(f"A{n}")
-    size = n + 1
-    if j == 0:
-        f_entries = identity(size)
-        gl_dim = 0
-    else:
-        bm = b.entries if isinstance(b, MatrixElement) else mat(b)
-        if len(bm) != j:
-            raise ValueError("block size mismatch")
-        bdet = det(bm)
-        if bdet == 0:
-            raise ValueError("block must be invertible")
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for r in range(j):
-            for c in range(j):
-                rows[r][c] = bm[r][c]
-        for t in range(j, size - 1):
-            rows[t][t] = Fraction(1)
-        rows[size - 1][size - 1] = 1 / bdet
-        f_entries = tuple(tuple(r) for r in rows)
-        # conjugation fixes the identity, so the rank over gl(j) is the
-        # rank over the sl(j) basis
-        off_diagonal = [(p, q) for p in range(j) for q in range(j) if p != q]
-        gl_dim = _orbit_rank(_conjugation_images(bm, off_diagonal))
-    v = cg_sigma(rs, j)
-    twist = conjugation_twist(wdot_matrix(v))
-    f = MatrixElement(f_entries, "group")
-    tc_dim = tc_orbit_dim(f, twist, levi_roots(rs, range(j - 1)))
-    if tc_dim - gl_dim != n - j:
-        raise AssertionError(
-            f"correspondence gap {tc_dim - gl_dim} != {n - j}"
-        )
-    return tc_dim, gl_dim

@@ -8,7 +8,9 @@ fundamental-coweight coordinates, with BFS depths as lengths and a size bound
 product; W_L\\W/W_R is the part of W^R dominant for L.  Descents are sign
 reads of the height row 1·w (entry i is the height of w(alpha_i)) or 1·w^{-1};
 lengths, reduced words and decompose_min strip right descents off height
-rows.  All steps read the sparse table RootSystem.neighbours.
+rows.  All steps read the sparse table RootSystem.neighbours.  The
+stable-root walk (_simple_map, _stable_indices) lives here too: the leaf
+frame and the SL(n+1) coset normalization both run it.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from math import prod
 from itertools import repeat
 from operator import add, attrgetter, mul, neg
 
-from .linalg import matmul, matvec, transpose
+from .linalg import matmul, matvec
 from .rootsys import RootSystem, _off_diagonal, levi_roots
 
 __all__ = [
     "WeylElement",
+    "NotMinimalRep",
     "ParabolicSubgroup",
     "enumerate_weyl",
     "minimal_coset_reps",
@@ -31,13 +34,16 @@ __all__ = [
     "simple_reflection",
     "weyl_identity",
     "compose",
-    "inverse_element",
     "reduced_word",
 ]
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_BOUND = 10**6
+
+
+class NotMinimalRep(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,7 @@ def make_element(rs: RootSystem, m: IntMatrix) -> WeylElement:
 
 
 def weyl_identity(rs: RootSystem) -> WeylElement:
-    n = rs.cartan_rank
-    return WeylElement(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 0)
+    return WeylElement(rs.identity_int, 0)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -67,15 +72,6 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 def compose(rs: RootSystem, a: WeylElement, b: WeylElement) -> WeylElement:
     return make_element(rs, matmul(a.matrix, b.matrix))
-
-
-def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
-    """G^{-1}·w^T·G (w preserves the form G) on the integer-scaled forms."""
-    m = matmul(rs.gram_inverse_int, matmul(transpose(w.matrix), rs.gram_int))
-    q = rs.gram_int_scale
-    if any(x % q for row in m for x in row):
-        raise AssertionError("inverse of a Weyl element is not an integer matrix")
-    return WeylElement(tuple(tuple(x // q for x in row) for row in m), w.length)
 
 
 def _weyl_bound() -> int:
@@ -160,6 +156,29 @@ def right_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:
     return _negative(_heights(w.matrix), _simple_indices(rs, indices))
 
 
+def _require_coset_minimal(rs: RootSystem, v: WeylElement, indices, label: str):
+    if right_descent(rs, v, indices) is not None:
+        raise NotMinimalRep(f"{label} is not the minimal element of its coset")
+
+
+def _simple_map(w: WeylElement, indices) -> dict[int, int | None]:
+    """i -> j for each i in indices whose simple root alpha_i w sends to a
+    simple root alpha_j, i -> None otherwise.  Column i of w is the root
+    w(alpha_i), which is simple exactly when its height is one; it is e_j."""
+    cols = tuple(zip(*w.matrix))
+    return {i: cols[i].index(1) if sum(cols[i]) == 1 else None for i in indices}
+
+
+def _stable_indices(step: dict) -> frozenset[int]:
+    """The largest S among step's keys that step maps into itself (so
+    permutes, step being injective): drop each i whose image is not in S
+    until none is dropped."""
+    s = set(step)
+    while (kept := {i for i in s if step[i] in s}) != s:
+        s = kept
+    return frozenset(s)
+
+
 def _heights(m: IntMatrix) -> tuple[int, ...]:
     """The height row 1·m: entry i is the height of the root m(alpha_i)."""
     return tuple(map(sum, zip(*m)))
@@ -168,7 +187,7 @@ def _heights(m: IntMatrix) -> tuple[int, ...]:
 def _inverse_heights(rs: RootSystem, m: IntMatrix) -> tuple[int, ...]:
     """1·m^{-1} = (1·G^{-1})·m^T·G on the integer-scaled (symmetric) forms."""
     q = rs.gram_int_scale
-    return tuple(x // q for x in matvec(rs.gram_int, matvec(m, _heights(rs.gram_inverse_int))))
+    return tuple(x // q for x in matvec(rs.gram_int, matvec(m, rs.gram_inverse_heights)))
 
 
 def _negative(h: tuple[int, ...], indices) -> int | None:
@@ -233,7 +252,7 @@ def decompose_min(
     x = w1·w.  Left descents keep x in W^R, and Kilmoyer's theorem makes w1 minimal
     modulo the absorbing parabolic (Björner–Brenti §2.4).
     """
-    e = weyl_identity(rs).matrix
+    e = rs.identity_int
     path2, _ = _descend(rs, _heights(u.matrix), _simple_indices(rs, right.generators))
     x, w2 = u.matrix, e
     for _, j in path2:

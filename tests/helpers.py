@@ -14,14 +14,47 @@ from leafatlas.linalg import (
     Lattice,
     Subspace,
     _kernel,
+    det,
+    frac,
+    identity,
     madd,
+    mat,
+    matmul,
     matvec,
     row_hnf,
     transpose,
-    vec,
 )
-from leafatlas.rootsys import form_pairing
+from leafatlas.rootsys import build_root_system, levi_roots
+from leafatlas.typea import (
+    MatrixElement,
+    _conjugation_images,
+    _orbit_rank,
+    cg_sigma,
+    tc_orbit_dim,
+    wdot_matrix,
+)
 from leafatlas.weyl import WeylElement, _orbit, weyl_identity
+
+
+def vec(entries) -> tuple[Fraction, ...]:
+    return tuple(frac(x) for x in entries)
+
+
+def form_pairing(rs, x, y) -> Fraction:
+    """(x, y) = x^T · gram · y in simple-root coordinates."""
+    if len(x) != rs.cartan_rank or len(y) != rs.cartan_rank:
+        raise ValueError("vector dimension does not match cartan_rank")
+    gy = matvec(rs.gram, vec(y))
+    return sum((frac(a) * b for a, b in zip(x, gy)), Fraction(0))
+
+
+def inverse_element(rs, w: WeylElement) -> WeylElement:
+    """G^{-1}·w^T·G (w preserves the form G) on the integer-scaled forms."""
+    m = matmul(rs.gram_inverse_int, matmul(transpose(w.matrix), rs.gram_int))
+    q = rs.gram_int_scale
+    if any(x % q for row in m for x in row):
+        raise AssertionError("inverse of a Weyl element is not an integer matrix")
+    return WeylElement(tuple(tuple(x // q for x in row) for row in m), w.length)
 
 
 def legs_traceless(t) -> bool:
@@ -271,3 +304,63 @@ def reference_check_cartan_term(rs, triple, term) -> None:
             raise Infeasible(
                 f"r0 violates the slot constraint for alpha_{a_idx + 1}"
             )
+
+
+# ---------------------------------------------------------------------------
+# Cremmer-Gervais references: the Cayley-transform target of the shift
+# triple, and acceptance check 7's orbit correspondence
+
+
+def cg_theta_target(rs):
+    """Cayley-transform target on h for the shift triple on A_n.
+
+    Sends the i-th coroot to the (i+1)-st and the last one to minus the sum
+    of all of them (the block-swap action on diagonal matrices).
+    """
+    n = rs.rank
+    cols = []
+    for i in range(n):
+        if i < n - 1:
+            cols.append([1 if t == i + 1 else 0 for t in range(n)])
+        else:
+            cols.append([-1] * n)
+    return mat([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def cg_orbit_correspondence(n: int, j: int, b):
+    """Orbit dimension of the embedded block element versus plain gl(j)
+    conjugation; their difference must equal n - j."""
+    if not 0 <= j <= n:
+        raise ValueError("need 0 <= j <= n")
+    rs = build_root_system(f"A{n}")
+    size = n + 1
+    if j == 0:
+        f_entries = identity(size)
+        gl_dim = 0
+    else:
+        bm = b.entries if isinstance(b, MatrixElement) else mat(b)
+        if len(bm) != j:
+            raise ValueError("block size mismatch")
+        bdet = det(bm)
+        if bdet == 0:
+            raise ValueError("block must be invertible")
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        for r in range(j):
+            for c in range(j):
+                rows[r][c] = bm[r][c]
+        for t in range(j, size - 1):
+            rows[t][t] = Fraction(1)
+        rows[size - 1][size - 1] = 1 / bdet
+        f_entries = tuple(tuple(r) for r in rows)
+        # conjugation fixes the identity, so the rank over gl(j) is the
+        # rank over the sl(j) basis
+        off_diagonal = [(p, q) for p in range(j) for q in range(j) if p != q]
+        gl_dim = _orbit_rank(_conjugation_images(bm, off_diagonal))
+    twist = wdot_matrix(cg_sigma(rs, j))
+    f = MatrixElement(f_entries, "group")
+    tc_dim = tc_orbit_dim(f, twist, levi_roots(rs, range(j - 1)))
+    if tc_dim - gl_dim != n - j:
+        raise AssertionError(
+            f"correspondence gap {tc_dim - gl_dim} != {n - j}"
+        )
+    return tc_dim, gl_dim

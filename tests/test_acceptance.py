@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from helpers import in_parabolic, lattice_intersection
+from helpers import cg_orbit_correspondence, in_parabolic, lattice_intersection
 from leafatlas import (
     build_root_system,
     cg_triple,
@@ -41,7 +41,6 @@ from leafatlas.rootsys import exp_kernel_lattice
 from leafatlas.typea import (
     MatrixElement,
     block_labels,
-    cg_orbit_correspondence,
     cg_sigma,
     check_cybe,
     check_symmetric_part,
@@ -125,7 +124,6 @@ def test_primary_2_shift_gminus_tables():
             assert len(st.root_set) == j * (j - 1)
             assert st.derived_dim == max(j * j - 1, 0)
             assert st.derived_dim + st.center_dim == n + j * (j - 1)
-            assert rec.coset_dim.orbit_coeff == 1
             assert rec.coset_dim.constant == n * (n + 1) + (n - j) * (n + j + 1)
     _within(start, 5.0)
 
@@ -152,7 +150,6 @@ def test_primary_3_shift_full_tables():
             else:
                 expected = (2 * n - s - 2) * (s + 1) + 2 * n
                 m = n - s - 1
-            assert rec.leaf_dim.orbit_coeff == 1
             assert rec.leaf_dim.constant == expected
             assert len(rec.stable.root_set) == m * (m - 1)
             assert len(rec.stable.partner_root_set) == m * (m - 1)

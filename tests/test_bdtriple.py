@@ -10,11 +10,10 @@ from itertools import combinations
 
 import pytest
 
-from helpers import reference_check_cartan_term
+from helpers import cg_theta_target, reference_check_cartan_term
 
 from leafatlas import (
     build_root_system,
-    cg_theta_target,
     cg_triple,
     enumerate_valid_triples,
     induction_chain,
@@ -30,7 +29,6 @@ from leafatlas.bdtriple import (
     NotIsometry,
     NotNilpotent,
     TargetThetaNotIsometry,
-    assemble_r,
     check_cartan_term,
 )
 from leafatlas.linalg import madd, matmul, msub, transpose
@@ -198,14 +196,6 @@ def test_theta_target_is_gram_isometry():
         rs = build_root_system(f"A{n}")
         t = cg_theta_target(rs)
         assert matmul(matmul(transpose(t), rs.gram), t) == rs.gram
-
-
-def test_assemble_r_term_counts():
-    rs = build_root_system("A2")
-    t = cg_triple(rs)
-    r = assemble_r(rs, t, solve_r0(rs, t, "canonical"))
-    assert len(r.diagonal_pairs) == len(rs.positive_roots)
-    assert len(r.wedge_pairs) == 1
 
 
 def test_induction_chain_ord_decrements_by_one():

@@ -13,16 +13,15 @@ import pytest
 from leafatlas import cli, weyl
 from leafatlas.cli import (
     JobConfig,
+    Report,
     build_config,
-    config_to_text,
     emit,
     main,
     parse_config_text,
-    report_from_machine,
     report_to_machine,
     run_job,
 )
-from leafatlas.typea import matrix_from_text
+from leafatlas.typea import MatrixElement, matrix_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,7 +96,8 @@ def test_config_text_round_trip():
         format="machine",
         out="report.json",
     )
-    assert build_config(parse_config_text(config_to_text(cfg))) == cfg
+    text = "".join(f"{key} = {val}\n" for key, val in cli._config_values(cfg).items())
+    assert build_config(parse_config_text(text)) == cfg
 
 
 def test_config_indices_are_one_based():
@@ -153,7 +153,7 @@ def test_machine_report_round_trips():
         "verification",
         "errors",
     }
-    back = report_from_machine(text)
+    back = Report(**doc)
     assert back == report
     assert report_to_machine(back) == text
 
@@ -367,7 +367,7 @@ def test_matrix_files_and_texts_share_one_row_reader(tmp_path):
     text = "# a group element\n2 0 0  # first row\n0 1 0\n\n0 0 1/2\n"
     f = tmp_path / "f.mat"
     f.write_text(text)
-    assert cli._parse_matrix_file(str(f)) == matrix_from_text(text, "group").entries
+    assert cli._parse_matrix_file(str(f)) == MatrixElement(matrix_rows(text), "group").entries
     f.write_text("# only a comment\n\n")
     with pytest.raises(ValueError, match=f"^no matrix data in {f}$"):
         cli._parse_matrix_file(str(f))

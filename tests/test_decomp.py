@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_cartan_split
+from helpers import cg_theta_target, reference_cartan_split
 from leafatlas import (
     Infeasible,
     build_root_system,
-    cg_theta_target,
     cg_triple,
     compute_decomposition,
     dimension_summary,

@@ -14,12 +14,11 @@ import random
 
 import pytest
 
-from helpers import element_length, in_parabolic
+from helpers import element_length, in_parabolic, inverse_element
 from leafatlas import ParabolicSubgroup, build_root_system, decompose_min, enumerate_weyl
 from leafatlas.linalg import matvec
 from leafatlas.weyl import (
     compose,
-    inverse_element,
     left_descent,
     right_descent,
     simple_reflection,

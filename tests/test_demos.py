@@ -1,8 +1,11 @@
 """Every demo script runs against the checkout's src/ and prints exactly its
-pinned output in tests/data/demos/<stem>.txt."""
+pinned output in tests/data/demos/<stem>.txt, and README's library quick
+start prints exactly the lines its comments give."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -26,3 +29,21 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (EXPECTED / f"{script.stem}.txt").read_text()
+
+
+def test_readme_quick_start_prints_its_comments():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # the output is each comment-only line, and the comment of each print line
+    expected = []
+    for line in code.splitlines():
+        if line.startswith("# "):
+            expected.append(line[2:])
+        elif line.startswith("print(") and "  # " in line:
+            expected.append(line.split("  # ", 1)[1])
+    assert len(expected) == 4
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected

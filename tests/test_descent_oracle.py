@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from helpers import inverse_element
 from leafatlas import (
     ParabolicSubgroup,
     build_root_system,
@@ -24,7 +25,7 @@ from leafatlas import (
     reduced_word,
 )
 from leafatlas.linalg import matvec
-from leafatlas.weyl import WeylElement, inverse_element
+from leafatlas.weyl import WeylElement
 
 # ---------------------------------------------------------------------------
 # reference implementations, copied from the replaced code

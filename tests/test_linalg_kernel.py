@@ -18,7 +18,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import nullspace
+from helpers import nullspace, vec
 from leafatlas import build_root_system, enumerate_valid_triples, solve_r0
 from leafatlas.bdtriple import Infeasible
 from leafatlas.linalg import (
@@ -28,12 +28,10 @@ from leafatlas.linalg import (
     inverse,
     mat,
     matvec,
-    mscale,
     rank,
     rref,
     shape,
     solve,
-    vec,
 )
 
 
@@ -203,8 +201,7 @@ def ref_canonical_r0(rs, triple):
     for (i, j), val in zip(unknowns, sol):
         s[i][j] = val
         s[j][i] = -val
-    half = mscale(Fraction(1, 2), omega)
-    return tuple(tuple(half[i][j] + s[i][j] for j in range(k)) for i in range(k))
+    return tuple(tuple(omega[i][j] / 2 + s[i][j] for j in range(k)) for i in range(k))
 
 
 # ---------------------------------------------------------------------------

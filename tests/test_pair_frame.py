@@ -39,11 +39,7 @@ from leafatlas import (
 )
 from leafatlas.bdtriple import tau_linear_matrix
 from leafatlas.decomp import simple_span
-from leafatlas.leafclass import (
-    PairStableSubalgebra,
-    StableSubalgebra,
-    _require_coset_minimal,
-)
+from leafatlas.leafclass import PairStableSubalgebra, StableSubalgebra
 from leafatlas.linalg import (
     Subspace,
     frac,
@@ -57,6 +53,7 @@ from leafatlas.linalg import (
 )
 from leafatlas.weyl import (
     ParabolicSubgroup,
+    _require_coset_minimal,
     enumerate_weyl,
     minimal_coset_reps,
 )

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import assert_simple_generated, coroot, reflect
-from leafatlas import build_root_system, exp_kernel_lattice, form_pairing, rootsys
+from helpers import assert_simple_generated, coroot, form_pairing, reflect
+from leafatlas import build_root_system, exp_kernel_lattice, rootsys
 from leafatlas.cli import JobConfig, run_job
 from leafatlas.rootsys import levi_roots
 from leafatlas.linalg import det, mat

@@ -4,10 +4,13 @@ it does not use.
 README promises a stdlib-only runtime and pyproject.toml declares
 `dependencies = []`; this walks every module of the package and checks each
 absolute import against `sys.stdlib_module_names`.  A name a module imports
-must also be used there or listed in its `__all__`.
+must also be used there or listed in its `__all__`.  Every public name must
+have a caller, and every module imports only from the layers below it.
 """
 
 import ast
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -65,3 +68,101 @@ def test_every_import_is_used_or_exported():
             if name not in used
         ]
     assert unused == [], f"imported but never used: {unused}"
+
+
+# ---------------------------------------------------------------------------
+# every public name has a caller, and the modules import downwards only
+
+ROOT = SRC.parent.parent
+
+# each module imports only from modules of a lower rank
+RANKS = {
+    "linalg": 0,
+    "rootsys": 1,
+    "weyl": 2,
+    "bdtriple": 2,
+    "decomp": 3,
+    "leafclass": 4,
+    "typea": 4,
+    "cli": 5,
+}
+
+
+def _modules():
+    """Each module proper by name; __init__.py only re-exports."""
+    paths = (p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+
+
+def _identifiers(tree, skip=None):
+    """Every name a tree reads, imports or reads as an attribute, outside
+    the subtree skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _public_definitions(tree):
+    """name -> defining node (None for a re-export) of the names in
+    __all__, or of the public top-level defs and classes without one."""
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    exported = list(_exported_names(tree)) or [name for name in defs if not name.startswith("_")]
+    return {name: defs.get(name) for name in exported}
+
+
+def _readme_identifiers():
+    """Identifiers in README's code blocks and inline code spans."""
+    parts = (ROOT / "README.md").read_text().split("```")
+    code = parts[1::2] + [span for text in parts[::2] for span in re.findall(r"`([^`\n]+)`", text)]
+    return {word for text in code for word in re.findall(r"[A-Za-z_]\w*", text)}
+
+
+def _outside_callers():
+    """Names called from the demos, the benchmark's workloads and README,
+    and per module the functions BENCHMARK.json's per-layer metrics time."""
+    names = _readme_identifiers()
+    for path in sorted((ROOT / "demos").glob("*.py")) + [ROOT / "perfbench" / "workloads.py"]:
+        names |= set(_identifiers(ast.parse(path.read_text(), filename=str(path))))
+    per_layer = {}
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
+        layer, _, rest = metric["name"].partition(".")
+        per_layer.setdefault(layer, set()).add(rest.rpartition(".")[0])
+    return names, per_layer
+
+
+def test_every_public_name_has_a_caller():
+    modules = _modules()
+    outside, per_layer = _outside_callers()
+    uncalled = []
+    for name, tree in sorted(modules.items()):
+        elsewhere = {word for other, t in modules.items() if other != name
+                     for word in _identifiers(t)}
+        for public, node in _public_definitions(tree).items():
+            own = public in _identifiers(tree, skip=node)
+            if not (own or public in elsewhere or public in outside
+                    or public in per_layer.get(name, ())):
+                uncalled.append(f"{name}.{public}")
+    assert uncalled == [], f"public names with no caller: {uncalled}"
+
+
+def test_modules_import_only_from_lower_layers():
+    modules = _modules()
+    assert set(modules) == set(RANKS), "place every module in RANKS"
+    upward = []
+    for name, tree in sorted(modules.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (
+                    node.module or "").startswith("leafatlas.")):
+                target = (node.module or "").removeprefix("leafatlas.")
+                if RANKS[target] >= RANKS[name]:
+                    upward.append(f"{name} imports {target}")
+    assert upward == [], f"imports that do not go down the layers: {upward}"

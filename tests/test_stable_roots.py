@@ -6,9 +6,9 @@ The three reference walks below are the orbit walks that lived in
 ``typea._stable_simple_set`` before they were merged into one root walk,
 ``helpers.stable_roots``.  No code in the package walks roots any more:
 the classifiers and ``typea.normalize_coset`` read which simple roots an
-element sends to simple roots (``leafclass._simple_map``) and shrink an
+element sends to simple roots (``weyl._simple_map``) and shrink an
 index set to the largest one the map permutes
-(``leafclass._stable_indices``).  The walks are kept here only as oracles
+(``weyl._stable_indices``).  The walks are kept here only as oracles
 for that index walk.
 """
 
@@ -29,10 +29,15 @@ from leafatlas import (
     validate_triple,
 )
 from leafatlas.bdtriple import tau_linear_matrix
-from leafatlas.leafclass import _simple_map, _stable_indices
 from leafatlas.linalg import matvec, transpose
 from leafatlas.rootsys import levi_roots
-from leafatlas.weyl import ParabolicSubgroup, enumerate_weyl, minimal_coset_reps
+from leafatlas.weyl import (
+    ParabolicSubgroup,
+    _simple_map,
+    _stable_indices,
+    enumerate_weyl,
+    minimal_coset_reps,
+)
 
 
 # ---------------------------------------------------------------------------

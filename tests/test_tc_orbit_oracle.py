@@ -1,10 +1,10 @@
 """Twisted-conjugation orbit dimensions against the explicit two-step twist.
 
-The oracles are the earlier bodies of the library code.  `tc_orbit_dim`
+The oracles are the earlier bodies of the code under test.  `tc_orbit_dim`
 applied the twist x -> g x g^{-1} as a step of its own and then conjugated
-by f; `cg_orbit_correspondence` took its gl(j) dimension as the rank of
-x -> b x b^{-1} - x over every matrix unit of gl(j).  The library now
-conjugates once by h = f g and takes the gl(j) rank over the sl(j) basis.
+by f; `cg_orbit_correspondence` (tests/helpers.py) took its gl(j) dimension
+as the rank of x -> b x b^{-1} - x over every matrix unit of gl(j).  Both
+now conjugate once by h = f g and take the gl(j) rank over the sl(j) basis.
 """
 
 import random
@@ -14,16 +14,14 @@ from itertools import combinations
 import pytest
 
 import test_acceptance
-from helpers import coroot_matrix, unit_matrix
+from helpers import cg_orbit_correspondence, coroot_matrix, unit_matrix
 from leafatlas import build_root_system
 from leafatlas.linalg import det, identity, inverse, mat, matmul, rank
 from leafatlas.rootsys import levi_roots
 from leafatlas.typea import (
     MatrixElement,
     SubalgebraNotPreserved,
-    cg_orbit_correspondence,
     cg_sigma,
-    conjugation_twist,
     identity_twist,
     perm_to_weyl,
     root_to_interval,
@@ -158,7 +156,7 @@ def test_tc_orbit_dim_matches_the_two_step_oracle_on_a1_to_a4():
             for _ in range(6):
                 f = _draw(rs, weyl, indices, rng, allow_none=False)
                 g = _draw(rs, weyl, indices, rng, allow_none=True)
-                twist = identity_twist() if g is None else conjugation_twist(g)
+                twist = identity_twist() if g is None else g
                 got = _outcome(tc_orbit_dim, MatrixElement(f, "group"), twist, roots)
                 want = _outcome(_oracle_tc_orbit_dim, f, g, roots)
                 assert got == want, (n, sorted(indices), f, g)
@@ -175,11 +173,11 @@ def test_tc_orbit_dim_applies_the_twist_before_f():
     g = wdot_matrix(perm_to_weyl(rs, (0, 2, 1, 3)))
     assert matmul(f, g) != matmul(g, f)
     roots = levi_roots(rs, {0})
-    got = tc_orbit_dim(MatrixElement(f, "group"), conjugation_twist(g), roots)
+    got = tc_orbit_dim(MatrixElement(f, "group"), g, roots)
     assert got == _oracle_tc_orbit_dim(f, g, roots) == 2
     assert _outcome(_oracle_tc_orbit_dim, g, f, roots) == NOT_PRESERVED
     assert (
-        _outcome(tc_orbit_dim, MatrixElement(g, "group"), conjugation_twist(f), roots)
+        _outcome(tc_orbit_dim, MatrixElement(g, "group"), f, roots)
         == NOT_PRESERVED
     )
 
@@ -226,7 +224,7 @@ def test_tc_orbit_dim_with_rational_h_matches_the_oracle():
                 (_rational_levi(rs, indices, rng), _rational_levi(rs, indices, rng)),
             ]
             for f, g in cases:
-                twist = identity_twist() if g is None else conjugation_twist(g)
+                twist = identity_twist() if g is None else g
                 got = _outcome(tc_orbit_dim, MatrixElement(f, "group"), twist, roots)
                 assert got == _outcome(_oracle_tc_orbit_dim, f, g, roots), (n, indices, f, g)
                 outcomes.add((got == NOT_PRESERVED, g is None))
@@ -241,12 +239,12 @@ def test_tc_orbit_dim_not_preserved_with_a_rational_h_and_a_weyl_twist():
     f = mat([[Fraction(2, 3), Fraction(1, 5), 0], [0, Fraction(3, 2), 0], [0, 0, 1]])
     g = wdot_matrix(perm_to_weyl(rs, (2, 1, 0)))
     roots = levi_roots(rs, {0})
-    args = (MatrixElement(f, "group"), conjugation_twist(g), roots)
+    args = (MatrixElement(f, "group"), g, roots)
     assert _outcome(tc_orbit_dim, *args) == NOT_PRESERVED
     assert _outcome(_oracle_tc_orbit_dim, f, g, roots) == NOT_PRESERVED
     # with the twist (0 1), which keeps the block, both give the rank
     g = wdot_matrix(perm_to_weyl(rs, (1, 0, 2)))
-    got = tc_orbit_dim(MatrixElement(f, "group"), conjugation_twist(g), roots)
+    got = tc_orbit_dim(MatrixElement(f, "group"), g, roots)
     assert got == _oracle_tc_orbit_dim(f, g, roots) == 2
 
 
@@ -262,7 +260,7 @@ def test_full_root_set_matches_the_oracle_on_a1_to_a5():
                  for _ in range(4)]
         cases += [(_rational_unimodular(n + 1, rng), wdot_matrix(rng.choice(weyl)))]
         for f, g in cases:
-            twist = identity_twist() if g is None else conjugation_twist(g)
+            twist = identity_twist() if g is None else g
             got = tc_orbit_dim(MatrixElement(f, "group"), twist, roots)
             assert got == _oracle_tc_orbit_dim(f, g, roots), (n, f, g)
 
@@ -282,7 +280,7 @@ def test_all_roots_but_one_still_checks_preservation(n):
 
 def test_a_singular_twist_is_rejected():
     with pytest.raises(ValueError, match="singular"):
-        conjugation_twist([[1, 2], [2, 4]])
+        tc_orbit_dim(MatrixElement(identity(2), "group"), [[1, 2], [2, 4]], [])
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ the unit second difference criterion.
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from math import prod
 from pathlib import Path
 
 import pytest
 
-from helpers import legs_traceless
+from helpers import cg_orbit_correspondence, legs_traceless
 from leafatlas import (
     build_root_system,
     cg_triple,
@@ -34,13 +35,11 @@ from leafatlas.typea import (
     block_labels,
     bruhat_decompose,
     casimir_tensor,
-    cg_orbit_correspondence,
     cg_sigma,
     check_cybe,
     check_symmetric_part,
-    conjugation_twist,
     identity_twist,
-    matrix_from_text,
+    matrix_rows,
     matrix_to_text,
     normalize_coset,
     perm_to_weyl,
@@ -87,7 +86,7 @@ def test_matrix_element_is_nonempty_and_square():
     # alone would pass it
     for kind in ("group", "algebra"):
         with pytest.raises(ValueError, match="non-empty and square"):
-            matrix_from_text("# nothing\n", kind)
+            MatrixElement(matrix_rows("# nothing\n"), kind)
     with pytest.raises(ValueError, match="non-empty and square"):
         MatrixElement([[0, 1]], "algebra")
 
@@ -96,7 +95,7 @@ def test_matrix_text_round_trip():
     m = MatrixElement([[F(1, 3), F(-2)], [F(0), F(3)]], "group")
     text = matrix_to_text(m)
     assert text == "1/3 -2\n0 3"
-    back = matrix_from_text("# comment\n" + text + "\n", "group")
+    back = MatrixElement(matrix_rows("# comment\n" + text + "\n"), "group")
     assert back.entries == m.entries
 
 
@@ -189,6 +188,15 @@ def test_perm_to_weyl_rejects_non_permutations():
     for bad in ([0, 0, 1, 2], [0, 1, 2, 5], [0, 1]):
         with pytest.raises(ValueError, match="not a permutation of 0..3"):
             perm_to_weyl(rs, bad)
+
+
+def test_perm_to_weyl_rejects_systems_other_than_a_n():
+    # B3 would give a matrix outside W(B3); A2+T1 one of the wrong size
+    for label, perm in (("B3", (0, 1, 3, 2)), ("A2+T1", (0, 2, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"not of {label}")):
+            perm_to_weyl(build_root_system(label), perm)
+    a3 = build_root_system("A3")
+    assert perm_to_weyl(a3, (0, 1, 3, 2)) == simple_reflection(a3, 2)
 
 
 def _ref_weyl_to_perm(w):
@@ -446,7 +454,7 @@ def test_orbit_dim_rejects_unstable_subalgebra():
     with pytest.raises(SubalgebraNotPreserved):
         tc_orbit_dim(f, identity_twist(), [(1, 0), (-1, 0)])
     one = MatrixElement(identity(3), "group")
-    cycle = conjugation_twist(wdot_matrix(w))
+    cycle = wdot_matrix(w)
     # repeated roots must not inflate the span rank the check compares against
     for roots in ([(1, 0), (-1, 0)], [(1, 0), (-1, 0)] * 2):
         with pytest.raises(SubalgebraNotPreserved):

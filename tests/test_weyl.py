@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from helpers import in_parabolic, longest_element, parabolic_elements
+from helpers import in_parabolic, inverse_element, longest_element, parabolic_elements
 from leafatlas import (
     ParabolicSubgroup,
     build_root_system,
@@ -21,7 +21,6 @@ from leafatlas.weyl import (
     _orbit,
     _orbit_size,
     compose,
-    inverse_element,
     left_descent,
     right_descent,
     simple_reflection,

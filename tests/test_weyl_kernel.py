@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import reflect
+from helpers import form_pairing, inverse_element, reflect
 from leafatlas import build_root_system, enumerate_weyl
-from leafatlas.rootsys import form_pairing
 from leafatlas.weyl import (
-    inverse_element,
     left_descent,
     right_descent,
     simple_reflection,
