@@ -411,37 +411,24 @@ def _table(report: Report) -> str:
     if report.sigma is not None:
         lines.append("")
         lines.append(f"sigma: {report.sigma['text']}")
-    for kind, title in (("gminus", "dressing orbits"), ("full", "double cosets")):
+    for kind, title, lead in (
+        ("gminus", "dressing orbits", ["v"]),
+        ("full", "double cosets", ["v1", "v2"]),
+    ):
         rows = [r for r in report.records if r["kind"] == kind]
         if not rows:
             continue
         lines.append("")
         lines.append(f"records ({title}):")
-        if kind == "gminus":
-            header = ["v", "l", "dim_gv", "leaf_dim", "coset_dim"]
-            cells = [
-                [r["v"], str(r["length"]), str(r["dim_stable"]),
-                 r["leaf_dim"], r["coset_dim"]]
-                for r in rows
-            ]
-        else:
-            header = ["v1", "v2", "l", "dim_gv", "leaf_dim", "coset_dim"]
-            cells = [
-                [r["v1"], r["v2"], str(r["length"]), str(r["dim_stable"]),
-                 r["leaf_dim"], r["coset_dim"]]
-                for r in rows
-            ]
-        widths = [
-            max(len(header[i]), *(len(c[i]) for c in cells)) if cells else len(header[i])
-            for i in range(len(header))
+        header = lead + ["l", "dim_gv", "leaf_dim", "coset_dim"]
+        cells = [
+            [*(r[k] for k in lead), str(r["length"]), str(r["dim_stable"]),
+             r["leaf_dim"], r["coset_dim"]]
+            for r in rows
         ]
-        lines.append(
-            "  " + " | ".join(h.ljust(w) for h, w in zip(header, widths))
-        )
-        for c in cells:
-            lines.append(
-                "  " + " | ".join(x.ljust(w) for x, w in zip(c, widths))
-            )
+        widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(header)]
+        for c in [header, *cells]:
+            lines.append("  " + " | ".join(x.ljust(w) for x, w in zip(c, widths)))
     if report.verification is not None:
         lines.append("")
         lines.append("verification:")

@@ -6,9 +6,11 @@ E_ii - E_{i+1,i+1}, and the invariant form is the trace form.  Everything
 is exact rational: tensors are sparse dictionaries over matrix-unit pairs,
 group elements carry a det = 1 constraint, algebra elements trace = 0.
 
-Weyl representatives are permutation matrices, with a -1 placed in the
-first moved column whenever the permutation is odd, so that every
-representative has determinant one.
+A Weyl element w is the permutation p with w(eps_i) = eps_{p(i)}; roots,
+intervals and permutations meet in eps-coordinates (the root sum x_t alpha_t
+has y_t = x_t - x_{t-1}, and entry i of 1·w is p(i+1) - p(i)).  Its matrix
+representative is p's permutation matrix, with a -1 in the first moved
+column when p is odd, so that its determinant is one.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .bdtriple import BDTriple, CartanTerm, partial_order_pairs
@@ -35,6 +38,7 @@ from .rootsys import RootSystem, build_root_system
 from .weyl import (
     ParabolicSubgroup,
     WeylElement,
+    _heights,
     _require_coset_minimal,
     _simple_map,
     _stable_indices,
@@ -188,16 +192,15 @@ class TensorElement:
 
 
 def root_to_interval(root) -> tuple[int, int]:
-    """Interval (i, j) with the root vector E_ij; negatives give j < i."""
-    if all(x >= 0 for x in root):
-        support = [t for t, x in enumerate(root) if x != 0]
-        lo, hi = support[0], support[-1]
-        if any(root[t] != 1 for t in range(lo, hi + 1)):
-            raise ValueError("not an interval root")
-        return lo, hi + 1
-    neg = tuple(-x for x in root)
-    i, j = root_to_interval(neg)
-    return j, i
+    """Interval (i, j) with the root vector E_ij; negatives give j < i.
+
+    The root is eps_i - eps_j: its eps-vector y_t = x_t - x_{t-1} has its
+    +1 at i, its -1 at j and zeros elsewhere."""
+    x = (0, *root, 0)
+    y = [b - a for a, b in zip(x, x[1:])]
+    if sorted(y) != [-1, *[0] * (len(y) - 2), 1]:
+        raise ValueError("not an interval root")
+    return y.index(1), y.index(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +307,14 @@ def check_cybe(r: TensorElement) -> TensorElement:
 
 
 def weyl_to_perm(w: WeylElement) -> tuple[int, ...]:
-    """Permutation p with w(eps_i) = eps_{p(i)}, from the root-coordinate matrix.
-
-    Column i of the matrix is w(alpha_i) = eps_{p(i)} - eps_{p(i+1)}.
-    """
-    n = len(w.matrix)
-    ends = [root_to_interval([row[i] for row in w.matrix]) for i in range(n)]
-    return (ends[0][0],) + tuple(b for _, b in ends)
+    """Permutation p with w(eps_i) = eps_{p(i)}: entry i of the height row 1·w,
+    the height of w(alpha_i) = eps_{p(i)} - eps_{p(i+1)}, is p(i+1) - p(i)."""
+    sums = tuple(accumulate(_heights(w.matrix), initial=0))
+    low = min(sums)
+    perm = tuple(x - low for x in sums)
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError("not a Weyl element of A_n")
+    return perm
 
 
 def _is_pure_type_a(rs: RootSystem) -> bool:
@@ -326,29 +330,20 @@ def perm_to_weyl(rs: RootSystem, perm) -> WeylElement:
     perm = tuple(perm)
     if sorted(perm) != list(range(n + 1)):
         raise ValueError(f"{list(perm)} is not a permutation of 0..{n}")
-
-    def root_coords(a: int, b: int):
-        if a < b:
-            return tuple(1 if a <= t < b else 0 for t in range(n))
-        return tuple(-1 if b <= t < a else 0 for t in range(n))
-
-    cols = [root_coords(perm[i], perm[i + 1]) for i in range(n)]
-    m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    # column i is eps_p(i) - eps_p(i+1), with [p(i) <= t] - [p(i+1) <= t] on alpha_t
+    m = tuple(tuple((perm[i] <= t) - (perm[i + 1] <= t) for i in range(n)) for t in range(n))
     return make_element(rs, m)
 
 
 def wdot_matrix(w: WeylElement) -> Matrix:
-    """Determinant-one permutation-matrix representative."""
+    """Determinant-one permutation-matrix representative; p is odd when
+    its inversion count, the length of w, is."""
     perm = weyl_to_perm(w)
-    size = len(perm)
-    # sign of the permutation: its inversion count is the length of w
-    sign = -1 if w.length % 2 else 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    flip = next((i for i in range(size) if perm[i] != i), None)
-    for i in range(size):
-        val = Fraction(-1) if (sign < 0 and i == flip) else Fraction(1)
-        rows[perm[i]][i] = val
-    return tuple(tuple(r) for r in rows)
+    flip = next(i for i, p in enumerate(perm) if p != i) if w.length % 2 else None
+    rows = [[Fraction(0)] * len(perm) for _ in perm]
+    for i, p in enumerate(perm):
+        rows[p][i] = Fraction(-1 if i == flip else 1)
+    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +388,12 @@ def _add_row(work: list[list[Fraction]], dst: int, src: int, lam: Fraction):
     work[dst] = [x + lam * y for x, y in zip(work[dst], work[src])]
 
 
+def _monomial_weyl(m: Matrix) -> WeylElement:
+    """The Weyl element sending c to the row of column c's nonzero entry in m."""
+    perm = [next(r for r, row in enumerate(m) if row[c] != 0) for c in range(len(m))]
+    return perm_to_weyl(build_root_system(f"A{len(m) - 1}"), perm)
+
+
 def _bruhat_core(g: Matrix, left_idx, right_idx):
     """g = p1 * wdot * p2 with both parabolics block upper triangular.
 
@@ -430,16 +431,8 @@ def _bruhat_core(g: Matrix, left_idx, right_idx):
                     p2[c][cc] += lam * p2[c2][cc]
 
     monomial = tuple(tuple(row) for row in work)
-    perm = [0] * size
-    for c in range(size):
-        perm[c] = next(r for r in range(size) if monomial[r][c] != 0)
-    w_borel = perm_to_weyl(rs, perm)
-    w1, w_min, w2 = decompose_min(
-        rs,
-        w_borel,
-        ParabolicSubgroup.of(left_idx),
-        ParabolicSubgroup.of(right_idx),
-    )
+    left, right = ParabolicSubgroup.of(left_idx), ParabolicSubgroup.of(right_idx)
+    w1, w_min, w2 = decompose_min(rs, _monomial_weyl(monomial), left, right)
     m1 = wdot_matrix(w1)
     mmin = wdot_matrix(w_min)
     # g = p1·monomial·p2 = (p1·m1)·mmin·(mmin^T·m1^T·monomial·p2), as the
@@ -469,8 +462,7 @@ def bruhat_decompose(
         )
         p1, wd_raw, p2 = flip(p1j), flip(wdj), flip(p2j)
         # restore the sign convention, folding the correction into p2
-        perm = [next(r for r in range(size) if wd_raw[r][c] != 0) for c in range(size)]
-        wd = wdot_matrix(perm_to_weyl(build_root_system(f"A{size - 1}"), perm))
+        wd = wdot_matrix(_monomial_weyl(wd_raw))
         p2 = matmul(matmul(transpose(wd), wd_raw), p2)
     return (
         MatrixElement(p1, "group"),
@@ -616,14 +608,5 @@ def normalize_coset(
 def cg_sigma(rs: RootSystem, j: int) -> WeylElement:
     """Minimal representative with stable block gl(j): fixes 0..j-1, shifts
     the rest cyclically."""
-    n = rs.rank
-    perm = [0] * (n + 1)
-    for i in range(n + 1):
-        if i < j:
-            perm[i] = i
-        elif i < n:
-            perm[i] = i + 1
-        else:
-            perm[i] = j
-    return perm_to_weyl(rs, perm)
+    return perm_to_weyl(rs, (*range(j), *range(j + 1, rs.rank + 1), j))
 

@@ -4,8 +4,9 @@ it does not use.
 README promises a stdlib-only runtime and pyproject.toml declares
 `dependencies = []`; this walks every module of the package and checks each
 absolute import against `sys.stdlib_module_names`.  A name a module imports
-must also be used there or listed in its `__all__`.  Every public name must
-have a caller, and every module imports only from the layers below it.
+must also be used there or listed in its `__all__`.  Every top-level
+definition must be reached from a caller outside the package, and every
+module imports only from the layers below it.
 """
 
 import ast
@@ -71,7 +72,7 @@ def test_every_import_is_used_or_exported():
 
 
 # ---------------------------------------------------------------------------
-# every public name has a caller, and the modules import downwards only
+# every definition is reached from a caller, and the modules import downwards only
 
 ROOT = SRC.parent.parent
 
@@ -94,29 +95,42 @@ def _modules():
     return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in paths}
 
 
-def _identifiers(tree, skip=None):
-    """Every name a tree reads, imports or reads as an attribute, outside
-    the subtree skip."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+def _identifiers(tree):
+    """Every name a tree reads, imports or reads as an attribute."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
-        stack.extend(ast.iter_child_nodes(node))
 
 
-def _public_definitions(tree):
-    """name -> defining node (None for a re-export) of the names in
-    __all__, or of the public top-level defs and classes without one."""
-    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-    exported = list(_exported_names(tree)) or [name for name in defs if not name.startswith("_")]
-    return {name: defs.get(name) for name in exported}
+def _definitions(tree):
+    """name -> defining node of each top-level def, class and assigned name
+    (but __all__); and the other top-level statements, which run on import."""
+    defs, run = {}, []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
+            defs.update(dict.fromkeys(names, node))
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            run.append(node)
+    return defs, run
+
+
+def _package_imports(tree):
+    """local name -> (module, name) of each name imported from the package."""
+    return {
+        alias.asname or alias.name: (node.module.removeprefix("leafatlas."), alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (
+            node.module or "").startswith("leafatlas."))
+        for alias in node.names
+    }
 
 
 def _readme_identifiers():
@@ -140,18 +154,43 @@ def _outside_callers():
 
 
 def test_every_public_name_has_a_caller():
+    """Walk from cli.main, the outside callers and the per-layer metrics
+    through the names each reached definition (or import-time statement)
+    reads, resolved to the definition in its module or, through the
+    module's package imports, in the module it came from; every top-level
+    definition must be reached.  A name read only by unreached code is
+    flagged with its reader."""
     modules = _modules()
     outside, per_layer = _outside_callers()
-    uncalled = []
-    for name, tree in sorted(modules.items()):
-        elsewhere = {word for other, t in modules.items() if other != name
-                     for word in _identifiers(t)}
-        for public, node in _public_definitions(tree).items():
-            own = public in _identifiers(tree, skip=node)
-            if not (own or public in elsewhere or public in outside
-                    or public in per_layer.get(name, ())):
-                uncalled.append(f"{name}.{public}")
-    assert uncalled == [], f"public names with no caller: {uncalled}"
+    defs, imports = {}, {}
+    stack = [("cli", "main")]
+    for module, tree in modules.items():
+        defs[module], run = _definitions(tree)
+        imports[module] = _package_imports(tree)
+        stack += [(module, name) for name in defs[module]
+                  if name in outside or name in per_layer.get(module, ())]
+        stack += [(module, node) for node in run]
+
+    def resolve(module, name):
+        while name not in defs[module]:
+            if name not in imports[module]:
+                return None
+            module, name = imports[module][name]
+        return module, name
+
+    reached = set()
+    while stack:
+        module, item = stack.pop()
+        if isinstance(item, str):
+            if (module, item) in reached:
+                continue
+            reached.add((module, item))
+            item = defs[module][item]
+        stack += filter(None, (resolve(module, word) for word in _identifiers(item)))
+    unreached = sorted(f"{module}.{name}" for module in defs for name in defs[module]
+                       if (module, name) not in reached)
+    assert len(reached) > 100
+    assert unreached == [], f"definitions no caller reaches: {unreached}"
 
 
 def test_modules_import_only_from_lower_layers():

@@ -114,6 +114,9 @@ def test_root_to_interval_both_signs():
     assert root_to_interval((1, 1)) == (0, 2)
     assert root_to_interval((0, -1)) == (2, 1)
     assert root_to_interval((-1, -1)) == (2, 0)
+    for bad in ((1, -1), (0, 0), (2, 0), (1, 0, 1)):
+        with pytest.raises(ValueError, match="not an interval root"):
+            root_to_interval(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,9 @@ def test_perm_to_weyl_rejects_systems_other_than_a_n():
 
 
 def _ref_weyl_to_perm(w):
-    """The ε-vector decoding weyl_to_perm used before root_to_interval."""
+    """weyl_to_perm read off the matrix rather than the height row: the sum of
+    columns 0..i is w(α_0 + … + α_i) = ε_p(0) − ε_p(i+1), whose ε-vector has
+    its +1 at p(0) and its −1 at p(i+1)."""
     n = len(w.matrix)
     cols = [tuple(w.matrix[r][i] for r in range(n)) for i in range(n)]
 
@@ -453,6 +458,8 @@ def test_orbit_dim_rejects_unstable_subalgebra():
     f = MatrixElement(wdot_matrix(w), "group")
     with pytest.raises(SubalgebraNotPreserved):
         tc_orbit_dim(f, identity_twist(), [(1, 0), (-1, 0)])
+    with pytest.raises(ValueError, match="not an interval root"):
+        tc_orbit_dim(f, identity_twist(), [(1, -1)])
     one = MatrixElement(identity(3), "group")
     cycle = wdot_matrix(w)
     # repeated roots must not inflate the span rank the check compares against
