@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .linalg import Matrix, identity, inverse, madd, mat, matmul, matvec, msub, solve, transpose
+from .linalg import (
+    Matrix, identity, inverse, madd, mat, matmul, matvec, msub, shape, solve, transpose
+)
 from .rootsys import RootSystem, levi_roots
 
 __all__ = [
@@ -79,11 +81,10 @@ class BDTriple:
 class CartanTerm:
     """Rational matrix of r0 on h in the simple-root-dual basis.
 
-    Built by solve_r0 or directly.  The canonical mode solves both
-    constraints exactly, and from_file and match_theta check the term they
-    are given.  compute_decomposition runs check_cartan_term on every term,
-    so a hand-built term that breaks r0 + r0^T = omega or a slot constraint
-    raises Infeasible there and never reaches the leaf records.
+    Built by solve_r0, or directly from a given matrix (a Cartan term
+    file).  compute_decomposition runs check_cartan_term on every term, so
+    a term that is not k×k, or breaks r0 + r0^T = omega or a slot
+    constraint, raises Infeasible there and never reaches the leaf records.
     """
 
     r0: Matrix
@@ -187,7 +188,9 @@ def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> Mat
     r0 + r0^T = omega = G^-1 holds, r0^T·G = 1 - f for f = r0·G, so it reads
     f[:, i] - f[:, tau(i)] + e_tau(i) = 0 on the columns of f.
     """
-    m = term.r0
+    m, k = term.r0, rs.cartan_rank
+    if shape(m) != (k, k):
+        raise Infeasible("r0 is %dx%d, %s needs %dx%d" % (*shape(m), rs.type_label, k, k))
     if madd(m, transpose(m)) != rs.gram_inverse:
         raise Infeasible("r0 + r0^T does not equal the Cartan Casimir block")
     f = matmul(m, rs.gram)
@@ -202,31 +205,28 @@ def solve_r0(
     triple: BDTriple,
     mode: str = "canonical",
     *,
-    matrix: Matrix | None = None,
     theta_target: Matrix | None = None,
 ) -> CartanTerm:
     """Solve the two r0 constraints exactly.
 
     canonical: symmetric part = half the Cartan Casimir, skew part from
     the reduced row echelon form of the slot rows with every free unknown
-    set to zero.  match_theta: additionally pins the Cayley transform on h
-    to the supplied isometry.  from_file: validates a supplied matrix.
+    set to zero.  match_theta: the term whose Cayley transform on h is the
+    supplied isometry, checked against the triple.  A given matrix needs no
+    solving: CartanTerm(matrix) goes to compute_decomposition as it is.
     """
     k = rs.cartan_rank
     g = rs.gram
     omega = rs.gram_inverse
 
-    if mode == "from_file":
-        if matrix is None:
-            raise ValueError("from_file mode needs a matrix")
-        term = CartanTerm(r0=mat(matrix))
-        check_cartan_term(rs, triple, term)
-        return term
-
     if mode == "match_theta":
         if theta_target is None:
             raise ValueError("match_theta mode needs a target matrix")
         t = mat(theta_target)
+        if shape(t) != (k, k):
+            raise TargetThetaNotIsometry(
+                "target is %dx%d, %s needs %dx%d" % (*shape(t), rs.type_label, k, k)
+            )
         if matmul(matmul(transpose(t), g), t) != g:
             raise TargetThetaNotIsometry("target does not preserve the form")
         t_minus_1 = msub(t, identity(k))

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable
 
-from .bdtriple import solve_r0, validate_triple
+from .bdtriple import CartanTerm, solve_r0, validate_triple
 from .decomp import compute_decomposition, dimension_summary
 from .leafclass import classify_g, classify_gminus, sigma_group
 from .linalg import mat
@@ -230,13 +230,13 @@ def _record_dict(word, rec, pure_a: bool) -> dict:
 
 def run_job(cfg: JobConfig) -> Report:
     """Staged pipeline; failures are recorded per stage and independent
-    stages still run."""
+    stages still run.  validate checks each input once, in one pass that
+    stops at the first bad one; r0 builds the Cartan term and passes it once
+    through compute_decomposition, and only a term that passes reaches the
+    sigma, classification and typea stages."""
     values = _config_values(cfg)
-    provenance = {
-        "config": {key: val.strip() for key, val in values.items()},
-        "note": CONVENTION_NOTE,
-    }
-    report = Report(provenance=provenance)
+    config = {key: val.strip() for key, val in values.items()}
+    report = Report(provenance={"config": config, "note": CONVENTION_NOTE})
 
     def fail(stage: str, exc: BaseException, fragment: str) -> None:
         internal = isinstance(exc, (AssertionError, RuntimeError))
@@ -250,71 +250,46 @@ def run_job(cfg: JobConfig) -> Report:
             }
         )
 
-    # validate
+    # validate: fragment names the input being checked
+    fragment = f"root_system = {cfg.root_system}"
     try:
         rs = build_root_system(cfg.root_system)
-    except ValueError as e:
-        fail("validate", e, f"root_system = {cfg.root_system}")
-        return report
-    pure_a = _is_pure_type_a(rs)
-    if cfg.typea_checks and not pure_a:
-        fail(
-            "validate",
-            ValueError("typea_checks requires a single A-type system"),
-            f"root_system = {cfg.root_system}",
-        )
-        return report
-    if cfg.orbit_samples and not cfg.typea_checks:
-        fail(
-            "validate",
-            ValueError("orbit_samples require typea_checks"),
-            "orbit_samples = " + ",".join(cfg.orbit_samples),
-        )
-        return report
-    try:
+        pure_a = _is_pure_type_a(rs)
+        if cfg.typea_checks and not pure_a:
+            raise ValueError("typea_checks requires a single A-type system")
+        fragment = "orbit_samples = " + ",".join(cfg.orbit_samples)
+        if cfg.orbit_samples and not cfg.typea_checks:
+            raise ValueError("orbit_samples require typea_checks")
+        fragment = "; ".join(f"{key} = {values[key]}" for key in ("gamma1", "gamma2", "tau"))
         triple = validate_triple(rs, cfg.gamma1, cfg.gamma2, cfg.tau)
-    except ValueError as e:
-        triple_lines = (f"{key} = {values[key]}" for key in ("gamma1", "gamma2", "tau"))
-        fail("validate", e, "; ".join(triple_lines))
-        return report
-    try:
+        fragment = "LEAFATLAS_WEYL_BOUND = " + os.environ.get("LEAFATLAS_WEYL_BOUND", "")
         _weyl_bound()
     except ValueError as e:
-        fail("validate", e, f"LEAFATLAS_WEYL_BOUND = {os.environ['LEAFATLAS_WEYL_BOUND']}")
+        fail("validate", e, fragment)
         return report
 
-    # r0
-    r0 = None
+    # r0: build the term, then pass it through compute_decomposition, its
+    # one gate; every later stage runs only once d is set
+    d = None
     try:
         head, _, tail = cfg.r0_mode.partition(":")
         if head == "canonical":
             r0 = solve_r0(rs, triple, "canonical")
         elif head == "file":
-            r0 = solve_r0(rs, triple, "from_file", matrix=_parse_matrix_file(tail))
+            r0 = CartanTerm(_parse_matrix_file(tail))
         else:
-            r0 = solve_r0(
-                rs, triple, "match_theta", theta_target=_parse_matrix_file(tail)
-            )
-    except (ValueError, OSError) as e:
+            r0 = solve_r0(rs, triple, "match_theta", theta_target=_parse_matrix_file(tail))
+        d = compute_decomposition(rs, triple, r0)
+        report.decomposition = {
+            "dims": dimension_summary(rs, triple, d),
+            # every validated Cartan term has h_ort1 = h_ort2 = 0
+            "full_h": True,
+            "r0": matrix_to_text(r0.r0),
+            "f_cartan": matrix_to_text(d.f_cartan),
+            "theta_cartan": matrix_to_text(d.theta_cartan),
+        }
+    except (ValueError, OSError, RuntimeError) as e:
         fail("r0", e, f"r0 = {cfg.r0_mode}")
-
-    # decomposition
-    d = None
-    if r0 is not None:
-        try:
-            d = compute_decomposition(rs, triple, r0)
-            dims = dimension_summary(rs, triple, d)
-            report.decomposition = {
-                "dims": dims,
-                # every validated Cartan term has h_ort1 = h_ort2 = 0
-                "full_h": True,
-                "r0": matrix_to_text(r0.r0),
-                "f_cartan": matrix_to_text(d.f_cartan),
-                "theta_cartan": matrix_to_text(d.theta_cartan),
-            }
-        except (ValueError, RuntimeError) as e:
-            fail("decomposition", e, f"r0 = {cfg.r0_mode}")
-            d = None
 
     # sigma
     if d is not None:
@@ -354,8 +329,8 @@ def run_job(cfg: JobConfig) -> Report:
         except (ValueError, RuntimeError, AssertionError) as e:
             fail("classification", e, f"mode = {cfg.mode}")
 
-    # type-A verification
-    if cfg.typea_checks and r0 is not None:
+    # type-A verification, of a term that passed the gate
+    if cfg.typea_checks and d is not None:
         try:
             r = realize_r(rs.rank, triple, r0)
             verification = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bdtriple import BDTriple, CartanTerm, check_cartan_term
-from .linalg import Matrix, Subspace, identity, inverse, matmul, msub
+from .linalg import Matrix, Subspace, identity, inverse, madd, msub
 from .rootsys import RootSystem, levi_roots
 
 __all__ = [
@@ -52,22 +52,20 @@ def form_perp_of_simples(rs: RootSystem, indices) -> Subspace:
     return simple_span(rs, indices).perp(rs.gram_int)
 
 
-def compute_decomposition(
-    rs: RootSystem, triple: BDTriple, r0: CartanTerm
-) -> Decomposition:
+def compute_decomposition(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> Decomposition:
     """Raise Infeasible unless r0 passes check_cartan_term; else the root
-    content of both sides, f and theta = f·(f - 1)^-1."""
+    content of both sides, f and theta = f·(f - 1)^-1 = 1 + (f - 1)^-1."""
     f_cartan = check_cartan_term(rs, triple, r0)
     l1 = levi_roots(rs, triple.gamma1)
     l2 = levi_roots(rs, triple.gamma2)
     l1pos = {a for a in l1 if rs.is_positive_root(a)}
     l2pos = {a for a in l2 if rs.is_positive_root(a)}
     n_plus = tuple(a for a in rs.positive_roots if a not in l1pos)
-    n_minus = tuple(
-        tuple(-x for x in a) for a in rs.positive_roots if a not in l2pos
-    )
-    # f - 1 = -r0^T·G is invertible once the check passes (module docstring)
-    theta_cartan = matmul(f_cartan, inverse(msub(f_cartan, identity(rs.cartan_rank))))
+    n_minus = tuple(tuple(-x for x in a) for a in rs.positive_roots if a not in l2pos)
+    # f - 1 = -r0^T·G is invertible once the check passes (module docstring),
+    # and f·(f - 1)^-1 = ((f - 1) + 1)·(f - 1)^-1 = 1 + (f - 1)^-1
+    one = identity(rs.cartan_rank)
+    theta_cartan = madd(one, inverse(msub(f_cartan, one)))
     return Decomposition(
         levi1_roots=l1,
         levi2_roots=l2,

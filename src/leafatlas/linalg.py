@@ -69,10 +69,14 @@ def matvec(a: Matrix, v) -> Vector:
 
 
 def madd(a: Matrix, b: Matrix) -> Matrix:
+    if shape(a) != shape(b):
+        raise ValueError("shape mismatch in madd")
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def msub(a: Matrix, b: Matrix) -> Matrix:
+    if shape(a) != shape(b):
+        raise ValueError("shape mismatch in msub")
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 

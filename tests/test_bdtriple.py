@@ -159,14 +159,32 @@ def test_column_slot_check_matches_the_matvec_oracle():
 
 
 def test_from_file_mode_validates_matrix():
+    """An r0 = file: term is CartanTerm(matrix) as read; compute_decomposition,
+    the one gate, validates it."""
+    from leafatlas import compute_decomposition
+
     rs = build_root_system("A2")
     t = cg_triple(rs)
     good = solve_r0(rs, t, "canonical").r0
-    again = solve_r0(rs, t, "from_file", matrix=good)
-    assert again.r0 == good
+    assert compute_decomposition(rs, t, CartanTerm(good)).f_cartan == matmul(good, rs.gram)
     bad = tuple(tuple(x + F(1, 7) for x in row) for row in good)
     with pytest.raises(Infeasible):
-        solve_r0(rs, t, "from_file", matrix=bad)
+        compute_decomposition(rs, t, CartanTerm(bad))
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3), (3, 3)])
+def test_cartan_term_of_the_wrong_shape_is_infeasible(rows, cols):
+    rs = build_root_system("A2")
+    term = CartanTerm(tuple((F(0),) * cols for _ in range(rows)))
+    with pytest.raises(Infeasible, match=f"^r0 is {rows}x{cols}, A2 needs 2x2$"):
+        check_cartan_term(rs, cg_triple(rs), term)
+
+
+def test_match_theta_rejects_a_target_of_the_wrong_shape():
+    rs = build_root_system("A2")
+    target = ((F(0), F(0), F(1)), (F(1), F(0), F(0)), (F(0), F(1), F(0)))
+    with pytest.raises(TargetThetaNotIsometry, match="^target is 3x3, A2 needs 2x2$"):
+        solve_r0(rs, cg_triple(rs), "match_theta", theta_target=target)
 
 
 def test_match_theta_reproduces_cg_target():

@@ -354,6 +354,50 @@ def test_r0_file_that_breaks_a_slot_constraint_exits_two(capsys):
     assert doc["decomposition"] is None and doc["records"] == []
 
 
+def test_r0_file_that_breaks_a_slot_constraint_gets_no_typea_verification(capsys):
+    # the typea stage runs only on a term that compute_decomposition passed
+    path = DATA / "a2_cg_slot_violation.mat"
+    code, doc = _r0_job(
+        capsys,
+        ["--root-system", "A2", "--gamma1", "1", "--gamma2", "2", "--tau", "1:2",
+         "--r0", f"file:{path}", "--typea-checks", "true"],
+    )
+    assert code == 2
+    assert [(e["stage"], e["error"]) for e in doc["errors"]] == [("r0", "Infeasible")]
+    assert doc["decomposition"] is None and doc["verification"] is None
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3)])
+def test_r0_file_of_the_wrong_shape_exits_two_at_r0(tmp_path, capsys, rows, cols):
+    path = tmp_path / "r0.mat"
+    path.write_text("\n".join(" ".join("1/3" for _ in range(cols)) for _ in range(rows)) + "\n")
+    code, doc = _r0_job(capsys, ["--root-system", "A2", "--r0", f"file:{path}"])
+    assert code == 2
+    assert [(e["stage"], e["error"], e["detail"], e["input"]) for e in doc["errors"]] == [
+        ("r0", "Infeasible", f"r0 is {rows}x{cols}, A2 needs 2x2", f"r0 = file:{path}")
+    ]
+    assert doc["decomposition"] is None and doc["sigma"] is None and doc["records"] == []
+
+
+@pytest.mark.parametrize(
+    "r0_mode", ["canonical", f"file:{DATA / 'a3_skewed_r0.mat'}"], ids=["canonical", "file"]
+)
+def test_each_job_checks_its_cartan_term_once(monkeypatch, r0_mode):
+    from leafatlas import bdtriple, decomp
+
+    calls, check = [], bdtriple.check_cartan_term
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    for module in (bdtriple, decomp):
+        monkeypatch.setattr(module, "check_cartan_term", counted)
+    report = run_job(JobConfig(root_system="A3", r0_mode=r0_mode, mode="gminus"))
+    assert report.errors == [] and len(report.records) == 24
+    assert len(calls) == 1
+
+
 def test_missing_r0_file_exits_two(tmp_path, capsys):
     path = tmp_path / "nope.mat"
     code, doc = _r0_job(capsys, ["--root-system", "A2", "--r0", f"file:{path}"])

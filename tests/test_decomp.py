@@ -195,14 +195,14 @@ def test_dimension_summary_counts_are_consistent():
 
 
 def _non_canonical_terms():
-    """A from_file and a match_theta term that the canonical solver does not
+    """A given term and a match_theta term that the canonical solver does not
     give: a skew part added by hand on the standard A3 triple, and the A2
     Coxeter rotation as the target theta of the standard A2 triple."""
     rs = build_root_system("A3")
     t = validate_triple(rs, (), (), {})
     half = tuple(tuple(x / 2 for x in row) for row in rs.gram_inverse)
     skew = ((F(0), F(1), F(0)), (F(-1), F(0), F(2)), (F(0), F(-2), F(0)))
-    yield rs, t, solve_r0(rs, t, "from_file", matrix=madd(half, skew))
+    yield rs, t, CartanTerm(madd(half, skew))
     rs = build_root_system("A2")
     t = validate_triple(rs, (), (), {})
     yield rs, t, solve_r0(rs, t, "match_theta", theta_target=cg_theta_target(rs))

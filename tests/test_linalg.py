@@ -16,8 +16,10 @@ from leafatlas.linalg import (
     det,
     identity,
     inverse,
+    madd,
     mat,
     matmul,
+    msub,
     quotient_invariants,
     rank,
     row_hnf,
@@ -80,6 +82,17 @@ def test_inverse_round_trip():
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
         inverse(mat([[1, 2], [2, 4]]))
+
+
+@pytest.mark.parametrize("op", [madd, msub])
+@pytest.mark.parametrize("a, b", [(((1,),), ((1, 2),)), (((1, 2),), ((1, 2), (3, 4))), ((), ((1,),))])
+def test_entrywise_sum_and_difference_reject_a_shape_mismatch(op, a, b):
+    # zip would silently truncate to the common shape
+    with pytest.raises(ValueError, match=f"^shape mismatch in {op.__name__}$"):
+        op(a, b)
+    with pytest.raises(ValueError, match=f"^shape mismatch in {op.__name__}$"):
+        op(b, a)
+    assert op(a, a) == tuple(tuple(2 * x if op is madd else 0 for x in row) for row in a)
 
 
 def test_solve_returns_solution_or_none():
