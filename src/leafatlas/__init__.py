@@ -33,7 +33,6 @@ from .leafclass import (
     LeafRecord,
     NonCommensurableLattices,
     NotMinimalRep,
-    PairStableSubalgebra,
     StableSubalgebra,
     ThetaMinusOneSingular,
     classify_g,

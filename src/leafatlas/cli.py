@@ -223,7 +223,7 @@ def _record_dict(word, rec, pure_a: bool) -> dict:
         out["v1"] = word(rec.v1)
         out["v2"] = word(rec.v2)
         out["length"] = rec.v1.length + rec.v2.length
-        out["z_pair_dim"] = stable.z_pair_dim
+        out["z_pair_dim"] = stable.moduli_dim
     out["simplified_leaf_dim"] = out["leaf_dim"]
     return out
 

@@ -1,17 +1,16 @@
 """Classification records for the two dressing-orbit problems.
 
-One-sided records: a minimal coset representative v, the v-stable part of
-the first Levi, and the attached dimension expressions.  Two-sided records:
-a pair (v1, v2) and the twist map built from both.  Orbit dimensions of the
-derived part stay symbolic (parameter d_orb); every other contribution is an
-exact integer.  The discrete group Sigma comes from an integer lattice
+A one-sided record is indexed by v in W^Gamma1, a two-sided record by a pair
+(v1, v2); both carry the same stable data, and a one-sided record is the
+pair record of (v, e) up to its coset offset.  Orbit dimensions of the
+derived part stay symbolic (d_orb); Sigma comes from an integer lattice
 quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import prod
 from operator import mul
 
@@ -46,7 +45,6 @@ from .weyl import (
 
 __all__ = [
     "StableSubalgebra",
-    "PairStableSubalgebra",
     "LeafRecord",
     "FiniteAbelianGroup",
     "AffineDim",
@@ -111,17 +109,12 @@ class FiniteAbelianGroup:
 @dataclass(frozen=True)
 class StableSubalgebra:
     root_set: tuple[tuple[int, ...], ...]
+    partner_root_set: tuple[tuple[int, ...], ...]
     derived_dim: int
     center_dim: int
     lv_center: Subspace
     cong_dim: int
     moduli_dim: int
-
-
-@dataclass(frozen=True)
-class PairStableSubalgebra(StableSubalgebra):
-    partner_root_set: tuple[tuple[int, ...], ...] = ()
-    z_pair_dim: int = 0
 
 
 @dataclass(frozen=True)
@@ -156,27 +149,18 @@ def _shifted_rank(m: Matrix, c: int, lv: Matrix) -> int:
 
 class _Frame:
     """What the records of one (rs, triple, d) share: tau on simple-root
-    indices, the dimension summary, theta scaled to integers, and per stable
-    index set S the roots Phi_S and lv_center = (span Phi_S)^perp.  The
-    classifiers build each representative's data once (left, right) and
-    hand it to pair.
+    indices, the dimension summary, theta scaled to integers, and per index
+    set S the roots Phi_S and lv_center = (span Phi_S)^perp.
 
-    v in W^Gamma1, and the twist psi = v1·theta^-1·v2·theta for v2 in
-    W^Gamma2, keep the first Levi's positive roots positive, so they permute
-    the simple roots of their stable subsystem (Humphreys, Reflection Groups
-    and Coxeter Groups, ch. 1): it is Phi_S for the largest S in Gamma1 whose
-    simple roots the map permutes.  An isometry that permutes Phi_S keeps
-    lv_center, and a record is one rank of psi - 1 (psi = v one-sided) on
-    lv_center: cong_dim, with moduli_dim = z_pair_dim = center_dim - cong_dim.
-    A one-sided record costs a walk on indices and one integer elimination.
-    A pair's S and partner set are walked once per pair of simple-root maps,
-    its cong_dim ranked once per (S, det(Theta)·psi packed into one integer by
-    k products; see packing), its stable data built once per (S, partner, cong_dim).
-
-    That uses h_ort1 = h_ort2 = 0, which compute_decomposition guarantees by
-    validating the Cartan term (see the decomp module): the Cartan domains
-    are all of h, so the two center graphs of a pair meet over all of
-    lv_center and z_pair has no h_ort part.
+    The twist psi = v1·theta^-1·v2·theta (psi = v one-sided, the pair (v, e))
+    permutes the simple roots of its stable subsystem Phi_S, the largest S in
+    Gamma1 whose simple roots it permutes (Humphreys, Reflection Groups and
+    Coxeter Groups, ch. 1), so it keeps lv_center; cong_dim is the rank of
+    psi - 1 there.  single ranks v itself; pair walks S and the partner set
+    once per pair of simple-root maps and ranks once per (S, packed psi), see
+    packing.  Both share one stable object per (S, partner set, cong_dim).
+    compute_decomposition makes h_ort1 = h_ort2 = 0 (see the decomp module),
+    so a pair's centre solution space has dimension moduli_dim.
     """
 
     def __init__(self, rs: RootSystem, triple: BDTriple, d: Decomposition):
@@ -188,23 +172,31 @@ class _Frame:
         # tau on the simple-root indices of the first Levi and back
         self.tau = triple.tau_map
         self.tau_inv = {j: i for i, j in triple.tau}
-        self._spans, self._ids = {}, {}  # Phi_S and lv_center per S; map ids by items
+        # Phi_S per index set S, seeded with the two Levis' roots d holds,
+        # and lv_center = (span Phi_S)^perp
+        self._roots = {
+            frozenset(triple.gamma1): d.levi1_roots,
+            frozenset(triple.gamma2): d.levi2_roots,
+        }
+        self._lv = cache(partial(form_perp_of_simples, rs))
+        self._ids = {}  # map ids by items
         self._sets = {}  # (id of v1's map, id of v2's map) -> (S, partner set)
         self._ranks = {}  # (S, packed) -> cong_dim
-        self._stables = {}  # (S, partner set, cong_dim) -> PairStableSubalgebra
+        self._stables = {}  # (S, partner set, cong_dim) -> StableSubalgebra
         self._affine = cache(AffineDim)  # one AffineDim per value
 
     @cached_property
-    def packing(self) -> tuple[tuple[int, ...], Matrix, int, int]:
-        """Theta·b for b = (B^j)_j, adj(Theta), det(Theta) and the base B,
-        for Theta = c·theta (c the lcm of theta's denominators), built on first
-        use: one-sided records never need Theta invertible.  det·psi = v1·P(v2)
-        for the integer P(v2) = adj·v2·Theta.  The columns of a Weyl matrix are
-        roots or torus unit vectors, so its entries are at most the largest
-        root coefficient m, and |(v1·P)_ij| <= h = k·m²·(largest row sum of
-        |adj|)·(largest column sum of |Theta|).  With B = 2h + 1, det·psi packs
-        exactly into sum_ij (v1·P)_ij·B^(i·k + j) = u(v1)·y(v2), for
-        u(v1)_t = sum_i (v1)_it·B^(i·k) and y(v2) = P(v2)·b = adj·v2·(Theta·b)."""
+    def packing(self) -> tuple[tuple[int, ...], Matrix, int, int, tuple[int, ...]]:
+        """Theta·b for b = (B^j)_j, adj(Theta), det(Theta), the base B and
+        (B^(i·k))_i, for Theta = c·theta (c the lcm of theta's denominators),
+        built on first use: one-sided records never need Theta invertible.
+        det·psi = v1·P(v2) for the integer P(v2) = adj·v2·Theta.  The columns
+        of a Weyl matrix are roots or torus unit vectors, so its entries are
+        at most the largest root coefficient m, and |(v1·P)_ij| <= h =
+        k·m²·(largest row sum of |adj|)·(largest column sum of |Theta|).  With
+        B = 2h + 1, det·psi packs exactly into sum_ij (v1·P)_ij·B^(i·k + j) =
+        u(v1)·y(v2), for u(v1)_t = sum_i (v1)_it·B^(i·k) and y(v2) = P(v2)·b =
+        adj·v2·(Theta·b)."""
         theta, _ = _integer_scaled(self.d.theta_cartan)
         if not (scale := int(det(theta))):
             raise ValueError("singular matrix")
@@ -212,7 +204,13 @@ class _Frame:
         m = max((x for a in self.rs.positive_roots for x in a), default=1)
         h = self.k * m * m * max(sum(map(abs, r)) for r in adj)
         base = 2 * h * max(sum(map(abs, c)) for c in zip(*theta)) + 1
-        return tuple(sum(x * base**j for j, x in enumerate(r)) for r in theta), adj, scale, base
+        tb = tuple(sum(x * base**j for j, x in enumerate(r)) for r in theta)
+        return tb, adj, scale, base, tuple(base ** (i * self.k) for i in range(self.k))
+
+    def _levi(self, s: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+        if (hit := self._roots.get(s)) is None:
+            hit = self._roots[s] = levi_roots(self.rs, s)
+        return hit
 
     def _simple(self, v: WeylElement, gamma, label: str) -> tuple[int, dict[int, int | None]]:
         """After checking v is minimal modulo W_gamma: an id of its simple-root
@@ -224,39 +222,36 @@ class _Frame:
     def left(self, v1: WeylElement):
         """The id of v1's simple-root map, the map and u(v1) (see packing)."""
         mid, simple = self._simple(v1, self.triple.gamma1, "v1")
-        rows = [self.packing[3] ** (i * self.k) for i in range(self.k)]
+        rows = self.packing[4]
         return mid, simple, tuple(sum(map(mul, col, rows)) for col in zip(*v1.matrix))
 
     def right(self, v2: WeylElement):
         """The id of v2's simple-root map, the map and y(v2) (see packing)."""
         mid, simple = self._simple(v2, self.triple.gamma2, "v2")
-        tb, adj, _, _ = self.packing
+        tb, adj = self.packing[:2]
         vtb = [sum(map(mul, row, tb)) for row in v2.matrix]
         return mid, simple, tuple(sum(map(mul, row, vtb)) for row in adj)
 
-    def span_data(self, s: frozenset[int]) -> tuple[tuple[tuple[int, ...], ...], Subspace]:
-        """Phi_S and lv_center = (span Phi_S)^perp."""
-        hit = self._spans.get(s)
-        if hit is None:
-            hit = self._spans[s] = (levi_roots(self.rs, s), form_perp_of_simples(self.rs, s))
+    def _stable(self, s: frozenset[int], partner: frozenset[int], cong_dim: int):
+        """The one StableSubalgebra of (S, partner set, cong_dim)."""
+        if (hit := self._stables.get((s, partner, cong_dim))) is None:
+            root_set, lv_center = self._levi(s), self._lv(s)
+            hit = self._stables[s, partner, cong_dim] = StableSubalgebra(
+                root_set=root_set,
+                partner_root_set=self._levi(partner),
+                derived_dim=len(root_set) + len(s),
+                center_dim=lv_center.dim,
+                lv_center=lv_center,
+                cong_dim=cong_dim,
+                moduli_dim=lv_center.dim - cong_dim,
+            )
         return hit
 
-    def _stable(self, cls, s: frozenset[int], cong_dim: int, **extra):
-        root_set, lv_center = self.span_data(s)
-        return cls(
-            root_set=root_set,
-            derived_dim=len(root_set) + len(s),
-            center_dim=lv_center.dim,
-            lv_center=lv_center,
-            cong_dim=cong_dim,
-            moduli_dim=lv_center.dim - cong_dim,
-            **extra,
-        )
-
     def single(self, v: WeylElement) -> StableSubalgebra:
+        """The stable data of the pair (v, e): partner set tau(S), psi = v."""
         s = _stable_indices(self._simple(v, self.triple.gamma1, "v")[1])
-        lv = self.span_data(s)[1].basis
-        return self._stable(StableSubalgebra, s, _shifted_rank(v.matrix, 1, lv))
+        cong_dim = _shifted_rank(v.matrix, 1, self._lv(s).basis)
+        return self._stable(s, frozenset(self.tau[i] for i in s), cong_dim)
 
     def key(self, left, right) -> tuple[frozenset[int], frozenset[int], int]:
         """S, the partner indices tau(S) moved by v2 (once per pair of map
@@ -269,33 +264,26 @@ class _Frame:
             sets = self._sets[id1, id2] = (s, frozenset(simple2[tau[i]] for i in s))
         return *sets, sum(map(mul, u, y))
 
-    def pair(self, left, right) -> PairStableSubalgebra:
-        """The stable data of v1 and v2 from left(v1) and right(v2): one rank
-        per (S, packed psi), one object per (S, partner set, cong_dim)."""
+    def pair(self, left, right) -> StableSubalgebra:
+        """The stable data of v1 and v2 from left(v1) and right(v2), ranked
+        once per (S, packed psi)."""
         s, partner, packed = self.key(left, right)
         if (cong_dim := self._ranks.get((s, packed))) is None:
             # det·psi - det on lv_center has the rank of psi - 1 there
             psi = _unpack(packed, self.packing[3], self.k)
-            lv = self.span_data(s)[1].basis
+            lv = self._lv(s).basis
             cong_dim = self._ranks[s, packed] = _shifted_rank(psi, self.packing[2], lv)
-        if (hit := self._stables.get((s, partner, cong_dim))) is None:
-            # z_pair_dim is the dimension of the kernel of psi - 1 on lv_center
-            hit = self._stables[s, partner, cong_dim] = self._stable(
-                PairStableSubalgebra,
-                s,
-                cong_dim,
-                partner_root_set=self.span_data(partner)[0],
-                z_pair_dim=self.span_data(s)[1].dim - cong_dim,
-            )
-        return hit
+        return self._stable(s, partner, cong_dim)
 
-    def record(self, st: StableSubalgebra, const: int, offset: int, **reps) -> LeafRecord:
-        """The record of st for reps (v, or v1 and v2): leaf constant const
-        plus their lengths, coset constant offset more.  The simplified
-        dim l1 - (k + |Phi_S|) + lengths + cong_dim must agree: the lengths
-        cancel, so the check compares integers without the lengths."""
-        roots = len(st.root_set)
-        if const != self.dims["dim_l1"] - self.k - roots + st.cong_dim:
+    def record(self, st: StableSubalgebra, offset: int, **reps) -> LeafRecord:
+        """The record of st for reps (v, or v1 and v2): leaf constant
+        dim(l1' + a1) - derived_dim - moduli_dim plus their lengths, coset
+        constant offset more.  The simplified dim l1 - (k + |Phi_S|) + lengths
+        + cong_dim must agree: the lengths cancel, so the check compares
+        integers without the lengths."""
+        roots, dims = len(st.root_set), self.dims
+        const = dims["dim_lprime1_a1"] - st.derived_dim - st.moduli_dim
+        if const != dims["dim_l1"] - self.k - roots + st.cong_dim:
             raise AssertionError("simplified leaf dimension disagrees")
         leaf = self._affine(const + sum(w.length for w in reps.values()))
         return LeafRecord(
@@ -321,9 +309,9 @@ def stable_subalgebra_pair(
     d: Decomposition,
     v1: WeylElement,
     v2: WeylElement,
-) -> PairStableSubalgebra:
+) -> StableSubalgebra:
     """Stable data for the two-sided twist v1 tau^{-1} v2 tau, with the
-    partner root set and the dimension of the pair-center solution space."""
+    partner root set."""
     frame = _Frame(rs, triple, d)
     left = frame.left(v1)  # v1 is checked before v2
     return frame.pair(left, frame.right(v2))
@@ -341,12 +329,9 @@ def classify_gminus(
 ) -> tuple[LeafRecord, ...]:
     """One record per minimal coset representative, dimension formulas included."""
     frame = _Frame(rs, triple, d)
-    records = []
-    for v in _coset_space(rs, triple.gamma1):
-        st = frame.single(v)
-        const = len(d.levi1_roots) - len(st.root_set) + st.cong_dim
-        records.append(frame.record(st, const, frame.dims["dim_g_plus"], v=v))
-    return tuple(records)
+    offset = frame.dims["dim_g_plus"]
+    reps = _coset_space(rs, triple.gamma1)
+    return tuple(frame.record(frame.single(v), offset, v=v) for v in reps)
 
 
 def classify_g(
@@ -372,9 +357,7 @@ def classify_g(
     for v1 in reps1:
         left = frame.left(v1)
         for v2, right in rights:
-            st = frame.pair(left, right)
-            const = base - st.derived_dim - st.z_pair_dim
-            records.append(frame.record(st, const, offset, v1=v1, v2=v2))
+            records.append(frame.record(frame.pair(left, right), offset, v1=v1, v2=v2))
     records.sort(
         key=lambda r: (r.v1.length, r.v2.length, r.v1.matrix, r.v2.matrix)
     )

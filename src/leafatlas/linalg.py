@@ -250,13 +250,6 @@ class Subspace:
         """Basis as a tuple of column vectors."""
         return tuple(zip(*self.basis)) if self.dim else ()
 
-    def contains(self, v) -> bool:
-        if len(v) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        if self.dim == 0:
-            return all(frac(x) == 0 for x in v)
-        return solve(self.basis, v) is not None
-
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
@@ -389,11 +382,6 @@ class Lattice:
 
     def columns(self) -> tuple[Vector, ...]:
         return tuple(zip(*self.basis)) if self.rank else ()
-
-    def contains(self, v) -> bool:
-        if len(v) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        return _coords(self.columns(), v) is not None
 
     def sum(self, other: "Lattice") -> "Lattice":
         if self.ambient != other.ambient:

@@ -13,6 +13,7 @@ from leafatlas.decomp import form_perp_of_simples, simple_span
 from leafatlas.linalg import (
     Lattice,
     Subspace,
+    _coords,
     _kernel,
     det,
     frac,
@@ -22,6 +23,7 @@ from leafatlas.linalg import (
     matmul,
     matvec,
     row_hnf,
+    solve,
     transpose,
 )
 from leafatlas.rootsys import build_root_system, levi_roots
@@ -227,6 +229,20 @@ def integer_kernel(a) -> list[list[int]]:
     m, n = len(rows), len(rows[0]) if rows else 0
     stacked = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
     return [h[m:] for h in row_hnf(stacked) if not any(h[:m])]
+
+
+def subspace_contains(space: Subspace, v) -> bool:
+    if len(v) != space.ambient:
+        raise ValueError("vector length does not match ambient dimension")
+    if space.dim == 0:
+        return all(frac(x) == 0 for x in v)
+    return solve(space.basis, v) is not None
+
+
+def lattice_contains(lat: Lattice, v) -> bool:
+    if len(v) != lat.ambient:
+        raise ValueError("vector length does not match ambient dimension")
+    return _coords(lat.columns(), v) is not None
 
 
 def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cg_theta_target, reference_cartan_split
+from helpers import cg_theta_target, reference_cartan_split, subspace_contains
 from leafatlas import (
     Infeasible,
     build_root_system,
@@ -84,7 +84,7 @@ def test_cg_a2_full_h_and_subspaces():
     assert split.a1.dim == 1 and split.a2.dim == 1
     # theta carries a1 onto a2
     for x in split.a1.vectors():
-        assert split.a2.contains(matvec(d.theta_cartan, x))
+        assert subspace_contains(split.a2, matvec(d.theta_cartan, x))
 
 
 # simply- and non-simply-laced systems up to rank 4, products and a torus:

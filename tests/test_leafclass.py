@@ -169,7 +169,7 @@ def test_full_trivial_triple_sl2_table():
         (reduced_word(rs, r.v1), reduced_word(rs, r.v2)): (
             r.leaf_dim.at(0),
             r.coset_dim.at(0),
-            r.stable.z_pair_dim,
+            r.stable.moduli_dim,
         )
         for r in recs
     }

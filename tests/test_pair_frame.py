@@ -39,7 +39,7 @@ from leafatlas import (
 )
 from leafatlas.bdtriple import tau_linear_matrix
 from leafatlas.decomp import simple_span
-from leafatlas.leafclass import PairStableSubalgebra, StableSubalgebra
+from leafatlas.leafclass import StableSubalgebra
 from leafatlas.linalg import (
     Subspace,
     frac,
@@ -93,6 +93,9 @@ def reference_single(rs, triple, d, split, v):
     k = rs.cartan_rank
     root_set = stable_roots(d.levi1_roots, v)
     assert_simple_generated(rs, root_set)
+    # the partner roots of the pair (v, e): tau of the stable roots
+    tlin = tau_linear_matrix(rs, triple)
+    partner = tuple(sorted(tuple(matvec(tlin, a)) for a in root_set))
 
     span = _root_span(rs, root_set)
     derived_dim = len(root_set) + span.dim
@@ -103,6 +106,7 @@ def reference_single(rs, triple, d, split, v):
     )
     return StableSubalgebra(
         root_set=root_set,
+        partner_root_set=partner,
         derived_dim=derived_dim,
         center_dim=center_dim,
         lv_center=lv_center,
@@ -166,17 +170,18 @@ def reference_pair(rs, triple, d, split, v1, v2):
         [_stack(x, zero) for x in ort_left.vectors()]
         + [_stack(zero, x) for x in ort_right.vectors()],
     )
+    # the pair-centre solution space has the dimension of the moduli
     z_pair_dim = intersect(u1, u2).add(u3).dim
+    assert z_pair_dim == moduli_dim, (v1, v2, z_pair_dim, moduli_dim)
 
-    return PairStableSubalgebra(
+    return StableSubalgebra(
         root_set=root_set,
+        partner_root_set=partner,
         derived_dim=derived_dim,
         center_dim=center_dim,
         lv_center=lv_center,
         cong_dim=cong_dim,
         moduli_dim=moduli_dim,
-        partner_root_set=partner,
-        z_pair_dim=z_pair_dim,
     )
 
 

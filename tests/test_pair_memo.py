@@ -115,7 +115,7 @@ def _check_shared_frame(rs, t, d, pairs) -> int:
         assert got.partner_root_set == partner, where
         assert got.lv_center == lv, where
         assert got.cong_dim == cong_dim, where
-        assert got.z_pair_dim == lv.dim - cong_dim, where
+        assert got.moduli_dim == lv.dim - cong_dim, where
     return len(pairs) - len(frame._ranks)
 
 
@@ -141,7 +141,7 @@ def test_packed_key_decodes_to_det_theta_times_psi(label, g1, g2, tau):
     c = lcm(*(x.denominator for row in d.theta_cartan for x in row))
     det_theta = int(sympy.Matrix(d.theta_cartan).det() * c**k)
     frame = _Frame(rs, t, d)
-    _, _, scale, base = frame.packing
+    _, _, scale, base, _ = frame.packing
     assert scale == det_theta != 0
     longest = tuple(max(r, key=lambda w: w.length) for r in reps)
     pairs = _grid(reps, seed=k, rows=5, cols=6) + [longest]

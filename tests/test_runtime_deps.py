@@ -106,13 +106,30 @@ def _identifiers(tree):
             yield from (alias.name for alias in node.names)
 
 
+def _is_method(node):
+    return isinstance(node, ast.FunctionDef) and not (
+        node.name.startswith("__") and node.name.endswith("__"))
+
+
+def _class_parts(node):
+    """What a class reads when it is reached, as one tree: its bases,
+    decorators and body but its non-dunder methods, which are definitions of
+    their own."""
+    own = [item for item in node.body if not _is_method(item)]
+    return ast.Module(body=node.bases + node.keywords + node.decorator_list + own, type_ignores=[])
+
+
 def _definitions(tree):
-    """name -> defining node of each top-level def, class and assigned name
-    (but __all__); and the other top-level statements, which run on import."""
+    """name -> defining node of each top-level def, class, non-dunder method
+    (as Class.method) and assigned name (but __all__); and the other
+    top-level statements, which run on import."""
     defs, run = {}, []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.FunctionDef):
             defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs[node.name] = _class_parts(node)
+            defs.update((f"{node.name}.{m.name}", m) for m in node.body if _is_method(m))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
@@ -157,18 +174,22 @@ def test_every_public_name_has_a_caller():
     """Walk from cli.main, the outside callers and the per-layer metrics
     through the names each reached definition (or import-time statement)
     reads, resolved to the definition in its module or, through the
-    module's package imports, in the module it came from; every top-level
-    definition must be reached.  A name read only by unreached code is
-    flagged with its reader."""
+    module's package imports, in the module it came from; a name also
+    reaches every non-dunder method of that name, in any class.  Every
+    top-level definition and method must be reached.  A name read only by
+    unreached code is flagged with its reader."""
     modules = _modules()
     outside, per_layer = _outside_callers()
-    defs, imports = {}, {}
+    defs, imports, methods = {}, {}, {}
     stack = [("cli", "main")]
     for module, tree in modules.items():
         defs[module], run = _definitions(tree)
         imports[module] = _package_imports(tree)
+        for name in defs[module]:
+            if "." in name:
+                methods.setdefault(name.partition(".")[2], []).append((module, name))
         stack += [(module, name) for name in defs[module]
-                  if name in outside or name in per_layer.get(module, ())]
+                  if name.rpartition(".")[2] in outside or name in per_layer.get(module, ())]
         stack += [(module, node) for node in run]
 
     def resolve(module, name):
@@ -186,7 +207,9 @@ def test_every_public_name_has_a_caller():
                 continue
             reached.add((module, item))
             item = defs[module][item]
-        stack += filter(None, (resolve(module, word) for word in _identifiers(item)))
+        words = list(_identifiers(item))
+        stack += filter(None, (resolve(module, word) for word in words))
+        stack += [method for word in words for method in methods.get(word, ())]
     unreached = sorted(f"{module}.{name}" for module in defs for name in defs[module]
                        if (module, name) not in reached)
     assert len(reached) > 100

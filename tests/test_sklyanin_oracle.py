@@ -85,6 +85,15 @@ def bivector_rank(r_matrix: DomainMatrix, g: DomainMatrix) -> int:
     return (r_matrix - a * r_matrix * a.transpose()).rank()
 
 
+def r_matrix(n: int, triple, r0) -> DomainMatrix:
+    """The N²×N² matrix R of realize_r(n, triple, r0) over the matrix units."""
+    size = n + 1
+    rows = [[0] * size**2 for _ in range(size**2)]
+    for ((i, j), (k, l)), c in realize_r(n, triple, r0).coefficients.items():
+        rows[i * size + j][k * size + l] = c
+    return _dm(rows)
+
+
 def standard_mismatches(n: int, step: int = 1, seed: int = 0):
     """Every step-th classify_g record of A_n with the standard triple and
     the canonical r0, checked at one point of its cell: the number checked
@@ -93,15 +102,11 @@ def standard_mismatches(n: int, step: int = 1, seed: int = 0):
     triple = validate_triple(rs, (), (), {})
     r0 = solve_r0(rs, triple, "canonical")
     records = classify_g(rs, triple, compute_decomposition(rs, triple, r0))[::step]
-    size = n + 1
-    rows = [[0] * size**2 for _ in range(size**2)]
-    for ((i, j), (k, l)), c in realize_r(n, triple, r0).coefficients.items():
-        rows[i * size + j][k * size + l] = c
-    r_matrix = _dm(rows)
+    r = r_matrix(n, triple, r0)
     rng, memo, bad = random.Random(seed), {}, []
     for rec in records:
         word1, word2 = reduced_word(rs, rec.v1, memo), reduced_word(rs, rec.v2, memo)
-        got = bivector_rank(r_matrix, _cell_point(n, word1, word2, rng))
+        got = bivector_rank(r, _cell_point(n, word1, word2, rng))
         if got != rec.leaf_dim.at(0):
             bad.append((word1, word2, str(rec.leaf_dim), got))
     return len(records), bad
