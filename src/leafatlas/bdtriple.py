@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import lcm
 
 from .linalg import (
-    Matrix, identity, inverse, madd, mat, matmul, matvec, msub, shape, solve, transpose
+    Matrix, _adjugate, _integer_scaled, _over, _primitive_rref, _shift, mat, matmul, matvec,
+    shape, transpose,
 )
 from .rootsys import RootSystem, levi_roots
 
@@ -98,10 +100,7 @@ class InductionChain:
 
 
 def _as_tau_pairs(tau) -> tuple[tuple[int, int], ...]:
-    if isinstance(tau, dict):
-        items = tau.items()
-    else:
-        items = tau
+    items = tau.items() if isinstance(tau, dict) else tau
     return tuple(sorted((int(i), int(j)) for i, j in items))
 
 
@@ -180,34 +179,31 @@ def partial_order_pairs(rs: RootSystem, triple: BDTriple):
     return sorted(pairs)
 
 
-def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> Matrix:
+def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> tuple[Matrix, int]:
     """Raise Infeasible unless both r0 constraints hold exactly; else return
-    f = r0·G.
-
-    The slot constraint for alpha_i is r0^T·G·e_tau(i) + r0·G·e_i = 0.  Once
-    r0 + r0^T = omega = G^-1 holds, r0^T·G = 1 - f for f = r0·G, so it reads
-    f[:, i] - f[:, tau(i)] + e_tau(i) = 0 on the columns of f.
-    """
+    (F, e) for f = r0·G = F/e.  With r0 = R/q, G = G_int/s and omega = G^-1 =
+    Omega_int/t, r0 + r0^T = omega reads t·(R + R^T) = q·Omega_int, and F =
+    R·G_int, e = q·s.  The slot constraint for alpha_i is r0^T·G·e_tau(i) +
+    r0·G·e_i = 0; with r0^T·G = 1 - f it reads F[:, i] - F[:, tau(i)] +
+    e·e_tau(i) = 0 on the columns of F."""
     m, k = term.r0, rs.cartan_rank
     if shape(m) != (k, k):
         raise Infeasible("r0 is %dx%d, %s needs %dx%d" % (*shape(m), rs.type_label, k, k))
-    if madd(m, transpose(m)) != rs.gram_inverse:
+    (r, q), s = _integer_scaled(m), rs.gram_scale
+    sym, t = zip(r, zip(*r), rs.gram_inverse_int), rs.gram_int_scale // s
+    if any(t * (x + y) != q * w for a, b, c in sym for x, y, w in zip(a, b, c)):
         raise Infeasible("r0 + r0^T does not equal the Cartan Casimir block")
-    f = matmul(m, rs.gram)
+    f, e = matmul(r, rs.gram_int), q * s
     for i, j in triple.tau:
-        if any(row[i] - row[j] + (t == j) for t, row in enumerate(f)):
+        if any(row[i] - row[j] + e * (p == j) for p, row in enumerate(f)):
             raise Infeasible(f"r0 violates the slot constraint for alpha_{i + 1}")
-    return f
+    return f, e
 
 
 def solve_r0(
-    rs: RootSystem,
-    triple: BDTriple,
-    mode: str = "canonical",
-    *,
-    theta_target: Matrix | None = None,
+    rs: RootSystem, triple: BDTriple, mode: str = "canonical", *, theta_target: Matrix | None = None
 ) -> CartanTerm:
-    """Solve the two r0 constraints exactly.
+    """Solve the two r0 constraints exactly, in integers.
 
     canonical: symmetric part = half the Cartan Casimir, skew part from
     the reduced row echelon form of the slot rows with every free unknown
@@ -215,29 +211,30 @@ def solve_r0(
     supplied isometry, checked against the triple.  A given matrix needs no
     solving: CartanTerm(matrix) goes to compute_decomposition as it is.
     """
-    k = rs.cartan_rank
-    g = rs.gram
-    omega = rs.gram_inverse
+    k, g, s = rs.cartan_rank, rs.gram_int, rs.gram_scale
+    t = rs.gram_int_scale // s  # omega = Omega_int/t, see check_cartan_term
 
     if mode == "match_theta":
         if theta_target is None:
             raise ValueError("match_theta mode needs a target matrix")
-        t = mat(theta_target)
-        if shape(t) != (k, k):
+        target = mat(theta_target)
+        if shape(target) != (k, k):
             raise TargetThetaNotIsometry(
-                "target is %dx%d, %s needs %dx%d" % (*shape(t), rs.type_label, k, k)
+                "target is %dx%d, %s needs %dx%d" % (*shape(target), rs.type_label, k, k)
             )
-        if matmul(matmul(transpose(t), g), t) != g:
+        # theta = T/c preserves G = G_int/s iff T^T·G_int·T = c²·G_int
+        big, c = _integer_scaled(target)
+        form = matmul(matmul(transpose(big), g), big)
+        if any(x != c * c * y for u, v in zip(form, g) for x, y in zip(u, v)):
             raise TargetThetaNotIsometry("target does not preserve the form")
-        t_minus_1 = msub(t, identity(k))
         try:
-            inv = inverse(t_minus_1)
+            adj, det = _adjugate(_shift(big, c))
         except ValueError:
             raise TargetThetaNotIsometry(
                 "target has fixed vectors; the Cayley transform is undefined"
             ) from None
-        m = matmul(matmul(t, inv), omega)
-        term = CartanTerm(r0=m)
+        # theta·(theta - 1)^-1·omega = T·adj·Omega_int/(det·t), (adj, det) of T - c·1
+        term = CartanTerm(_over(matmul(matmul(big, adj), rs.gram_inverse_int), det * t))
         try:
             check_cartan_term(rs, triple, term)
         except Infeasible as e:
@@ -248,27 +245,28 @@ def solve_r0(
         raise ValueError(f"unknown r0 mode: {mode!r}")
 
     # With r0 = omega/2 + S and S skew, the slot constraint for (a, b) reads
-    # S·d = -(e_a + e_b) for d = 2·G·(e_a - e_b): one row per coordinate r
-    # over the unknowns S[i][j], i < j, with d[j] where i = r, -d[i] where j = r
+    # S·d = -s·(e_a + e_b) for d = 2·G_int·(e_a - e_b): one row per coordinate
+    # r over the unknowns S[i][j], i < j, with d[j] where i = r, -d[i] where
+    # j = r, and the right-hand side last
     unknowns = tuple(combinations(range(k), 2))
-    rows, rhs = [], []
+    n, rows = len(unknowns), []
     for a, b in triple.tau:
         d = [2 * (x - y) for x, y in zip(g[a], g[b])]  # G is symmetric
         for r in range(k):
-            rows.append(tuple(d[j] if i == r else -d[i] if j == r else 0 for i, j in unknowns))
-            rhs.append(-(r == a) - (r == b))
-
-    # with no tau there are no rows, and the skew part is zero
-    sol = solve(tuple(rows), rhs) if rows else (0,) * len(unknowns)
-    if sol is None:
+            row = [d[j] if i == r else -d[i] if j == r else 0 for i, j in unknowns]
+            rows.append(row + [-s * ((r == a) + (r == b))])
+    red, pivots = _primitive_rref(rows)
+    if n in pivots:
         raise Infeasible("r0 constraint system inconsistent")
-    s = dict(zip(unknowns, sol))
-    return CartanTerm(
-        r0=tuple(
-            tuple(omega[i][j] / 2 + s.get((i, j), 0) - s.get((j, i), 0) for j in range(k))
-            for i in range(k)
-        )
-    )
+    # each pivot row sets its unknown to row[n]/row[c], free unknowns are
+    # zero; over q = lcm(2t, pivots), r0 = R/q with R = (q/2t)·Omega_int + q·S
+    q = lcm(2 * t, *(row[c] for row, c in zip(red, pivots)))
+    r0 = [[q // (2 * t) * w for w in row] for row in rs.gram_inverse_int]
+    for row, c in zip(red, pivots):
+        (i, j), x = unknowns[c], row[n] * (q // row[c])
+        r0[i][j] += x
+        r0[j][i] -= x
+    return CartanTerm(_over(r0, q))
 
 
 def induction_chain(rs: RootSystem, triple: BDTriple) -> InductionChain:

@@ -1,7 +1,10 @@
 """Subalgebra decomposition attached to a triple and a Cartan term.
 
 Root content of the two Levi subalgebras and the radicals, the Cartan part
-f = r0·G of the connecting map, and its Cayley transform theta.
+f = r0·G of the connecting map, and its Cayley transform theta.  Each
+travels as an integer matrix over one denominator (r0 = R/q, f = F/e, theta
+= Theta/c with the least c); Fractions appear only in the public fields
+r0, f_cartan and theta_cartan, built once from the integers, and the report.
 
 compute_decomposition is the one gate for the Cartan term: it runs
 check_cartan_term first.  A term that passes has r0 + r0^T = omega = G^-1,
@@ -17,10 +20,11 @@ invariant form on such vectors is x^T gram y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from math import gcd
 
 from .bdtriple import BDTriple, CartanTerm, check_cartan_term
-from .linalg import Matrix, Subspace, identity, inverse, madd, msub
+from .linalg import Matrix, Subspace, _adjugate, _integer_scaled, _over, _shift
 from .rootsys import RootSystem, levi_roots
 
 __all__ = [
@@ -41,6 +45,12 @@ class Decomposition:
     n_minus_roots: tuple[tuple[int, ...], ...]
     f_cartan: Matrix
     theta_cartan: Matrix
+    # theta_scaled = (Theta, c) from compute_decomposition, else theta_cartan scaled
+    theta_int: InitVar[tuple[Matrix, int] | None] = None
+    theta_scaled: tuple[Matrix, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, theta_int):
+        object.__setattr__(self, "theta_scaled", theta_int or _integer_scaled(self.theta_cartan))
 
 
 def simple_span(rs: RootSystem, indices) -> Subspace:
@@ -55,7 +65,7 @@ def form_perp_of_simples(rs: RootSystem, indices) -> Subspace:
 def compute_decomposition(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> Decomposition:
     """Raise Infeasible unless r0 passes check_cartan_term; else the root
     content of both sides, f and theta = f·(f - 1)^-1 = 1 + (f - 1)^-1."""
-    f_cartan = check_cartan_term(rs, triple, r0)
+    f, e = check_cartan_term(rs, triple, r0)
     l1 = levi_roots(rs, triple.gamma1)
     l2 = levi_roots(rs, triple.gamma2)
     l1pos = {a for a in l1 if rs.is_positive_root(a)}
@@ -63,16 +73,20 @@ def compute_decomposition(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> D
     n_plus = tuple(a for a in rs.positive_roots if a not in l1pos)
     n_minus = tuple(tuple(-x for x in a) for a in rs.positive_roots if a not in l2pos)
     # f - 1 = -r0^T·G is invertible once the check passes (module docstring),
-    # and f·(f - 1)^-1 = ((f - 1) + 1)·(f - 1)^-1 = 1 + (f - 1)^-1
-    one = identity(rs.cartan_rank)
-    theta_cartan = madd(one, inverse(msub(f_cartan, one)))
+    # and f·(f - 1)^-1 = 1 + (f - 1)^-1 = (det·1 + e·adj)/det for (adj, det)
+    # of F - e·1 = e·(f - 1), which Theta/c takes to lowest terms
+    adj, det = _adjugate(_shift(f, e))
+    num = _shift([[e * x for x in row] for row in adj], -det)
+    g = gcd(det, *(x for row in num for x in row)) * (1 if det > 0 else -1)
+    theta, c = tuple(tuple(x // g for x in row) for row in num), det // g
     return Decomposition(
         levi1_roots=l1,
         levi2_roots=l2,
         n_plus_roots=n_plus,
         n_minus_roots=n_minus,
-        f_cartan=f_cartan,
-        theta_cartan=theta_cartan,
+        f_cartan=_over(f, e),
+        theta_cartan=_over(theta, c),
+        theta_int=(theta, c),
     )
 
 

@@ -17,18 +17,7 @@ from operator import mul
 from .bdtriple import BDTriple
 from .decomp import Decomposition, dimension_summary, form_perp_of_simples
 from .linalg import (
-    Lattice,
-    Matrix,
-    Subspace,
-    _integer_scaled,
-    det,
-    identity,
-    inverse,
-    matmul,
-    msub,
-    quotient_invariants,
-    rank,
-    transpose,
+    Lattice, Matrix, Subspace, _adjugate, _shift, matmul, quotient_invariants, rank, transpose
 )
 from .rootsys import RootSystem, levi_roots
 from .weyl import (
@@ -197,10 +186,8 @@ class _Frame:
         B = 2h + 1, det·psi packs exactly into sum_ij (v1·P)_ij·B^(i·k + j) =
         u(v1)·y(v2), for u(v1)_t = sum_i (v1)_it·B^(i·k) and y(v2) = P(v2)·b =
         adj·v2·(Theta·b)."""
-        theta, _ = _integer_scaled(self.d.theta_cartan)
-        if not (scale := int(det(theta))):
-            raise ValueError("singular matrix")
-        adj = tuple(tuple(int(x * scale) for x in row) for row in inverse(theta))
+        theta = self.d.theta_scaled[0]
+        adj, scale = _adjugate(theta)
         m = max((x for a in self.rs.positive_roots for x in a), default=1)
         h = self.k * m * m * max(sum(map(abs, r)) for r in adj)
         base = 2 * h * max(sum(map(abs, c)) for c in zip(*theta)) + 1
@@ -369,13 +356,14 @@ def sigma_group(
 ) -> FiniteAbelianGroup:
     """Invariant factors of ker' / (ker' cap (1 - theta) ker).
 
-    With s·(1 - theta) integral, scaling both lattices by s is an isomorphism,
-    and A / (A cap B) = (A + B) / B, so Sigma is sup + image over image for
-    sup = s·ker' and image = (s·(1 - theta))·ker, all in integers.
+    With s·(1 - theta) = s·1 - Theta integral (Theta = s·theta, see
+    Decomposition), scaling both lattices by s is an isomorphism, and
+    A / (A cap B) = (A + B) / B, so Sigma is sup over image for sup =
+    s·ker' + image and image = (s·(1 - theta))·ker, all in integers.
     """
-    k = len(d.theta_cartan)
-    one_minus, s = _integer_scaled(msub(identity(k), d.theta_cartan))
-    if rank(one_minus) < k:
+    theta, s = d.theta_scaled
+    k, minus = len(theta), _shift(theta, s)  # -s·(1 - theta), the same image lattice
+    if rank(minus) < k:
         raise ThetaMinusOneSingular("1 - theta is singular on h")
 
     kerp = kernel
@@ -386,7 +374,7 @@ def sigma_group(
             )
         kerp = kernel.sum(lambda2)
 
-    image = Lattice(k, transpose(matmul(one_minus, kernel.basis)))
-    sup = Lattice(k, [[s * x for x in c] for c in kerp.columns()])
-    factors, free = quotient_invariants(sup.sum(image), image)
+    image = Lattice(k, transpose(matmul(minus, kernel.basis)))
+    sup = Lattice(k, [[s * x for x in c] for c in kerp.columns()] + list(image.columns()))
+    factors, free = quotient_invariants(sup, image)
     return FiniteAbelianGroup(invariant_factors=factors, free_rank=free)

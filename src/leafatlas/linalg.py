@@ -68,18 +68,6 @@ def matvec(a: Matrix, v) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def madd(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
-        raise ValueError("shape mismatch in madd")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def msub(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
-        raise ValueError("shape mismatch in msub")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _integral(a) -> bool:
     """Whether every entry of a is an int (no ``Fraction``), in one C-level scan."""
     return Fraction not in set(map(type, chain.from_iterable(a)))
@@ -183,31 +171,41 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return red + ((Fraction(0),) * shape(a)[1],) * (len(a) - len(pivots)), tuple(pivots)
 
 
-def solve(a: Matrix, b) -> Vector | None:
-    """One solution of a·x = b, or None if inconsistent.
+def _shift(a, c: int) -> list[list[int]]:
+    """a - c·1 for a square matrix a."""
+    return [[x - c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
 
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    nr, nc = shape(a)
-    aug = tuple(tuple(row) + (frac(bi),) for row, bi in zip(a, b))
-    r, pivots = rref(aug)
-    if nc in pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = r[i][nc]
-    return tuple(x)
+
+def _over(a, q: int) -> Matrix:
+    """The Fraction matrix a/q of an integer matrix a."""
+    return tuple(tuple(Fraction(x, q) for x in row) for row in a)
+
+
+def _adjugate(a) -> tuple[Matrix, int]:
+    """(adj a, det a) of a square integer matrix a, so a^-1 = adj/det; raises
+    ValueError if a is singular.  Fraction-free elimination on [a | 1] gives
+    [U | E] with U = E·a upper triangular and last pivot D = ±det a, and back
+    substitution solves U·X = D·E for the integer X = D·a^-1 exactly."""
+    n = len(a)
+    m, pivots, sign, _ = _echelon([[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    d, x = m[-1][n - 1] if n else 1, [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = [d * y for y in m[i][n:]]
+        for j in range(i + 1, n):
+            if u := m[i][j]:
+                acc = [s - u * y for s, y in zip(acc, x[j])]
+        x[i] = [s // m[i][i] for s in acc]
+    return tuple(tuple(sign * y for y in r) for r in x), sign * d
 
 
 def inverse(a: Matrix) -> Matrix:
-    n, m = shape(a)
-    if n != m:
+    if len(a) != shape(a)[1]:
         raise ValueError("inverse of non-square matrix")
-    aug = tuple(row + iden for row, iden in zip(a, identity(n)))
-    r, pivots = rref(aug)
-    if tuple(range(n)) != pivots[:n] or len(pivots) != n:
-        raise ValueError("singular matrix")
-    return tuple(row[n:] for row in r)
+    big, s = _integer_scaled(a)
+    adj, d = _adjugate(big)
+    return _over([[s * x for x in row] for row in adj], d)
 
 
 def det(a: Matrix) -> Fraction:

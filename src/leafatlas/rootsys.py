@@ -50,8 +50,8 @@ class RootSystem:
         coordinates (the torus block is fixed).
     neighbours: sparse Cartan table; neighbours[i] holds (k, (s_i)_ik) per Dynkin neighbour k.
     gram_inverse: the inverse of gram.
-    gram_int, gram_inverse_int: gram and gram_inverse scaled to integer
-        matrices; gram_int_scale is the product of the two scales, so
+    gram_int, gram_inverse_int: gram·gram_scale and gram_inverse scaled to
+        integer matrices; gram_int_scale is the product of the two scales, so
         gram_inverse_int·x·gram_int = gram_int_scale·gram_inverse·x·gram.
     gram_inverse_heights: the column sums 1·gram_inverse_int.
     identity_int: the integer identity matrix of size cartan_rank.
@@ -70,6 +70,7 @@ class RootSystem:
     gram_inverse: Matrix
     gram_int: tuple[tuple[int, ...], ...]
     gram_inverse_int: tuple[tuple[int, ...], ...]
+    gram_scale: int
     gram_int_scale: int
     gram_inverse_heights: tuple[int, ...]
     identity_int: tuple[tuple[int, ...], ...]
@@ -212,6 +213,7 @@ def build_root_system(type_label: str) -> RootSystem:
         gram_inverse=gram_inverse,
         gram_int=gram_int,
         gram_inverse_int=gram_inverse_int,
+        gram_scale=s,
         gram_int_scale=s * t,
         gram_inverse_heights=tuple(map(sum, zip(*gram_inverse_int))),
         identity_int=ident,

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from leafatlas.bdtriple import Infeasible
 from leafatlas.decomp import form_perp_of_simples, simple_span
@@ -18,14 +20,16 @@ from leafatlas.linalg import (
     det,
     frac,
     identity,
-    madd,
     mat,
     matmul,
     matvec,
+    quotient_invariants,
     row_hnf,
-    solve,
+    rref,
+    shape,
     transpose,
 )
+from leafatlas.leafclass import FiniteAbelianGroup
 from leafatlas.rootsys import build_root_system, levi_roots
 from leafatlas.typea import (
     MatrixElement,
@@ -231,6 +235,34 @@ def integer_kernel(a) -> list[list[int]]:
     return [h[m:] for h in row_hnf(stacked) if not any(h[:m])]
 
 
+def madd(a, b):
+    """Entrywise a + b of two matrices of one shape."""
+    if shape(a) != shape(b):
+        raise ValueError("shape mismatch in madd")
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def msub(a, b):
+    """Entrywise a - b of two matrices of one shape."""
+    if shape(a) != shape(b):
+        raise ValueError("shape mismatch in msub")
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def solve(a, b):
+    """One solution of a·x = b over Q, free variables zero, or None if the
+    system is inconsistent: the pivot read-out of rref on [a | b]."""
+    nc = shape(a)[1]
+    aug = tuple(tuple(row) + (frac(bi),) for row, bi in zip(a, b))
+    r, pivots = rref(aug)
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for i, c in enumerate(pivots):
+        x[c] = r[i][nc]
+    return tuple(x)
+
+
 def subspace_contains(space: Subspace, v) -> bool:
     if len(v) != space.ambient:
         raise ValueError("vector length does not match ambient dimension")
@@ -320,6 +352,98 @@ def reference_check_cartan_term(rs, triple, term) -> None:
             raise Infeasible(
                 f"r0 violates the slot constraint for alpha_{a_idx + 1}"
             )
+
+
+# ---------------------------------------------------------------------------
+# the Cartan stage over Q: r0, f, theta and Sigma as Fraction matrices and
+# lattice meets, without the integer (matrix, denominator) forms of the package
+
+
+def gauss_solve(a, columns):
+    """Solutions x of a·x = b over Q, one per right-hand side b in columns:
+    Gaussian elimination, then back substitution with every free unknown
+    zero.  None if a system is inconsistent."""
+    m = shape(a)[1]
+    rows = [list(row) + [b[i] for b in columns] for i, row in enumerate(a)]
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(r + 1, len(rows)):
+            if x := rows[i][c]:
+                q = Fraction(x) / rows[r][c]
+                rows[i] = [u - q * v if v else u for u, v in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if any(x for row in rows[len(pivots):] for x in row[m:]):
+        return None
+    out = []
+    for t in range(len(columns)):
+        x = [Fraction(0)] * m
+        for row, c in reversed(list(zip(rows, pivots))):
+            rest = sum(row[j] * x[j] for j in range(c + 1, m) if x[j])
+            x[c] = (Fraction(row[m + t]) - rest) / row[c]
+        out.append(tuple(x))
+    return out
+
+
+def gauss_inverse(a):
+    """a^-1 over Q, one gauss_solve column per unit vector; None if a is
+    singular, as some unit vector then leaves its column space."""
+    n = len(a)
+    cols = gauss_solve(a, [[int(i == j) for i in range(n)] for j in range(n)])
+    return None if cols is None else transpose(cols)
+
+
+@cache
+def _gram_inverse(rs):
+    return gauss_inverse(rs.gram)
+
+
+def reference_r0(rs, triple):
+    """The canonical r0 = omega/2 + S over Q: the slot rows S·d = -(e_a + e_b)
+    for d = 2·G·(e_a - e_b), solved by Gaussian elimination with the free
+    unknowns zero, and omega = G^-1 by the same elimination."""
+    k, g = rs.cartan_rank, rs.gram
+    omega = _gram_inverse(rs)
+    unknowns = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    rows, rhs = [], []
+    for a, b in triple.tau:
+        d = [x - y for x, y in zip(g[a], g[b])]  # G is symmetric
+        for r in range(k):
+            rows.append([2 * d[j] if i == r else -2 * d[i] if j == r else 0 for i, j in unknowns])
+            rhs.append(-int(r == a) - int(r == b))
+    # with no tau there are no rows, and the skew part is zero
+    sols = gauss_solve(rows, [rhs]) if rows else [[0] * len(unknowns)]
+    if sols is None:
+        raise Infeasible("r0 constraint system inconsistent")
+    s = [[Fraction(0)] * k for _ in range(k)]
+    for (i, j), x in zip(unknowns, sols[0]):
+        s[i][j], s[j][i] = x, -x
+    return tuple(tuple(omega[i][j] / 2 + s[i][j] for j in range(k)) for i in range(k))
+
+
+def reference_theta(f):
+    """theta in the product form f·(f - 1)^-1."""
+    return matmul(f, gauss_inverse(msub(f, identity(len(f)))))
+
+
+def reference_sigma(theta, kernel, lambda2=None):
+    """Sigma = ker' / (ker' cap (1 - theta) ker) through four lattices: ker',
+    the image (1 - theta)·ker, their meet and the quotient, with ker' and the
+    image scaled by the lcm of the image's denominators."""
+    k = len(theta)
+    one_minus = msub(identity(k), theta)
+    kerp = kernel if lambda2 is None else kernel.sum(lambda2)
+    image_cols = [[sum(x * y for x, y in zip(row, c) if y) for row in one_minus]
+                  for c in kernel.columns()]
+    denom = lcm(1, *(x.denominator for c in image_cols for x in c))
+    sup = Lattice(k, [tuple(x * denom for x in c) for c in kerp.columns()])
+    image = Lattice(k, [tuple(x * denom for x in c) for c in image_cols])
+    factors, free = quotient_invariants(sup, lattice_intersection(sup, image))
+    return FiniteAbelianGroup(factors, free)
 
 
 # ---------------------------------------------------------------------------

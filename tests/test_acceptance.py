@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from helpers import cg_orbit_correspondence, in_parabolic, lattice_intersection
+from helpers import cg_orbit_correspondence, in_parabolic, lattice_intersection, solve
 from leafatlas import (
     build_root_system,
     cg_triple,
@@ -35,7 +35,6 @@ from leafatlas.linalg import (
     mat,
     quotient_invariants,
     rank,
-    solve,
 )
 from leafatlas.rootsys import exp_kernel_lattice
 from leafatlas.typea import (

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import cg_theta_target, reference_check_cartan_term
+from helpers import cg_theta_target, madd, msub, reference_check_cartan_term
 
 from leafatlas import (
     build_root_system,
@@ -31,7 +31,7 @@ from leafatlas.bdtriple import (
     TargetThetaNotIsometry,
     check_cartan_term,
 )
-from leafatlas.linalg import madd, matmul, msub, transpose
+from leafatlas.linalg import matmul, transpose
 
 
 def F(p, q=1):

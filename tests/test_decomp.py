@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cg_theta_target, reference_cartan_split, subspace_contains
+from helpers import cg_theta_target, madd, reference_cartan_split, subspace_contains
 from leafatlas import (
     Infeasible,
     build_root_system,
@@ -15,7 +15,7 @@ from leafatlas import (
 )
 from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
 from leafatlas.decomp import cartan_domain, form_perp_of_simples, simple_span
-from leafatlas.linalg import Subspace, madd, matmul, matvec, transpose
+from leafatlas.linalg import Subspace, matmul, matvec, transpose
 
 
 def F(p, q=1):

@@ -14,11 +14,10 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
-from helpers import lattice_intersection, parabolic_elements
+from helpers import msub, parabolic_elements, reference_sigma, solve
 from leafatlas import (
     AffineDim,
     FiniteAbelianGroup,
@@ -47,11 +46,8 @@ from leafatlas.linalg import (
     Lattice,
     identity,
     mat,
-    matvec,
-    msub,
     quotient_invariants,
     rank,
-    solve,
 )
 from leafatlas.weyl import ParabolicSubgroup, enumerate_weyl, simple_reflection
 
@@ -387,18 +383,8 @@ def test_two_sided_record_count_on_sampled_triples():
 
 def _reference_sigma(d, kernel, lambda2=None):
     """sigma_group as it was before it took a lattice sum: ker' / (ker' cap
-    (1 - theta) ker) through a lattice intersection, both lattices scaled by
-    the lcm of the image's denominators."""
-    theta = d.theta_cartan
-    k = len(theta)
-    one_minus = msub(identity(k), theta)
-    kerp = kernel if lambda2 is None else kernel.sum(lambda2)
-    image_cols = [matvec(one_minus, c) for c in kernel.columns()]
-    denom = lcm(1, *(x.denominator for c in image_cols for x in c))
-    sup = Lattice(k, [tuple(x * denom for x in c) for c in kerp.columns()])
-    image = Lattice(k, [tuple(x * denom for x in c) for c in image_cols])
-    factors, free = quotient_invariants(sup, lattice_intersection(sup, image))
-    return FiniteAbelianGroup(factors, free)
+    (1 - theta) ker) through a lattice intersection (helpers.reference_sigma)."""
+    return reference_sigma(d.theta_cartan, kernel, lambda2)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "A2xA1"])

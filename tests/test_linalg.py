@@ -14,7 +14,10 @@ from helpers import (
     intersect,
     lattice_contains,
     lattice_intersection,
+    madd,
+    msub,
     nullspace,
+    solve,
     subspace_contains,
 )
 from leafatlas.linalg import (
@@ -23,16 +26,13 @@ from leafatlas.linalg import (
     det,
     identity,
     inverse,
-    madd,
     mat,
     matmul,
-    msub,
     quotient_invariants,
     rank,
     row_hnf,
     rref,
     smith_normal_form,
-    solve,
 )
 
 small_frac = st.fractions(

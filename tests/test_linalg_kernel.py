@@ -1,11 +1,13 @@
 """The shared fraction-free elimination against the loops it replaced.
 
-`rank`, `det` and `rref` now run one forward Bareiss pass (`_echelon`), and
-`solve_r0` solves its skew-part system through `solve`.  The replaced code
-is kept here as reference oracles: Gauss-Jordan `rref` on Fraction, Gaussian
-`det` on Fraction, the Bareiss `rank` with its Fraction-product row scaling,
-and the pivot read-out `solve_r0` did on its own `rref` call.  `solve`,
-`nullspace` (now in ``helpers``) and `inverse` keep their bodies, so their
+`rank`, `det` and `rref` now run one forward Bareiss pass (`_echelon`),
+`inverse` is an integer (adjugate, determinant) pair from `_adjugate`, and
+`solve_r0` solves its skew-part system in integers through `_primitive_rref`.
+The replaced code is kept here as reference oracles: Gauss-Jordan `rref` on
+Fraction, Gaussian `det` on Fraction, the Bareiss `rank` with its
+Fraction-product row scaling, Gauss-Jordan `inverse` on [a | 1], and the
+pivot read-out `solve_r0` did on its own `rref` call.  `solve` and
+`nullspace` (both now in ``helpers``) keep their bodies, so their
 references are the same bodies over the reference `rref`.
 """
 
@@ -18,7 +20,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import nullspace, vec
+from helpers import nullspace, solve, vec
 from leafatlas import build_root_system, enumerate_valid_triples, solve_r0
 from leafatlas.bdtriple import Infeasible
 from leafatlas.linalg import (
@@ -31,7 +33,6 @@ from leafatlas.linalg import (
     rank,
     rref,
     shape,
-    solve,
 )
 
 

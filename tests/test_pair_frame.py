@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     assert_simple_generated,
     intersect,
+    msub,
     parabolic_elements,
     reference_cartan_split,
     stable_roots,
@@ -48,7 +49,6 @@ from leafatlas.linalg import (
     mat,
     matmul,
     matvec,
-    msub,
     rank,
 )
 from leafatlas.weyl import (

@@ -23,7 +23,7 @@ from math import lcm
 import pytest
 import sympy
 
-from helpers import stable_roots
+from helpers import msub, stable_roots
 from leafatlas import (
     build_root_system,
     cg_triple,
@@ -37,7 +37,7 @@ from leafatlas import (
 from leafatlas.bdtriple import tau_linear_matrix
 from leafatlas import leafclass
 from leafatlas.leafclass import _Frame, _simple_map, _unpack
-from leafatlas.linalg import Subspace, inverse, matmul, matvec, msub, rank
+from leafatlas.linalg import Subspace, inverse, matmul, matvec, rank
 from leafatlas.weyl import ParabolicSubgroup, minimal_coset_reps
 
 # (label, gamma1, gamma2, tau), 0-based: the CI digest triples of B4, D4 and

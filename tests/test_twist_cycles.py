@@ -14,6 +14,7 @@ Fraction matrices, without the leaf frame's index walk or integer scaling.
 
 from __future__ import annotations
 
+from helpers import msub
 from leafatlas import (
     build_root_system,
     classify_g,
@@ -23,7 +24,7 @@ from leafatlas import (
     solve_r0,
     validate_triple,
 )
-from leafatlas.linalg import identity, inverse, matmul, matvec, msub, rank
+from leafatlas.linalg import identity, inverse, matmul, matvec, rank
 
 
 def _root_map(rs, m, i, domain):
