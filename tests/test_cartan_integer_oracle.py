@@ -75,13 +75,9 @@ def _scaled(theta):
 
 
 def mismatches(rs, t) -> list[str]:
-    """The Cartan-stage outputs of the package that differ from the reference."""
-    try:
-        ref = reference_r0(rs, t)
-    except Infeasible as e:
-        with pytest.raises(Infeasible, match=f"^{e}$"):
-            solve_r0(rs, t, "canonical")
-        return []
+    """The Cartan-stage outputs of the package that differ from the reference
+    (every valid triple has a canonical term, so neither side raises)."""
+    ref = reference_r0(rs, t)
     term = solve_r0(rs, t, "canonical")
     d = compute_decomposition(rs, t, term)
     f = matmul(ref, rs.gram)
@@ -109,10 +105,6 @@ def test_cartan_stage_matches_the_fraction_reference(label):
     assert len(triples) == COUNTS[label]
     bad = [(t, m) for t in triples if (m := mismatches(rs, t))]
     assert bad == []
-
-
-def test_the_oracle_set_has_808_triples():
-    assert sum(COUNTS.values()) == 808
 
 
 # ---------------------------------------------------------------------------
