@@ -32,7 +32,6 @@ __all__ = [
     "compute_decomposition",
     "dimension_summary",
     "simple_span",
-    "form_perp_of_simples",
     "cartan_domain",
 ]
 
@@ -55,11 +54,6 @@ class Decomposition:
 
 def simple_span(rs: RootSystem, indices) -> Subspace:
     return Subspace(rs.cartan_rank, [rs.simple_roots[i] for i in sorted(indices)])
-
-
-def form_perp_of_simples(rs: RootSystem, indices) -> Subspace:
-    """z for an index set: vectors on which every listed simple root vanishes."""
-    return simple_span(rs, indices).perp(rs.gram_int)
 
 
 def compute_decomposition(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> Decomposition:
@@ -91,11 +85,11 @@ def compute_decomposition(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> D
 
 
 def cartan_domain(rs: RootSystem, triple: BDTriple, d: Decomposition, side: int) -> Subspace:
-    """The Cartan part of l'_i plus the complement a_i = z_i: span Gamma_i + z_i."""
+    """The Cartan part of l'_i plus a_i = z_i = (span Gamma_i)^perp: span Gamma_i + z_i."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    gamma = triple.gamma1 if side == 1 else triple.gamma2
-    return simple_span(rs, gamma).add(form_perp_of_simples(rs, gamma))
+    span = simple_span(rs, triple.gamma1 if side == 1 else triple.gamma2)
+    return span.add(span.perp(rs.gram_int))
 
 
 def dimension_summary(rs: RootSystem, triple: BDTriple, d: Decomposition) -> dict[str, int]:

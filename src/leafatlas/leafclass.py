@@ -10,15 +10,13 @@ quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from math import prod
 from operator import mul
 
 from .bdtriple import BDTriple
-from .decomp import Decomposition, dimension_summary, form_perp_of_simples
-from .linalg import (
-    Lattice, Matrix, Subspace, _adjugate, _shift, matmul, quotient_invariants, rank, transpose
-)
+from .decomp import Decomposition, dimension_summary
+from .linalg import Lattice, Matrix, _adjugate, _shift, matmul, quotient_invariants, rank, transpose
 from .rootsys import RootSystem, levi_roots
 from .weyl import (
     NotMinimalRep,
@@ -97,11 +95,12 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class StableSubalgebra:
+    """Phi_S, its partner roots and the centre dimensions, lv_center of dim k - |S|."""
+
     root_set: tuple[tuple[int, ...], ...]
     partner_root_set: tuple[tuple[int, ...], ...]
     derived_dim: int
     center_dim: int
-    lv_center: Subspace
     cong_dim: int
     moduli_dim: int
 
@@ -130,24 +129,37 @@ def _unpack(packed: int, base: int, k: int) -> Matrix:
     return tuple(tuple(digits[i * k : i * k + k]) for i in range(k))
 
 
-def _shifted_rank(m: Matrix, c: int, lv: Matrix) -> int:
-    """rank((m - c·1)·lv) for integers: the rank of m/c - 1 on lv's columns."""
-    mlv = [[sum(map(mul, r, col)) for col in zip(*lv)] for r in m]
-    return rank([[y - c * x for y, x in zip(a, b)] for a, b in zip(mlv, lv)])
+def _cong_dim(m: Matrix, c: int, s: frozenset[int]) -> int:
+    """The rank of psi - 1 on (span of the simple roots in s)^perp for m = c·psi,
+    an isometry psi that permutes those roots: rank(m - c·1) - |S| + #cycles
+    (Carter, Conjugacy classes in the Weyl group, Compositio Math. 25 (1972))."""
+    perm = {}
+    for i in s:
+        col = [row[i] for row in m]
+        perm[i] = j = col.index(c) if c in col else None
+        if j not in s or col.count(0) != len(col) - 1:
+            raise AssertionError(f"the twist does not permute the simple roots of {sorted(s)}")
+    cycles = 0
+    while perm:
+        i, cycles = perm.popitem()[1], cycles + 1
+        while i in perm:
+            i = perm.pop(i)
+    return rank(_shift(m, c)) - len(s) + cycles
 
 
 class _Frame:
     """What the records of one (rs, triple, d) share: tau on simple-root
     indices, the dimension summary, theta scaled to integers, and per index
-    set S the roots Phi_S and lv_center = (span Phi_S)^perp.
+    set S the roots Phi_S.
 
     The twist psi = v1·theta^-1·v2·theta (psi = v one-sided, the pair (v, e))
     permutes the simple roots of its stable subsystem Phi_S, the largest S in
     Gamma1 whose simple roots it permutes (Humphreys, Reflection Groups and
-    Coxeter Groups, ch. 1), so it keeps lv_center; cong_dim is the rank of
-    psi - 1 there.  single ranks v itself; pair walks S and the partner set
-    once per pair of simple-root maps and ranks once per (S, packed psi), see
-    packing.  Both share one stable object per (S, partner set, cong_dim).
+    Coxeter Groups, ch. 1); cong_dim, the rank of psi - 1 on lv_center, is
+    one k x k rank less |S| - #cycles (_cong_dim), with no lv_center basis.
+    single ranks v itself; pair walks S and the partner set once per pair of
+    simple-root maps and ranks once per (S, packed psi), see packing.  Both
+    share one stable object per (S, partner set, cong_dim).
     compute_decomposition makes h_ort1 = h_ort2 = 0 (see the decomp module),
     so a pair's centre solution space has dimension moduli_dim.
     """
@@ -161,13 +173,11 @@ class _Frame:
         # tau on the simple-root indices of the first Levi and back
         self.tau = triple.tau_map
         self.tau_inv = {j: i for i, j in triple.tau}
-        # Phi_S per index set S, seeded with the two Levis' roots d holds,
-        # and lv_center = (span Phi_S)^perp
+        # Phi_S per index set S, seeded with the two Levis' roots d holds
         self._roots = {
             frozenset(triple.gamma1): d.levi1_roots,
             frozenset(triple.gamma2): d.levi2_roots,
         }
-        self._lv = cache(partial(form_perp_of_simples, rs))
         self._ids = {}  # map ids by items
         self._sets = {}  # (id of v1's map, id of v2's map) -> (S, partner set)
         self._ranks = {}  # (S, packed) -> cong_dim
@@ -222,22 +232,21 @@ class _Frame:
     def _stable(self, s: frozenset[int], partner: frozenset[int], cong_dim: int):
         """The one StableSubalgebra of (S, partner set, cong_dim)."""
         if (hit := self._stables.get((s, partner, cong_dim))) is None:
-            root_set, lv_center = self._levi(s), self._lv(s)
+            root_set, center_dim = self._levi(s), self.k - len(s)
             hit = self._stables[s, partner, cong_dim] = StableSubalgebra(
                 root_set=root_set,
                 partner_root_set=self._levi(partner),
                 derived_dim=len(root_set) + len(s),
-                center_dim=lv_center.dim,
-                lv_center=lv_center,
+                center_dim=center_dim,
                 cong_dim=cong_dim,
-                moduli_dim=lv_center.dim - cong_dim,
+                moduli_dim=center_dim - cong_dim,
             )
         return hit
 
     def single(self, v: WeylElement) -> StableSubalgebra:
         """The stable data of the pair (v, e): partner set tau(S), psi = v."""
         s = _stable_indices(self._simple(v, self.triple.gamma1, "v")[1])
-        cong_dim = _shifted_rank(v.matrix, 1, self._lv(s).basis)
+        cong_dim = _cong_dim(v.matrix, 1, s)
         return self._stable(s, frozenset(self.tau[i] for i in s), cong_dim)
 
     def key(self, left, right) -> tuple[frozenset[int], frozenset[int], int]:
@@ -256,10 +265,9 @@ class _Frame:
         once per (S, packed psi)."""
         s, partner, packed = self.key(left, right)
         if (cong_dim := self._ranks.get((s, packed))) is None:
-            # det·psi - det on lv_center has the rank of psi - 1 there
+            # det·psi - det·1 on lv_center has the rank of psi - 1 there
             psi = _unpack(packed, self.packing[3], self.k)
-            lv = self._lv(s).basis
-            cong_dim = self._ranks[s, packed] = _shifted_rank(psi, self.packing[2], lv)
+            cong_dim = self._ranks[s, packed] = _cong_dim(psi, self.packing[2], s)
         return self._stable(s, partner, cong_dim)
 
     def record(self, st: StableSubalgebra, offset: int, **reps) -> LeafRecord:
@@ -374,7 +382,7 @@ def sigma_group(
             )
         kerp = kernel.sum(lambda2)
 
-    image = Lattice(k, transpose(matmul(minus, kernel.basis)))
-    sup = Lattice(k, [[s * x for x in c] for c in kerp.columns()] + list(image.columns()))
+    image = transpose(matmul(minus, kernel.basis))
+    sup = Lattice(k, [[s * x for x in c] for c in kerp.columns()] + list(image))
     factors, free = quotient_invariants(sup, image)
     return FiniteAbelianGroup(invariant_factors=factors, free_rank=free)

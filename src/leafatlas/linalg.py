@@ -400,15 +400,15 @@ class Lattice:
         return f"Lattice(ambient={self.ambient}, rank={self.rank})"
 
 
-def quotient_invariants(sup: Lattice, sub: Lattice) -> tuple[tuple[int, ...], int]:
-    """Invariant factors of sup/sub for sub a sublattice of sup.
+def quotient_invariants(sup: Lattice, gens) -> tuple[tuple[int, ...], int]:
+    """Invariant factors of sup/sub, sub spanned by the integer columns gens.
 
     Returns (torsion factors > 1, free rank). Raises if sub is not contained
     in sup.
     """
     rows = sup.columns()
     # one row per generator of sub: its coordinates in sup's Hermite basis
-    coords = [_coords(rows, c) for c in sub.columns()]
+    coords = [_coords(rows, c) for c in gens]
     if None in coords:
         raise ValueError("second lattice is not a sublattice of the first")
     factors = smith_normal_form(coords)

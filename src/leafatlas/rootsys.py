@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import Lattice, Matrix, _integer_scaled, inverse, mat, matvec
 
@@ -88,6 +89,18 @@ class RootSystem:
 
     def is_positive_root(self, v) -> bool:
         return tuple(v) in self.positive_set
+
+    @cached_property
+    def coroot_lattice(self) -> Lattice:
+        """The lattice of the simple coroots, built on first use."""
+        cols = []
+        for i in range(self.rank):
+            # the coroot of alpha_i = e_i is (2 / gram[i][i])·e_i
+            c = 2 / self.gram[i][i]
+            if c.denominator != 1:
+                raise ValueError("coroot with non-integer coordinates")
+            cols.append([int(c) if k == i else 0 for k in range(self.cartan_rank)])
+        return Lattice(self.cartan_rank, cols)
 
 
 def _simple_reflections(gram: Matrix, rank: int, ident) -> tuple:
@@ -237,18 +250,9 @@ def exp_kernel_lattice(rs: RootSystem) -> Lattice:
     """Kernel of the exponential map on h, up to a global scalar unit.
 
     For a semisimple simply connected group this is the lattice spanned by
-    the simple coroots.  A central torus has no canonical kernel: a caller
-    with one passes its own kernel to sigma_group.
+    the simple coroots, built once per root system.  A central torus has no
+    canonical kernel: a caller with one passes its own kernel to sigma_group.
     """
     if rs.torus_rank > 0:
-        raise ValueError(
-            "central torus present: exp kernel must be supplied explicitly"
-        )
-    cols = []
-    for i in range(rs.rank):
-        # the coroot of alpha_i = e_i is (2 / gram[i][i])·e_i
-        c = 2 / rs.gram[i][i]
-        if c.denominator != 1:
-            raise ValueError("coroot with non-integer coordinates")
-        cols.append([int(c) if k == i else 0 for k in range(rs.cartan_rank)])
-    return Lattice(rs.cartan_rank, cols)
+        raise ValueError("central torus present: exp kernel must be supplied explicitly")
+    return rs.coroot_lattice

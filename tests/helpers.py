@@ -9,9 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import mul
 
 from leafatlas.bdtriple import Infeasible
-from leafatlas.decomp import form_perp_of_simples, simple_span
+from leafatlas.decomp import simple_span
 from leafatlas.linalg import (
     Lattice,
     Subspace,
@@ -24,6 +25,7 @@ from leafatlas.linalg import (
     matmul,
     matvec,
     quotient_invariants,
+    rank,
     row_hnf,
     rref,
     shape,
@@ -219,6 +221,14 @@ def stable_roots(roots, step) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def shifted_rank(m, c, lv) -> int:
+    """rank((m - c·1)·lv): for m = c·psi, the rank of psi - 1 on the span of
+    lv's columns, through the product with a basis of lv_center, as the leaf
+    frame computed cong_dim before it counted the cycles of psi on S."""
+    mlv = [[sum(map(mul, r, col)) for col in zip(*lv)] for r in m]
+    return rank([[y - c * x for y, x in zip(a, b)] for a, b in zip(mlv, lv)])
+
+
 # ---------------------------------------------------------------------------
 # lattice intersection through an integer kernel: an oracle for sigma_group,
 # which gets the same quotient from a lattice sum
@@ -291,6 +301,11 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
 # ---------------------------------------------------------------------------
 # the Cartan subspace chain that compute_decomposition no longer builds: an
 # oracle for the closed forms h_i = a_i = z_i and h_ort_i = 0
+
+
+def form_perp_of_simples(rs, indices) -> Subspace:
+    """z for an index set: vectors on which every listed simple root vanishes."""
+    return simple_span(rs, indices).perp(rs.gram_int)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -442,7 +457,7 @@ def reference_sigma(theta, kernel, lambda2=None):
     denom = lcm(1, *(x.denominator for c in image_cols for x in c))
     sup = Lattice(k, [tuple(x * denom for x in c) for c in kerp.columns()])
     image = Lattice(k, [tuple(x * denom for x in c) for c in image_cols])
-    factors, free = quotient_invariants(sup, lattice_intersection(sup, image))
+    factors, free = quotient_invariants(sup, lattice_intersection(sup, image).columns())
     return FiniteAbelianGroup(factors, free)
 
 

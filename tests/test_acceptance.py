@@ -225,7 +225,7 @@ def test_primary_4_sigma_groups():
         for rs, _, d in (_std_setup(f"A{n}"), _cg_setup(n)):
             g = sigma_group(d, exp_kernel_lattice(rs))
             sup, sub = _sigma_lattices(rs, d)
-            inv, free = quotient_invariants(sup, sub)
+            inv, free = quotient_invariants(sup, sub.columns())
             assert (inv, free) == (g.invariant_factors, g.free_rank)
             assert free == 0
             rel = _relation_matrix(sup, sub)

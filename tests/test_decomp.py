@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cg_theta_target, madd, reference_cartan_split, subspace_contains
+from helpers import (
+    cg_theta_target,
+    form_perp_of_simples,
+    madd,
+    reference_cartan_split,
+    subspace_contains,
+)
 from leafatlas import (
     Infeasible,
     build_root_system,
@@ -14,7 +20,7 @@ from leafatlas import (
     validate_triple,
 )
 from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
-from leafatlas.decomp import cartan_domain, form_perp_of_simples, simple_span
+from leafatlas.decomp import cartan_domain, simple_span
 from leafatlas.linalg import Subspace, matmul, matvec, transpose
 
 

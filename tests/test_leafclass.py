@@ -318,7 +318,7 @@ def test_quotient_invariants_against_torsion_counting():
         if abs(int(det(rel))) > 60:
             continue
         trials += 1
-        inv, free = quotient_invariants(sup, sub)
+        inv, free = quotient_invariants(sup, sub.columns())
         assert free == 0
         reps = _enumerate_classes(rel)
         for m in (1, 2, 3, 4, 6, 12):

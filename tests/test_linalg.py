@@ -229,10 +229,16 @@ def test_integer_kernel_is_integral_and_spans():
 
 def test_quotient_invariants_simple_cases():
     z2 = Lattice(2, [[1, 0], [0, 1]])
-    assert quotient_invariants(z2, Lattice(2, [[2, 0], [0, 2]])) == ((2, 2), 0)
-    assert quotient_invariants(z2, Lattice(2, [[1, 0], [0, 6]])) == ((6,), 0)
+    assert quotient_invariants(z2, Lattice(2, [[2, 0], [0, 2]]).columns()) == ((2, 2), 0)
+    assert quotient_invariants(z2, Lattice(2, [[1, 0], [0, 6]]).columns()) == ((6,), 0)
     # corank one sublattice leaves a free factor
-    assert quotient_invariants(z2, Lattice(2, [[3, 0]])) == ((3,), 1)
+    assert quotient_invariants(z2, Lattice(2, [[3, 0]]).columns()) == ((3,), 1)
+    # generators go in as they are: dependent or not in Hermite form
+    assert quotient_invariants(z2, [[2, 0], [0, 2], [2, 2]]) == ((2, 2), 0)
+    assert quotient_invariants(z2, [[2, 4], [4, 2]]) == ((2, 6), 0)
+    assert quotient_invariants(z2, [[3, 0], [6, 0]]) == ((3,), 1)
+    with pytest.raises(ValueError, match="not a sublattice"):
+        quotient_invariants(Lattice(2, [[2, 0], [0, 2]]), [[1, 0]])
 
 
 def test_subspace_basis_is_primitive_integer():

@@ -6,7 +6,10 @@ classifiers shared one frame per triple: they rebuild the Cartan domain,
 theta^{-1} and the moved spans for every record and intersect the two
 centre graphs in h x h.  They read h_ort and a from the subspace chain
 ``helpers.reference_cartan_split``, not from the closed forms of the
-decomposition, and are kept here only as oracles.
+decomposition, and are kept here only as oracles.  They still build
+lv_center: the frame's center_dim k - |S| must be its dimension, and the
+frame's cycle-count cong_dim must be the rank of psi - 1 on its basis
+(``helpers.shifted_rank``).
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     assert_simple_generated,
+    cg_theta_target,
     intersect,
+    madd,
     msub,
     parabolic_elements,
     reference_cartan_split,
+    shifted_rank,
     stable_roots,
 )
 from leafatlas import (
@@ -38,18 +44,18 @@ from leafatlas import (
     stable_subalgebra_v,
     validate_triple,
 )
-from leafatlas.bdtriple import tau_linear_matrix
+from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
 from leafatlas.decomp import simple_span
 from leafatlas.leafclass import StableSubalgebra
 from leafatlas.linalg import (
     Subspace,
+    _kernel,
     frac,
     identity,
     inverse,
     mat,
     matmul,
     matvec,
-    rank,
 )
 from leafatlas.weyl import (
     ParabolicSubgroup,
@@ -74,7 +80,9 @@ def _root_span(rs, roots):
 def _cong_data(rs, split, twist, lv_center, center_dim, v1):
     k = rs.cartan_rank
     delta = msub(twist, identity(k))
-    cong_dim = 0 if lv_center.dim == 0 else rank(matmul(delta, lv_center.basis))
+    # the frame reports center_dim = k - |S| and no lv_center basis
+    assert center_dim == lv_center.dim
+    cong_dim = shifted_rank(twist, 1, lv_center.basis)
     image = Subspace(k, [matvec(delta, x) for x in lv_center.vectors()])
     moved_ort = Subspace(
         k, [matvec(_weyl_frac(v1), x) for x in split.h_ort1.vectors()]
@@ -109,7 +117,6 @@ def reference_single(rs, triple, d, split, v):
         partner_root_set=partner,
         derived_dim=derived_dim,
         center_dim=center_dim,
-        lv_center=lv_center,
         cong_dim=cong_dim,
         moduli_dim=moduli_dim,
     )
@@ -179,7 +186,6 @@ def reference_pair(rs, triple, d, split, v1, v2):
         partner_root_set=partner,
         derived_dim=derived_dim,
         center_dim=center_dim,
-        lv_center=lv_center,
         cong_dim=cong_dim,
         moduli_dim=moduli_dim,
     )
@@ -265,6 +271,99 @@ def test_single_frame_matches_reference_on_every_small_triple():
             assert len(records) == _coset_count(rs, t.gamma1)
             for r in records:
                 _assert_same(r.stable, reference_single(rs, t, d, split, r.v), (t, r.v))
+
+
+def _skew_directions(rs, t):
+    """An integer basis of the skew k x k matrices X with X·G·(e_a - e_tau(a))
+    = 0 for every pair of tau: a canonical term plus any such X keeps
+    r0 + r0^T = omega and every slot constraint (see bdtriple.solve_r0)."""
+    k = rs.cartan_rank
+    slots = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    rows = []
+    for a, b in t.tau:
+        d = [x - y for x, y in zip(rs.gram_int[a], rs.gram_int[b])]
+        rows += [[d[j] * (i == r) - d[i] * (j == r) for i, j in slots] for r in range(k)]
+    out = []
+    for x in _kernel(rows):
+        m = [[0] * k for _ in range(k)]
+        for (i, j), y in zip(slots, x):
+            m[i][j], m[j][i] = y, -y
+        out.append(m)
+    return out
+
+
+# A4 triples (0-based tau) with two tau pairs and pair records whose twist
+# permutes S nontrivially, each with one skew direction
+A4_MOVING = [
+    {0: 3, 2: 0}, {0: 1, 2: 3}, {0: 3, 2: 1}, {0: 2, 3: 0},
+    {0: 3, 3: 1}, {1: 0, 3: 2}, {1: 2, 3: 0}, {1: 3, 3: 0},
+]
+
+
+def _non_canonical_jobs():
+    """(rs, t, term, pairs to check) for Cartan terms the canonical solver
+    does not give: the A2 Coxeter rotation as the match_theta target of the
+    standard triple (the term of test_decomp's _non_canonical_terms), then
+    canonical terms plus one seeded skew part on every A3 triple with
+    tau != {} that leaves a skew direction and on each A4 triple of
+    A4_MOVING.  Every A2 and A3 pair is checked; on A4, every pair whose
+    twist moves a simple root of S and a seeded sample."""
+    rs = build_root_system("A2")
+    t = validate_triple(rs, (), (), {})
+    yield rs, t, solve_r0(rs, t, "match_theta", theta_target=cg_theta_target(rs)), None
+    rng = random.Random(33)
+    a3, a4 = build_root_system("A3"), build_root_system("A4")
+    jobs = [(a3, t, None) for t in enumerate_valid_triples(a3) if t.tau]
+    jobs += [(a4, validate_triple(a4, tau.keys(), tau.values(), tau), 20) for tau in A4_MOVING]
+    for rs, t, sample in jobs:
+        if not (directions := _skew_directions(rs, t)):
+            continue
+        skew = [[0] * rs.cartan_rank for _ in range(rs.cartan_rank)]
+        for m in directions:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            skew = madd(skew, [[c * x for x in row] for row in m])
+        yield rs, t, CartanTerm(madd(solve_r0(rs, t, "canonical").r0, skew)), sample
+
+
+def _moves_s(r, theta, theta_inv):
+    """Whether the twist v1·theta^-1·v2·theta of a pair record moves a simple
+    root e_i in its stable root set."""
+    k = len(theta)
+    for e in (tuple(int(i == j) for j in range(k)) for i in range(k)):
+        if e in r.stable.root_set:
+            x = matvec(theta_inv, matvec(r.v2.matrix, matvec(theta, e)))
+            if matvec(r.v1.matrix, x) != e:
+                return True
+    return False
+
+
+def test_records_match_reference_under_non_canonical_terms():
+    """cong_dim and center_dim (with every other stable field) of both
+    classifiers against the lv_center references when theta is not the
+    canonical one: the cycle count needs psi = v1·theta^-1·v2·theta to keep
+    (span Phi_S)^perp, which holds because theta is an isometry."""
+    jobs = singles = pairs = moved = 0
+    for rs, t, term, sample in _non_canonical_jobs():
+        assert term.r0 != solve_r0(rs, t, "canonical").r0, t
+        d = compute_decomposition(rs, t, term)
+        split = reference_cartan_split(rs, t, term)
+        jobs += 1
+        for r in classify_gminus(rs, t, d):
+            _assert_same(r.stable, reference_single(rs, t, d, split, r.v), (t, r.v))
+            singles += 1
+        records = classify_g(rs, t, d)
+        theta, theta_inv = d.theta_cartan, inverse(d.theta_cartan)
+        flags = [_moves_s(r, theta, theta_inv) for r in records]
+        chosen = [r for r, f in zip(records, flags) if f or sample is None]
+        if sample is not None:
+            rest = [r for r, f in zip(records, flags) if not f]
+            chosen += random.Random(jobs).sample(rest, sample)
+        for r in chosen:
+            want = reference_pair(rs, t, d, split, r.v1, r.v2)
+            _assert_same(r.stable, want, (t, r.v1, r.v2))
+        pairs += len(chosen)
+        moved += sum(flags)
+    assert (jobs, singles, pairs, moved) == (15, 318, 1076, 16)
 
 
 # labels of rank 4 or less: every simple type, products, and a central torus

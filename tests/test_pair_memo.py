@@ -8,7 +8,8 @@ once per (S, packed psi).  These tests count that work, drive one shared
 frame over many pairs, so that the memos hit, and check every
 record against a fresh frame and against the rank of
 D = v2·theta - theta·v1^-1 on (span Phi_S)^perp, which is the rank of
-psi - 1 there (theta·v1^-1 is invertible).  Everything on the reference
+psi - 1 there (theta·v1^-1 is invertible), and of psi - 1 on a basis of
+it (``helpers.shifted_rank``).  Everything on the reference
 side is Fraction arithmetic on roots and matrices, without the frame's
 packing or index walk.
 """
@@ -23,7 +24,7 @@ from math import lcm
 import pytest
 import sympy
 
-from helpers import msub, stable_roots
+from helpers import msub, shifted_rank, stable_roots
 from leafatlas import (
     build_root_system,
     cg_triple,
@@ -113,8 +114,8 @@ def _check_shared_frame(rs, t, d, pairs) -> int:
         root_set, partner, lv, cong_dim = _reference(rs, t, d, v1, v2)
         assert got.root_set == root_set, where
         assert got.partner_root_set == partner, where
-        assert got.lv_center == lv, where
-        assert got.cong_dim == cong_dim, where
+        assert got.center_dim == lv.dim, where
+        assert got.cong_dim == cong_dim == shifted_rank(_psi(d, v1, v2), 1, lv.basis), where
         assert got.moduli_dim == lv.dim - cong_dim, where
     return len(pairs) - len(frame._ranks)
 

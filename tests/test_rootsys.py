@@ -9,7 +9,7 @@ from helpers import assert_simple_generated, coroot, form_pairing, lattice_conta
 from leafatlas import build_root_system, exp_kernel_lattice, rootsys
 from leafatlas.cli import JobConfig, run_job
 from leafatlas.rootsys import levi_roots
-from leafatlas.linalg import det, mat
+from leafatlas.linalg import Lattice, det, mat
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,6 +147,18 @@ def test_exp_kernel_is_the_coroot_lattice():
     latb = exp_kernel_lattice(rsb)
     cols = {tuple(int(x) for x in c) for c in latb.columns()}
     assert len(cols) == 2
+
+
+def test_exp_kernel_is_built_once_per_root_system(monkeypatch):
+    """Every job on one label shares its RootSystem, so the kernel's Hermite
+    form is computed on the first call only."""
+    built = []
+    monkeypatch.setattr(rootsys, "Lattice", lambda *a: built.append(a) or Lattice(*a))
+    rs = build_root_system("C3")
+    rs.__dict__.pop("coroot_lattice", None)
+    first = exp_kernel_lattice(rs)
+    assert exp_kernel_lattice(rs) is first is exp_kernel_lattice(build_root_system("C3"))
+    assert len(built) == 1
 
 
 def test_exp_kernel_requires_explicit_lattice_for_torus():

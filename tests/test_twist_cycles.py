@@ -8,11 +8,16 @@ permutation phi.  On span{alpha_i : i in S}, psi - 1 then has rank
     cong_dim = rank(psi - 1 on lv_center) = rank(psi - 1) - |S| + #cycles.
 
 (Steinberg, Endomorphisms of linear algebraic groups, Mem. AMS 80 (1968).)
-Everything here is computed from v1, v2, tau and theta alone, on roots and
-Fraction matrices, without the leaf frame's index walk or integer scaling.
+``leafclass._Frame`` computes cong_dim by this identity (``_cong_dim``), so
+this module is its oracle: everything here is computed from v1, v2, tau and
+theta alone, on roots and Fraction matrices, without the leaf frame's index
+walk or integer scaling.  The last test plants columns that break the
+identity's premise and expects ``_cong_dim`` to refuse them.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from helpers import msub
 from leafatlas import (
@@ -24,6 +29,7 @@ from leafatlas import (
     solve_r0,
     validate_triple,
 )
+from leafatlas.leafclass import _cong_dim
 from leafatlas.linalg import identity, inverse, matmul, matvec, rank
 
 
@@ -117,3 +123,35 @@ def test_two_sided_cong_dim_is_the_cycle_formula_on_a4():
             permuted += moved
     assert checked == 8 * 900 + 2 * 100
     assert permuted == 20
+
+
+def test_cong_dim_counts_cycles_of_a_scaled_permutation():
+    # the swap of e_0 and e_1, fixing e_2: one cycle on S = {0, 1}, and
+    # m - c·1 has rank 1, so psi - 1 vanishes on the perp e_2
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    for c in (1, 2, -3):
+        m = tuple(tuple(c * x for x in row) for row in swap)
+        assert _cong_dim(m, c, frozenset({0, 1})) == 0
+    # -1 on e_2 and the swap again: rank 2 - |S| + 1 cycle
+    flip = ((0, 1, 0), (1, 0, 0), (0, 0, -1))
+    assert _cong_dim(flip, 1, frozenset({0, 1})) == 1
+    assert _cong_dim(flip, 1, frozenset()) == 2
+
+
+@pytest.mark.parametrize(
+    "m,c,s",
+    [
+        # column 0 is e_0 + e_1, not a multiple of one unit vector
+        (((1, 0, 0), (1, 1, 0), (0, 0, 1)), 1, {0}),
+        # column 0 is e_1, and 1 is not in S
+        (((0, 1, 0), (1, 0, 0), (0, 0, 1)), 1, {0}),
+        # column 0 is e_0, not c·e_0
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2, {0, 2}),
+        # column 1 is -e_0: psi sends alpha_1 to -alpha_0
+        (((0, -1, 0), (1, 0, 0), (0, 0, 1)), 1, {0, 1}),
+    ],
+    ids=["sum", "outside", "scale", "sign"],
+)
+def test_cong_dim_rejects_a_column_that_is_not_a_simple_root_of_s(m, c, s):
+    with pytest.raises(AssertionError, match="does not permute the simple roots"):
+        _cong_dim(m, c, frozenset(s))
