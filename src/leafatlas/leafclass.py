@@ -16,7 +16,8 @@ from operator import mul
 
 from .bdtriple import BDTriple
 from .decomp import Decomposition, dimension_summary
-from .linalg import Lattice, Matrix, _adjugate, _shift, matmul, quotient_invariants, rank, transpose
+from .linalg import Lattice, Matrix, _adjugate, _shift, _shifted_rank, matmul, rank, transpose
+from .linalg import quotient_invariants
 from .rootsys import RootSystem, levi_roots
 from .weyl import (
     NotMinimalRep,
@@ -144,7 +145,7 @@ def _cong_dim(m: Matrix, c: int, s: frozenset[int]) -> int:
         i, cycles = perm.popitem()[1], cycles + 1
         while i in perm:
             i = perm.pop(i)
-    return rank(_shift(m, c)) - len(s) + cycles
+    return _shifted_rank(m, c) - len(s) + cycles
 
 
 class _Frame:
@@ -371,7 +372,7 @@ def sigma_group(
     """
     theta, s = d.theta_scaled
     k, minus = len(theta), _shift(theta, s)  # -s·(1 - theta), the same image lattice
-    if rank(minus) < k:
+    if _shifted_rank(theta, s) < k:
         raise ThetaMinusOneSingular("1 - theta is singular on h")
 
     kerp = kernel

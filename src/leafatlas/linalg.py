@@ -79,21 +79,11 @@ def _integer_scaled(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(x.numerator * (s // x.denominator) for x in row) for row in m), s
 
 
-def _echelon(a: Matrix) -> tuple[list[list[int]], list[int], int, int]:
-    """Forward fraction-free (Bareiss) elimination on the row-scaled copy.
-
-    Returns (echelon rows, pivot columns, sign of the row swaps, product of
-    the row scales).  Rows from len(pivots) on are zero.  Each pivot is a
-    minor of the row-swapped copy, so for a square matrix of full rank the
-    last pivot is its determinant.
-    """
-    # integer rows go straight to the pass; others are scaled by row lcms
-    m, scale = [list(row) for row in a], 1
-    if not _integral(a):
-        for row in m:
-            d = lcm(*(x.denominator for x in row))
-            row[:] = [x.numerator * (d // x.denominator) for x in row]
-            scale *= d
+def _bareiss(m: list[list[int]]) -> tuple[list[int], int]:
+    """Forward fraction-free (Bareiss) elimination of the integer rows m in
+    place: (pivot columns, sign of the row swaps).  Rows from len(pivots) on
+    are zero.  Each pivot is a minor of the row-swapped copy, so for a square
+    matrix of full rank the last pivot is its determinant."""
     nr, nc = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
     sign = 1
@@ -118,6 +108,20 @@ def _echelon(a: Matrix) -> tuple[list[list[int]], list[int], int, int]:
         prev = p
         pivots.append(c)
         r += 1
+    return pivots, sign
+
+
+def _echelon(a: Matrix) -> tuple[list[list[int]], list[int], int, int]:
+    """_bareiss on the row-scaled copy of a: (echelon rows, pivot columns,
+    sign of the row swaps, product of the row scales)."""
+    # integer rows go straight to the pass; others are scaled by row lcms
+    m, scale = [list(row) for row in a], 1
+    if not _integral(a):
+        for row in m:
+            d = lcm(*(x.denominator for x in row))
+            row[:] = [x.numerator * (d // x.denominator) for x in row]
+            scale *= d
+    pivots, sign = _bareiss(m)
     return m, pivots, sign, scale
 
 
@@ -176,6 +180,11 @@ def _shift(a, c: int) -> list[list[int]]:
     return [[x - c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
 
 
+def _shifted_rank(a, c: int) -> int:
+    """rank(a - c·1) for a square integer matrix a, with no type scan."""
+    return len(_bareiss(_shift(a, c))[0])
+
+
 def _over(a, q: int) -> Matrix:
     """The Fraction matrix a/q of an integer matrix a."""
     return tuple(tuple(Fraction(x, q) for x in row) for row in a)
@@ -187,7 +196,8 @@ def _adjugate(a) -> tuple[Matrix, int]:
     [U | E] with U = E·a upper triangular and last pivot D = ±det a, and back
     substitution solves U·X = D·E for the integer X = D·a^-1 exactly."""
     n = len(a)
-    m, pivots, sign, _ = _echelon([[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(a)])
+    m = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(a)]
+    pivots, sign = _bareiss(m)
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     d, x = m[-1][n - 1] if n else 1, [None] * n

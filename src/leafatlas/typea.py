@@ -32,7 +32,6 @@ from .linalg import (
     mat,
     matmul,
     rank,
-    transpose,
 )
 from .rootsys import RootSystem, build_root_system
 from .weyl import (
@@ -335,15 +334,19 @@ def perm_to_weyl(rs: RootSystem, perm) -> WeylElement:
     return make_element(rs, m)
 
 
-def wdot_matrix(w: WeylElement) -> Matrix:
-    """Determinant-one permutation-matrix representative; p is odd when
-    its inversion count, the length of w, is."""
+def _signed_perm(w: WeylElement) -> list[tuple[int, int]]:
+    """The (row, sign) of the nonzero entry in each column of wdot_matrix(w):
+    p is odd when its inversion count, the length of w, is, and then the
+    first moved column carries the -1."""
     perm = weyl_to_perm(w)
     flip = next(i for i, p in enumerate(perm) if p != i) if w.length % 2 else None
-    rows = [[Fraction(0)] * len(perm) for _ in perm]
-    for i, p in enumerate(perm):
-        rows[p][i] = Fraction(-1 if i == flip else 1)
-    return tuple(map(tuple, rows))
+    return [(p, -1 if i == flip else 1) for i, p in enumerate(perm)]
+
+
+def wdot_matrix(w: WeylElement) -> Matrix:
+    """Determinant-one permutation-matrix representative (see _signed_perm)."""
+    cols, zero = _signed_perm(w), Fraction(0)
+    return tuple(tuple(Fraction(s) if p == r else zero for p, s in cols) for r in range(len(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +377,9 @@ def block_labels(indices, size: int) -> tuple[int, ...]:
 
 
 def levi_projection(m: Matrix, indices, size: int) -> Matrix:
-    labels = block_labels(indices, size)
-    return tuple(
-        tuple(
-            m[r][c] if labels[r] == labels[c] else Fraction(0)
-            for c in range(size)
-        )
-        for r in range(size)
-    )
-
-
-def _add_row(work: list[list[Fraction]], dst: int, src: int, lam: Fraction):
-    work[dst] = [x + lam * y for x, y in zip(work[dst], work[src])]
+    labels, zero = block_labels(indices, size), Fraction(0)
+    return tuple(tuple(x if a == b else zero for x, b in zip(row, labels))
+                 for row, a in zip(m, labels))
 
 
 def _monomial_weyl(m: Matrix) -> WeylElement:
@@ -399,47 +393,49 @@ def _bruhat_core(g: Matrix, left_idx, right_idx):
 
     Returns (p1, wdot, p2, w_min) with w_min the abstract minimal-length
     double-coset representative of the Borel-level permutation.
+
+    One fraction-free (Bareiss) pass on W = S·g, S = diag(s_i) the row lcms of
+    denominators: column c's pivot p is the last live row with W_pc != 0, and
+    every other live row takes W_i <- (W_pc·W_i - W_ic·W_p) // d, d the pivot
+    before (1 at c = 0).  By Sylvester's identity the division is exact and
+    W_i = d·s_i·R_i, R_i the row i left by eliminating the same pivots upward
+    in g.  That elimination, g = p1·m·p2 with m monomial, sets each factor
+    entry once (p1's column p is a unit column until step c, and the column
+    steps clear row p only): p1 has W_ic·s_p/(W_pc·s_i) at (i, p) and m·p2 has
+    R_p = W_p/(s_p·d) as row p.  The signed permutations then act by index.
     """
     size = len(g)
-    rs = build_root_system(f"A{size - 1}")
-    work = [list(row) for row in g]
+    scale = [lcm(*(x.denominator for x in row)) for row in g]
+    work = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(g, scale)]
     p1 = [list(row) for row in identity(size)]
-    p2 = [list(row) for row in identity(size)]
-    assigned = [False] * size
+    live, reduced, d = list(range(size)), {}, 1
     for c in range(size):
-        pivot = None
-        for r in range(size - 1, -1, -1):
-            if not assigned[r] and work[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
+        p = next((r for r in reversed(live) if work[r][c]), None)
+        if p is None:
             raise ValueError("matrix is singular")
-        assigned[pivot] = True
-        for i in range(pivot):
-            if not assigned[i] and work[i][c] != 0:
-                lam = work[i][c] / work[pivot][c]
-                _add_row(work, i, pivot, -lam)
-                # g = p1 W p2 stays true: p1 <- p1 * (row op inverse)
-                for r in range(size):
-                    p1[r][pivot] += lam * p1[r][i]
-        for c2 in range(c + 1, size):
-            if work[pivot][c2] != 0:
-                lam = work[pivot][c2] / work[pivot][c]
-                for r in range(size):
-                    work[r][c2] -= lam * work[r][c]
-                for cc in range(size):
-                    p2[c][cc] += lam * p2[c2][cc]
+        live.remove(p)
+        top, wp = work[p], work[p][c]
+        for i in live:
+            row, wi = work[i], work[i][c]
+            if wi:  # live rows below p are zero at c
+                p1[i][p] = Fraction(wi * scale[p], wp * scale[i])
+            work[i] = [(wp * x - wi * y) // d for x, y in zip(row, top)]
+        reduced[p] = top, scale[p] * d
+        d = wp
 
-    monomial = tuple(tuple(row) for row in work)
+    rs = build_root_system(f"A{size - 1}")
     left, right = ParabolicSubgroup.of(left_idx), ParabolicSubgroup.of(right_idx)
-    w1, w_min, w2 = decompose_min(rs, _monomial_weyl(monomial), left, right)
-    m1 = wdot_matrix(w1)
-    mmin = wdot_matrix(w_min)
-    # g = p1·monomial·p2 = (p1·m1)·mmin·(mmin^T·m1^T·monomial·p2), as the
-    # signed permutation matrices m1 and mmin are orthogonal
-    p1m = matmul(mat(p1), m1)
-    p2m = matmul(transpose(mmin), matmul(transpose(m1), matmul(monomial, mat(p2))))
-    return p1m, mmin, p2m, w_min
+    # the keys of reduced are the pivot rows, column by column
+    w1, w_min, w2 = decompose_min(rs, perm_to_weyl(rs, list(reduced)), left, right)
+    m1, mmin = _signed_perm(w1), _signed_perm(w_min)
+    # g = (p1·w1dot)·wmin_dot·(wmin_dot^T·w1dot^T·m·p2): column j of a signed
+    # permutation has s_j at row q_j, so x·w1dot has s_j·(column q_j of x) as
+    # column j, and w^T·x has s_j·(row q_j of x) as row j
+    p1m = tuple(tuple(row[q] if s > 0 else -row[q] for q, s in m1) for row in p1)
+    rows = ((s * m1[q][1], *reduced[m1[q][0]]) for q, s in mmin)
+    zero = Fraction(0)
+    p2m = tuple(tuple(Fraction(s * x, den) if x else zero for x in top) for s, top, den in rows)
+    return p1m, wdot_matrix(w_min), p2m, w_min
 
 
 def bruhat_decompose(
@@ -461,9 +457,11 @@ def bruhat_decompose(
             flip(g.entries), rev(left.indices), rev(right.indices)
         )
         p1, wd_raw, p2 = flip(p1j), flip(wdj), flip(p2j)
-        # restore the sign convention, folding the correction into p2
-        wd = wdot_matrix(_monomial_weyl(wd_raw))
-        p2 = matmul(matmul(transpose(wd), wd_raw), p2)
+        # restore the sign convention, folding the diagonal wd^T·wd_raw into p2
+        w = _monomial_weyl(wd_raw)
+        wd, cols = wdot_matrix(w), _signed_perm(w)
+        p2 = tuple(row if s == wd_raw[q][c] else tuple(-x for x in row)
+                   for c, ((q, s), row) in enumerate(zip(cols, p2)))
     return (
         MatrixElement(p1, "group"),
         MatrixElement(wd, "group"),
@@ -587,10 +585,10 @@ def normalize_coset(
             p1, _, p2, wmin = _bruhat_core(g, s_next, s_next)
             gp = levi_projection(p1, s_next, size)
             gpp = levi_projection(p2, s_next, size)
-            cmat = wdot_matrix(c)
-            g = matmul(
-                matmul(transpose(cmat), matmul(inverse(gpp), cmat)), gp
-            )
+            # c^T·x·c for the signed permutation c: s_i·s_j·x[q_i][q_j] at (i, j)
+            x, cols = inverse(gpp), _signed_perm(c)
+            conj = [[x[q][r] if s == t else -x[q][r] for r, t in cols] for q, s in cols]
+            g = matmul(conj, gp)
             c = compose(rs, wmin, c)
         s_cur = s_next
 

@@ -15,6 +15,7 @@ from leafatlas.bdtriple import Infeasible
 from leafatlas.decomp import simple_span
 from leafatlas.linalg import (
     Lattice,
+    Matrix,
     Subspace,
     _coords,
     _kernel,
@@ -36,12 +37,13 @@ from leafatlas.rootsys import build_root_system, levi_roots
 from leafatlas.typea import (
     MatrixElement,
     _conjugation_images,
+    _monomial_weyl,
     _orbit_rank,
     cg_sigma,
     tc_orbit_dim,
     wdot_matrix,
 )
-from leafatlas.weyl import WeylElement, _orbit, weyl_identity
+from leafatlas.weyl import ParabolicSubgroup, WeylElement, _orbit, decompose_min, weyl_identity
 
 
 def vec(entries) -> tuple[Fraction, ...]:
@@ -519,3 +521,60 @@ def cg_orbit_correspondence(n: int, j: int, b):
             f"correspondence gap {tc_dim - gl_dim} != {n - j}"
         )
     return tc_dim, gl_dim
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for typea._bruhat_core: the row and column elimination
+# in Fraction arithmetic and the signed permutations as matrix products
+
+
+def _add_row(work: list[list[Fraction]], dst: int, src: int, lam: Fraction):
+    work[dst] = [x + lam * y for x, y in zip(work[dst], work[src])]
+
+
+def reference_bruhat_core(g: Matrix, left_idx, right_idx):
+    """g = p1 * wdot * p2 with both parabolics block upper triangular.
+
+    Returns (p1, wdot, p2, w_min) with w_min the abstract minimal-length
+    double-coset representative of the Borel-level permutation.
+    """
+    size = len(g)
+    rs = build_root_system(f"A{size - 1}")
+    work = [list(row) for row in g]
+    p1 = [list(row) for row in identity(size)]
+    p2 = [list(row) for row in identity(size)]
+    assigned = [False] * size
+    for c in range(size):
+        pivot = None
+        for r in range(size - 1, -1, -1):
+            if not assigned[r] and work[r][c] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        assigned[pivot] = True
+        for i in range(pivot):
+            if not assigned[i] and work[i][c] != 0:
+                lam = work[i][c] / work[pivot][c]
+                _add_row(work, i, pivot, -lam)
+                # g = p1 W p2 stays true: p1 <- p1 * (row op inverse)
+                for r in range(size):
+                    p1[r][pivot] += lam * p1[r][i]
+        for c2 in range(c + 1, size):
+            if work[pivot][c2] != 0:
+                lam = work[pivot][c2] / work[pivot][c]
+                for r in range(size):
+                    work[r][c2] -= lam * work[r][c]
+                for cc in range(size):
+                    p2[c][cc] += lam * p2[c2][cc]
+
+    monomial = tuple(tuple(row) for row in work)
+    left, right = ParabolicSubgroup.of(left_idx), ParabolicSubgroup.of(right_idx)
+    w1, w_min, w2 = decompose_min(rs, _monomial_weyl(monomial), left, right)
+    m1 = wdot_matrix(w1)
+    mmin = wdot_matrix(w_min)
+    # g = p1·monomial·p2 = (p1·m1)·mmin·(mmin^T·m1^T·monomial·p2), as the
+    # signed permutation matrices m1 and mmin are orthogonal
+    p1m = matmul(mat(p1), m1)
+    p2m = matmul(transpose(mmin), matmul(transpose(m1), matmul(monomial, mat(p2))))
+    return p1m, mmin, p2m, w_min

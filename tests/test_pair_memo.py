@@ -208,7 +208,8 @@ def test_classify_g_walks_once_per_map_pair_and_ranks_once_per_key(
         return wrapper
 
     monkeypatch.setattr(leafclass, "_stable_indices", counted("walk", leafclass._stable_indices))
-    monkeypatch.setattr(leafclass, "rank", counted("rank", leafclass.rank))
+    # _cong_dim's one rank per key is the integer rank of m - c·1
+    monkeypatch.setattr(leafclass, "_shifted_rank", counted("rank", leafclass._shifted_rank))
     records = classify_g(rs, t, d)
     monkeypatch.undo()
     assert len(records) == len(pairs)
