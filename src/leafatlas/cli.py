@@ -306,17 +306,13 @@ def run_job(cfg: JobConfig) -> Report:
     # classification
     if d is not None:
         # a representative recurs in many records, as equal but distinct
-        # objects in mode=both; render its word once per matrix, and share
-        # the words of strip prefixes, keyed by height row, across them
-        memo: dict = {}
+        # objects in mode=both; render its word once per matrix
         words: dict = {}
 
         def word(w: WeylElement) -> str:
             text = words.get(w.matrix)
             if text is None:
-                text = words[w.matrix] = (
-                    " ".join(f"s{i + 1}" for i in reduced_word(rs, w, memo)) or "e"
-                )
+                text = words[w.matrix] = " ".join(f"s{i + 1}" for i in reduced_word(rs, w)) or "e"
             return text
 
         try:

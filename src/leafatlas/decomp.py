@@ -3,8 +3,9 @@
 Root content of the two Levi subalgebras and the radicals, the Cartan part
 f = r0·G of the connecting map, and its Cayley transform theta.  Each
 travels as an integer matrix over one denominator (r0 = R/q, f = F/e, theta
-= Theta/c with the least c); Fractions appear only in the public fields
-r0, f_cartan and theta_cartan, built once from the integers, and the report.
+= Theta/c with the least c, which Decomposition.theta_scaled reads back off
+theta_cartan once); Fractions appear only in the public fields r0, f_cartan
+and theta_cartan, built once from the integers, and the report.
 
 compute_decomposition is the one gate for the Cartan term: it runs
 check_cartan_term first.  A term that passes has r0 + r0^T = omega = G^-1,
@@ -20,8 +21,8 @@ invariant form on such vectors is x^T gram y.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from math import gcd
+from dataclasses import dataclass
+from functools import cached_property
 
 from .bdtriple import BDTriple, CartanTerm, check_cartan_term
 from .linalg import Matrix, Subspace, _adjugate, _integer_scaled, _over, _shift
@@ -44,12 +45,11 @@ class Decomposition:
     n_minus_roots: tuple[tuple[int, ...], ...]
     f_cartan: Matrix
     theta_cartan: Matrix
-    # theta_scaled = (Theta, c) from compute_decomposition, else theta_cartan scaled
-    theta_int: InitVar[tuple[Matrix, int] | None] = None
-    theta_scaled: tuple[Matrix, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, theta_int):
-        object.__setattr__(self, "theta_scaled", theta_int or _integer_scaled(self.theta_cartan))
+    @cached_property
+    def theta_scaled(self) -> tuple[Matrix, int]:
+        """(Theta, c) with theta_cartan = Theta/c and the least c > 0."""
+        return _integer_scaled(self.theta_cartan)
 
 
 def simple_span(rs: RootSystem, indices) -> Subspace:
@@ -68,19 +68,16 @@ def compute_decomposition(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> D
     n_minus = tuple(tuple(-x for x in a) for a in rs.positive_roots if a not in l2pos)
     # f - 1 = -r0^T·G is invertible once the check passes (module docstring),
     # and f·(f - 1)^-1 = 1 + (f - 1)^-1 = (det·1 + e·adj)/det for (adj, det)
-    # of F - e·1 = e·(f - 1), which Theta/c takes to lowest terms
+    # of F - e·1 = e·(f - 1)
     adj, det = _adjugate(_shift(f, e))
     num = _shift([[e * x for x in row] for row in adj], -det)
-    g = gcd(det, *(x for row in num for x in row)) * (1 if det > 0 else -1)
-    theta, c = tuple(tuple(x // g for x in row) for row in num), det // g
     return Decomposition(
         levi1_roots=l1,
         levi2_roots=l2,
         n_plus_roots=n_plus,
         n_minus_roots=n_minus,
         f_cartan=_over(f, e),
-        theta_cartan=_over(theta, c),
-        theta_int=(theta, c),
+        theta_cartan=_over(num, det),
     )
 
 

@@ -7,8 +7,9 @@ fundamental-coweight coordinates, with BFS depths as lengths and a size bound
 (env var LEAFATLAS_WEYL_BOUND, default 10^6) checked first by Macdonald's
 product; W_L\\W/W_R is the part of W^R dominant for L.  Descents are sign
 reads of the height row 1·w (entry i is the height of w(alpha_i)) or 1·w^{-1};
-lengths, reduced words and decompose_min strip right descents off height
-rows.  All steps read the sparse table RootSystem.neighbours.  The
+lengths, reduced words and decompose_min share one strip of right descents,
+in place on a copy of a height row, that keeps no state between calls.  All
+steps read the sparse table RootSystem.neighbours.  The
 stable-root walk (_simple_map, _stable_indices) lives here too: the leaf
 frame and the SL(n+1) coset normalization both run it.
 """
@@ -59,7 +60,7 @@ class WeylElement:
 
 def make_element(rs: RootSystem, m: IntMatrix) -> WeylElement:
     """m with its length: the number of right descents stripped off 1·m."""
-    return WeylElement(matrix=m, length=len(_descend(rs, _heights(m), range(rs.rank))[0]))
+    return WeylElement(matrix=m, length=len(_descend(rs, _heights(m), range(rs.rank))))
 
 
 def weyl_identity(rs: RootSystem) -> WeylElement:
@@ -190,8 +191,12 @@ def _inverse_heights(rs: RootSystem, m: IntMatrix) -> tuple[int, ...]:
     return tuple(x // q for x in matvec(rs.gram_int, matvec(m, rs.gram_inverse_heights)))
 
 
-def _negative(h: tuple[int, ...], indices) -> int | None:
-    return next((i for i in indices if h[i] < 0), None)
+def _negative(h, indices) -> int | None:
+    """The first i in indices with h[i] < 0 (a loop: the strip runs it per letter)."""
+    for i in indices:
+        if h[i] < 0:
+            return i
+    return None
 
 
 def _times_s(row: tuple[int, ...], j: int, steps) -> tuple[int, ...]:
@@ -217,14 +222,18 @@ def _left_step(m: IntMatrix, i: int, steps) -> IntMatrix:
     return m[:i] + (tuple(row),) + m[i + 1 :]
 
 
-def _descend(rs: RootSystem, h: tuple[int, ...], indices, known=()) -> tuple[list, tuple[int, ...]]:
-    """Strip right descents in indices (sorted), smallest first, off h = 1·w until none
-    is left or h is in known: [(h, j), ...] per step (w·s_j has the row h·s_j), last h."""
-    path = []
-    while h not in known and (j := _negative(h, indices)) is not None:
-        path.append((h, j))
-        h = _times_s(h, j, rs.neighbours[j])
-    return path, h
+def _descend(rs: RootSystem, h: tuple[int, ...], indices) -> list[int]:
+    """Strip right descents in indices (sorted), smallest first, off h = 1·w until
+    none is left: the letters j in stripping order.  w·s_j has the row h·s_j, taken
+    in place on a list copy of h as in _times_s."""
+    h, letters = list(h), []
+    while (j := _negative(h, indices)) is not None:
+        letters.append(j)
+        x = h[j]
+        h[j] = -x
+        for k, c in rs.neighbours[j]:
+            h[k] += c * x
+    return letters
 
 
 def minimal_coset_reps(
@@ -253,13 +262,13 @@ def decompose_min(
     modulo the absorbing parabolic (Björner–Brenti §2.4).
     """
     e = rs.identity_int
-    path2, _ = _descend(rs, _heights(u.matrix), _simple_indices(rs, right.generators))
+    path2 = _descend(rs, _heights(u.matrix), _simple_indices(rs, right.generators))
     x, w2 = u.matrix, e
-    for _, j in path2:
+    for j in path2:
         x, w2 = _right_step(rs, x, j), _left_step(w2, j, rs.neighbours[j])
-    path1, _ = _descend(rs, _inverse_heights(rs, x), _simple_indices(rs, left.generators))
+    path1 = _descend(rs, _inverse_heights(rs, x), _simple_indices(rs, left.generators))
     m, w1 = x, e
-    for _, i in path1:
+    for i in path1:
         m, w1 = _left_step(m, i, rs.neighbours[i]), _right_step(rs, w1, i)
     w = WeylElement(m, u.length - len(path1) - len(path2))
     w1, w2 = WeylElement(w1, len(path1)), WeylElement(w2, len(path2))
@@ -270,18 +279,13 @@ def decompose_min(
     return w1, w, w2
 
 
-def reduced_word(rs: RootSystem, w: WeylElement, memo: dict | None = None) -> tuple[int, ...]:
+def reduced_word(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
     """A reduced word (s_{i1}·...·s_{il} = w), chosen deterministically.
 
     The strip removes the smallest right descent j off 1·w first, so word(w)
-    = word(w·s_j) + (j,).  Callers with many elements of one root system
-    pass one memo dict to every call, keyed by the height rows a strip
-    passes (1·w determines w), and a call strips only down to a known row.
+    = word(w·s_j) + (j,): the stripped letters, reversed.
     """
-    path, h = _descend(rs, _heights(w.matrix), range(rs.rank), () if memo is None else memo)
-    word = (memo.get(h, ()) if memo else ()) + tuple(j for _, j in reversed(path))
+    word = tuple(reversed(_descend(rs, _heights(w.matrix), range(rs.rank))))
     if len(word) != w.length:
         raise AssertionError("reduced word is not as long as the element")
-    if memo is not None:
-        memo.update((h, word[: len(word) - t]) for t, (h, _) in enumerate(path))
     return word

@@ -103,9 +103,9 @@ def standard_mismatches(n: int, step: int = 1, seed: int = 0):
     r0 = solve_r0(rs, triple, "canonical")
     records = classify_g(rs, triple, compute_decomposition(rs, triple, r0))[::step]
     r = r_matrix(n, triple, r0)
-    rng, memo, bad = random.Random(seed), {}, []
+    rng, bad = random.Random(seed), []
     for rec in records:
-        word1, word2 = reduced_word(rs, rec.v1, memo), reduced_word(rs, rec.v2, memo)
+        word1, word2 = reduced_word(rs, rec.v1), reduced_word(rs, rec.v2)
         got = bivector_rank(r, _cell_point(n, word1, word2, rng))
         if got != rec.leaf_dim.at(0):
             bad.append((word1, word2, str(rec.leaf_dim), got))

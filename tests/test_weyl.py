@@ -132,31 +132,14 @@ def test_reduced_word_reassembles():
         assert acc.matrix == w.matrix
 
 
-@pytest.mark.parametrize(
-    "label, right",
-    [("F4", ()), ("D5", ()), ("E7", (0, 2, 3, 4, 5))],
-    ids=["W(F4)", "W(D5)", "E7 one-sided coset space"],
-)
-def test_reduced_words_sharing_prefixes_match_single_calls(label, right):
-    # one memo per system, as run_job keeps one per job; the E7 coset space
-    # is that of the pinned E7 CLI job, whose strip prefixes leave W^J
-    rs = build_root_system(label)
-    elements = minimal_coset_reps(rs, ParabolicSubgroup.of(()), ParabolicSubgroup.of(right))
-    memo = {}
-    for w in elements:
-        assert reduced_word(rs, w, memo) == reduced_word(rs, w), w
-    # the memo keys the height rows 1·w of the strip prefixes; each keeps
-    # its element's word (every 20th): the word multiplies out to an element
-    # with that height row and as long as the word
-    for h, word in list(memo.items())[::20]:
-        w = weyl_identity(rs)
-        for i in word:
-            w = compose(rs, w, simple_reflection(rs, i))
-        assert (_heights(w.matrix), w.length) == (h, len(word))
-    longest = max(elements, key=lambda w: w.length)
-    for shared in (None, memo):
+def test_reduced_word_rejects_a_length_the_element_does_not_have():
+    # the strip's word is as long as the element, so a WeylElement carrying
+    # any other length raises
+    rs = build_root_system("F4")
+    longest = max(enumerate_weyl(rs), key=lambda w: w.length)
+    for length in (longest.length - 1, longest.length + 1):
         with pytest.raises(AssertionError, match="not as long"):
-            reduced_word(rs, WeylElement(longest.matrix, longest.length + 1), shared)
+            reduced_word(rs, WeylElement(longest.matrix, length))
 
 
 def test_descents_match_definition():
@@ -177,7 +160,7 @@ def test_descents_match_definition():
 )
 def test_height_rows_read_the_inverse_and_determine_the_element(label, step):
     # 1·w^{-1} from the forms is the height row of the inverse matrix, and
-    # the height row 1·w tells elements apart (the reduced-word memo key)
+    # the height row 1·w tells elements apart
     rs = build_root_system(label)
     elements = enumerate_weyl(rs)
     for w in elements[::step]:
