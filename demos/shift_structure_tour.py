@@ -44,14 +44,13 @@ print(f"ord tau = {triple.ord_tau}")
 print()
 
 print("induction chain (ambient block, order):")
-chain = induction_chain(rs, triple)
-for ambient, step in chain.steps:
+for ambient, step in induction_chain(rs, triple):
     print(f"  block {sorted(i + 1 for i in ambient)}  ord {step.ord_tau}")
 print()
 
 r0 = solve_r0(rs, triple, "canonical")
 print("canonical Cartan term r0 (coroot coordinates):")
-for row in matrix_to_text(r0.r0).split("\n"):
+for row in matrix_to_text(r0).split("\n"):
     print("  " + row)
 print()
 
@@ -62,7 +61,7 @@ print(f"Yang-Baxter residual identically zero: {check_cybe(r).is_zero()}")
 print()
 
 d = compute_decomposition(rs, triple, r0)
-dims = dimension_summary(rs, triple, d)
+dims = dimension_summary(rs, d)
 print("dimension summary:")
 for key in sorted(dims):
     print(f"  {key} = {dims[key]}")

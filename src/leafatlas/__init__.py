@@ -10,9 +10,7 @@ for type A.  All arithmetic is rational and exact.
 
 from .bdtriple import (
     BDTriple,
-    CartanTerm,
     Infeasible,
-    InductionChain,
     NotBijective,
     NotIsometry,
     NotNilpotent,

@@ -1,11 +1,12 @@
 """Belavin-Drinfeld triples: validation, the induced partial order on
 positive roots, the Cartan r0 solver, and the Levi induction chain.
 
-The r0 conventions: r0 is a rational matrix in the basis dual to the simple
-roots under the invariant form; the symmetric part of any admissible r0 is
-half the Cartan Casimir block.  The constraint system coming from the triple
-is solved exactly; the canonical solution sets every free unknown of the
-skew part (a non-pivot column of the reduced row echelon form) to zero.
+The r0 conventions: a Cartan term is its k×k rational matrix r0 in the
+basis dual to the simple roots under the invariant form; the symmetric part
+of any admissible r0 is half the Cartan Casimir block.  The constraint
+system coming from the triple is solved exactly; the canonical solution
+sets every free unknown of the skew part (a non-pivot column of the reduced
+row echelon form) to zero.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .rootsys import RootSystem, levi_roots
 
 __all__ = [
     "BDTriple",
-    "CartanTerm",
-    "InductionChain",
     "TripleError",
     "NotBijective",
     "NotIsometry",
@@ -77,26 +76,6 @@ class BDTriple:
     @property
     def tau_map(self) -> dict[int, int]:
         return dict(self.tau)
-
-
-@dataclass(frozen=True)
-class CartanTerm:
-    """Rational matrix of r0 on h in the simple-root-dual basis.
-
-    Built by solve_r0, or directly from a given matrix (a Cartan term
-    file).  compute_decomposition runs check_cartan_term on every term, so
-    a term that is not k×k, or breaks r0 + r0^T = omega or a slot
-    constraint, raises Infeasible there and never reaches the leaf records.
-    """
-
-    r0: Matrix
-
-
-@dataclass(frozen=True)
-class InductionChain:
-    """Sequence of (ambient simple-root index set, triple) down to empty."""
-
-    steps: tuple[tuple[frozenset[int], BDTriple], ...]
 
 
 def _as_tau_pairs(tau) -> tuple[tuple[int, int], ...]:
@@ -179,17 +158,17 @@ def partial_order_pairs(rs: RootSystem, triple: BDTriple):
     return sorted(pairs)
 
 
-def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> tuple[Matrix, int]:
+def check_cartan_term(rs: RootSystem, triple: BDTriple, r0: Matrix) -> tuple[Matrix, int]:
     """Raise Infeasible unless both r0 constraints hold exactly; else return
     (F, e) for f = r0·G = F/e.  With r0 = R/q, G = G_int/s and omega = G^-1 =
     Omega_int/t, r0 + r0^T = omega reads t·(R + R^T) = q·Omega_int, and F =
     R·G_int, e = q·s.  The slot constraint for alpha_i is r0^T·G·e_tau(i) +
     r0·G·e_i = 0; with r0^T·G = 1 - f it reads F[:, i] - F[:, tau(i)] +
     e·e_tau(i) = 0 on the columns of F."""
-    m, k = term.r0, rs.cartan_rank
-    if shape(m) != (k, k):
-        raise Infeasible("r0 is %dx%d, %s needs %dx%d" % (*shape(m), rs.type_label, k, k))
-    (r, q), s = _integer_scaled(m), rs.gram_scale
+    k = rs.cartan_rank
+    if shape(r0) != (k, k):
+        raise Infeasible("r0 is %dx%d, %s needs %dx%d" % (*shape(r0), rs.type_label, k, k))
+    (r, q), s = _integer_scaled(r0), rs.gram_scale
     sym, t = zip(r, zip(*r), rs.gram_inverse_int), rs.gram_int_scale // s
     if any(t * (x + y) != q * w for a, b, c in sym for x, y, w in zip(a, b, c)):
         raise Infeasible("r0 + r0^T does not equal the Cartan Casimir block")
@@ -202,14 +181,15 @@ def check_cartan_term(rs: RootSystem, triple: BDTriple, term: CartanTerm) -> tup
 
 def solve_r0(
     rs: RootSystem, triple: BDTriple, mode: str = "canonical", *, theta_target: Matrix | None = None
-) -> CartanTerm:
-    """Solve the two r0 constraints exactly, in integers.
+) -> Matrix:
+    """Solve the two r0 constraints exactly, in integers: the k×k Fraction
+    matrix of r0.
 
     canonical: symmetric part = half the Cartan Casimir, skew part from
     the reduced row echelon form of the slot rows with every free unknown
     set to zero.  match_theta: the term whose Cayley transform on h is the
     supplied isometry, checked against the triple.  A given matrix needs no
-    solving: CartanTerm(matrix) goes to compute_decomposition as it is.
+    solving: it goes to compute_decomposition, the gate, as it is.
     """
     k, g, s = rs.cartan_rank, rs.gram_int, rs.gram_scale
     t = rs.gram_int_scale // s  # omega = Omega_int/t, see check_cartan_term
@@ -234,7 +214,7 @@ def solve_r0(
                 "target has fixed vectors; the Cayley transform is undefined"
             ) from None
         # theta·(theta - 1)^-1·omega = T·adj·Omega_int/(det·t), (adj, det) of T - c·1
-        term = CartanTerm(_over(matmul(matmul(big, adj), rs.gram_inverse_int), det * t))
+        term = _over(matmul(matmul(big, adj), rs.gram_inverse_int), det * t)
         try:
             check_cartan_term(rs, triple, term)
         except Infeasible as e:
@@ -266,11 +246,14 @@ def solve_r0(
         (i, j), x = unknowns[c], row[n] * (q // row[c])
         r0[i][j] += x
         r0[j][i] -= x
-    return CartanTerm(_over(r0, q))
+    return _over(r0, q)
 
 
-def induction_chain(rs: RootSystem, triple: BDTriple) -> InductionChain:
-    """Iterated restriction to the Levi of gamma2 until gamma1 is empty."""
+def induction_chain(
+    rs: RootSystem, triple: BDTriple
+) -> tuple[tuple[frozenset[int], BDTriple], ...]:
+    """Iterated restriction to the Levi of gamma2 until gamma1 is empty: the
+    (ambient simple-root index set, triple) steps, the whole system first."""
     steps = [(frozenset(range(rs.rank)), triple)]
     cur = triple
     while cur.gamma1:
@@ -285,7 +268,7 @@ def induction_chain(rs: RootSystem, triple: BDTriple) -> InductionChain:
             )
         steps.append((ambient, nxt))
         cur = nxt
-    return InductionChain(steps=tuple(steps))
+    return tuple(steps)
 
 
 def cg_triple(rs: RootSystem) -> BDTriple:

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable
 
-from .bdtriple import CartanTerm, solve_r0, validate_triple
+from .bdtriple import solve_r0, validate_triple
 from .decomp import compute_decomposition, dimension_summary
 from .leafclass import classify_g, classify_gminus, sigma_group
 from .linalg import mat
@@ -276,15 +276,15 @@ def run_job(cfg: JobConfig) -> Report:
         if head == "canonical":
             r0 = solve_r0(rs, triple, "canonical")
         elif head == "file":
-            r0 = CartanTerm(_parse_matrix_file(tail))
+            r0 = _parse_matrix_file(tail)
         else:
             r0 = solve_r0(rs, triple, "match_theta", theta_target=_parse_matrix_file(tail))
         d = compute_decomposition(rs, triple, r0)
         report.decomposition = {
-            "dims": dimension_summary(rs, triple, d),
+            "dims": dimension_summary(rs, d),
             # every validated Cartan term has h_ort1 = h_ort2 = 0
             "full_h": True,
-            "r0": matrix_to_text(r0.r0),
+            "r0": matrix_to_text(r0),
             "f_cartan": matrix_to_text(d.f_cartan),
             "theta_cartan": matrix_to_text(d.theta_cartan),
         }

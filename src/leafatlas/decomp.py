@@ -4,16 +4,18 @@ Root content of the two Levi subalgebras and the radicals, the Cartan part
 f = r0·G of the connecting map, and its Cayley transform theta.  Each
 travels as an integer matrix over one denominator (r0 = R/q, f = F/e, theta
 = Theta/c with the least c, which Decomposition.theta_scaled reads back off
-theta_cartan once); Fractions appear only in the public fields r0, f_cartan
-and theta_cartan, built once from the integers, and the report.
+theta_cartan once); Fractions appear only in the matrix r0 that solve_r0
+returns, the fields f_cartan and theta_cartan, built once from the
+integers, and the report.
 
-compute_decomposition is the one gate for the Cartan term: it runs
-check_cartan_term first.  A term that passes has r0 + r0^T = omega = G^-1,
-so the symmetric part of r0 is omega/2, which is positive definite; then
-x^T r0 x > 0 for x != 0, r0 is invertible, and so is
-f - 1 = r0·G - (r0 + r0^T)·G = -r0^T·G.  Hence h_i = im r0 ∩ z_i = z_i,
-h_ort_i = (z_i + span Gamma_i)^perp = 0 and a_i = z_i: the Cartan domain
-of each side is all of h, and every dimension in the summary is a count.
+compute_decomposition is the one gate for the Cartan term, the k×k matrix
+r0 however it was built: it runs check_cartan_term first.  A term that
+passes has r0 + r0^T = omega = G^-1, so the symmetric part of r0 is
+omega/2, which is positive definite; then x^T r0 x > 0 for x != 0, r0 is
+invertible, and so is f - 1 = r0·G - (r0 + r0^T)·G = -r0^T·G.  Hence
+h_i = im r0 ∩ z_i = z_i, h_ort_i = (z_i + span Gamma_i)^perp = 0 and
+a_i = z_i: the Cartan domain of each side is all of h, and every dimension
+in the summary is a count.
 
 All Cartan-space vectors are written in simple-root coordinates; the
 invariant form on such vectors is x^T gram y.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bdtriple import BDTriple, CartanTerm, check_cartan_term
+from .bdtriple import BDTriple, check_cartan_term
 from .linalg import Matrix, Subspace, _adjugate, _integer_scaled, _over, _shift
 from .rootsys import RootSystem, levi_roots
 
@@ -56,7 +58,7 @@ def simple_span(rs: RootSystem, indices) -> Subspace:
     return Subspace(rs.cartan_rank, [rs.simple_roots[i] for i in sorted(indices)])
 
 
-def compute_decomposition(rs: RootSystem, triple: BDTriple, r0: CartanTerm) -> Decomposition:
+def compute_decomposition(rs: RootSystem, triple: BDTriple, r0: Matrix) -> Decomposition:
     """Raise Infeasible unless r0 passes check_cartan_term; else the root
     content of both sides, f and theta = f·(f - 1)^-1 = 1 + (f - 1)^-1."""
     f, e = check_cartan_term(rs, triple, r0)
@@ -89,7 +91,7 @@ def cartan_domain(rs: RootSystem, triple: BDTriple, d: Decomposition, side: int)
     return span.add(span.perp(rs.gram_int))
 
 
-def dimension_summary(rs: RootSystem, triple: BDTriple, d: Decomposition) -> dict[str, int]:
+def dimension_summary(rs: RootSystem, d: Decomposition) -> dict[str, int]:
     """Counts from the root content: a_i = z_i gives dim l'_i + a_i = dim l_i,
     and h_ort_i = 0 gives m± = n± (module docstring)."""
     k = rs.cartan_rank

@@ -24,7 +24,6 @@ from .weyl import (
     ParabolicSubgroup,
     WeylElement,
     _orbit_size,
-    _require_coset_minimal,
     _simple_map,
     _stable_indices,
     _weyl_bound,
@@ -170,7 +169,7 @@ class _Frame:
         self.triple = triple
         self.d = d
         self.k = rs.cartan_rank
-        self.dims = dimension_summary(rs, triple, d)
+        self.dims = dimension_summary(rs, d)
         # tau on the simple-root indices of the first Levi and back
         self.tau = triple.tau_map
         self.tau_inv = {j: i for i, j in triple.tau}
@@ -211,10 +210,9 @@ class _Frame:
         return hit
 
     def _simple(self, v: WeylElement, gamma, label: str) -> tuple[int, dict[int, int | None]]:
-        """After checking v is minimal modulo W_gamma: an id of its simple-root
-        map on gamma, equal for equal maps, and the map."""
-        _require_coset_minimal(self.rs, v, gamma, label)
-        simple = _simple_map(v, gamma)
+        """An id of v's simple-root map on gamma, equal for equal maps, and
+        the map, whose read checks v is minimal modulo W_gamma."""
+        simple = _simple_map(v, gamma, label)
         return self._ids.setdefault(tuple(simple.items()), len(self._ids)), simple
 
     def left(self, v1: WeylElement):
@@ -246,7 +244,7 @@ class _Frame:
 
     def single(self, v: WeylElement) -> StableSubalgebra:
         """The stable data of the pair (v, e): partner set tau(S), psi = v."""
-        s = _stable_indices(self._simple(v, self.triple.gamma1, "v")[1])
+        s = _stable_indices(_simple_map(v, self.triple.gamma1, "v"))
         cong_dim = _cong_dim(v.matrix, 1, s)
         return self._stable(s, frozenset(self.tau[i] for i in s), cong_dim)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .bdtriple import BDTriple, CartanTerm, partial_order_pairs
+from .bdtriple import BDTriple, partial_order_pairs
 from .decomp import Decomposition
 from .linalg import (
     Matrix,
@@ -38,7 +38,6 @@ from .weyl import (
     ParabolicSubgroup,
     WeylElement,
     _heights,
-    _require_coset_minimal,
     _simple_map,
     _stable_indices,
     compose,
@@ -84,7 +83,7 @@ class NotInLevi(ValueError):
 
 @dataclass(frozen=True)
 class MatrixElement:
-    """Square rational matrix with an exact group or algebra constraint."""
+    """Square rational matrix of determinant one; "group" is the one kind."""
 
     entries: Matrix
     kind: str
@@ -93,15 +92,10 @@ class MatrixElement:
         object.__setattr__(self, "entries", mat(self.entries))
         if not self.entries or len(self.entries[0]) != len(self.entries):
             raise ValueError("matrix must be non-empty and square")
-        if self.kind == "group":
-            if det(self.entries) != 1:
-                raise ValueError("group element must have determinant 1")
-        elif self.kind == "algebra":
-            tr = sum(self.entries[i][i] for i in range(len(self.entries)))
-            if tr != 0:
-                raise ValueError("algebra element must be traceless")
-        else:
+        if self.kind != "group":
             raise ValueError(f"unknown kind: {self.kind!r}")
+        if det(self.entries) != 1:
+            raise ValueError("group element must have determinant 1")
 
     @property
     def size(self) -> int:
@@ -217,16 +211,16 @@ def _cartan_tensor_terms(t: TensorElement, m: Matrix) -> None:
                     t.add_term((ka, la), m[k][l] * ks * ls)
 
 
-def realize_r(n: int, triple: BDTriple, r0: CartanTerm) -> TensorElement:
-    """Assemble the r-matrix tensor on sl(n+1) from a triple and r0."""
+def realize_r(n: int, triple: BDTriple, r0: Matrix) -> TensorElement:
+    """Assemble the r-matrix tensor on sl(n+1) from a triple and the matrix r0."""
     rs = build_root_system(f"A{n}")
     for idx in triple.gamma1 + triple.gamma2:
         if idx >= n:
             raise ValueError("triple does not fit in A_n")
-    if len(r0.r0) != n:
-        raise ValueError(f"r0 is {len(r0.r0)}x{len(r0.r0)}, A{n} needs {n}x{n}")
+    if len(r0) != n:
+        raise ValueError(f"r0 is {len(r0)}x{len(r0)}, A{n} needs {n}x{n}")
     t = TensorElement(n + 1, 2)
-    _cartan_tensor_terms(t, r0.r0)
+    _cartan_tensor_terms(t, r0)
     for alpha in rs.positive_roots:
         i, j = root_to_interval(alpha)
         t.add_term(((j, i), (i, j)), 1)
@@ -382,12 +376,6 @@ def levi_projection(m: Matrix, indices, size: int) -> Matrix:
                  for row, a in zip(m, labels))
 
 
-def _monomial_weyl(m: Matrix) -> WeylElement:
-    """The Weyl element sending c to the row of column c's nonzero entry in m."""
-    perm = [next(r for r, row in enumerate(m) if row[c] != 0) for c in range(len(m))]
-    return perm_to_weyl(build_root_system(f"A{len(m) - 1}"), perm)
-
-
 def _bruhat_core(g: Matrix, left_idx, right_idx):
     """g = p1 * wdot * p2 with both parabolics block upper triangular.
 
@@ -453,15 +441,18 @@ def bruhat_decompose(
         # conjugation by the antidiagonal J reverses rows and columns
         flip = lambda m: tuple(row[::-1] for row in reversed(m))
         rev = lambda s: frozenset(size - 2 - i for i in s)
-        p1j, wdj, p2j, _ = _bruhat_core(
+        p1j, _, p2j, wj = _bruhat_core(
             flip(g.entries), rev(left.indices), rev(right.indices)
         )
-        p1, wd_raw, p2 = flip(p1j), flip(wdj), flip(p2j)
-        # restore the sign convention, folding the diagonal wd^T·wd_raw into p2
-        w = _monomial_weyl(wd_raw)
+        p1, p2 = flip(p1j), flip(p2j)
+        # column c of J·wjdot·J is column size-1-c of wjdot, its (row q, sign)
+        # moved to row size-1-q: w = w0·wj·w0, whose sign convention is
+        # restored by folding the diagonal wdot^T·(J·wjdot·J) into p2
+        raw = [(size - 1 - q, s) for q, s in reversed(_signed_perm(wj))]
+        w = perm_to_weyl(build_root_system(f"A{size - 1}"), [q for q, _ in raw])
         wd, cols = wdot_matrix(w), _signed_perm(w)
-        p2 = tuple(row if s == wd_raw[q][c] else tuple(-x for x in row)
-                   for c, ((q, s), row) in enumerate(zip(cols, p2)))
+        p2 = tuple(row if s == t else tuple(-x for x in row)
+                   for (_, s), (_, t), row in zip(cols, raw, p2))
     return (
         MatrixElement(p1, "group"),
         MatrixElement(wd, "group"),
@@ -570,16 +561,16 @@ def normalize_coset(
     outside = _outside_blocks(l.entries, triple.gamma1)
     if outside is not None:
         raise NotInLevi(f"entry {outside} outside the Levi block pattern")
-    _require_coset_minimal(rs, w, triple.gamma1, "w")
 
     s_cur = frozenset(triple.gamma1)
     g = l.entries
     c = w
-    # c keeps Phi+ of the block s_cur positive (w is in W^Gamma1, and wmin has no
-    # right descent in s_next), so a root's c-orbit stays in Phi_s_cur iff the
-    # orbits of the simple roots in its support do: the stable roots are Phi_S
-    # for the largest S in s_cur whose simple roots c permutes.
-    while (s_next := _stable_indices(_simple_map(c, s_cur))) != s_cur:
+    # c keeps Phi+ of the block s_cur positive (w is in W^Gamma1, which the
+    # first _simple_map read checks, and wmin has no right descent in s_next),
+    # so a root's c-orbit stays in Phi_s_cur iff the orbits of the simple
+    # roots in its support do: the stable roots are Phi_S for the largest S
+    # in s_cur whose simple roots c permutes.
+    while (s_next := _stable_indices(_simple_map(c, s_cur, "w"))) != s_cur:
         # a g inside the finer block already has a trivial minimal Weyl part
         if _outside_blocks(g, s_next) is not None:
             p1, _, p2, wmin = _bruhat_core(g, s_next, s_next)

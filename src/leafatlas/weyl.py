@@ -11,7 +11,8 @@ lengths, reduced words and decompose_min share one strip of right descents,
 in place on a copy of a height row, that keeps no state between calls.  All
 steps read the sparse table RootSystem.neighbours.  The
 stable-root walk (_simple_map, _stable_indices) lives here too: the leaf
-frame and the SL(n+1) coset normalization both run it.
+frame and the SL(n+1) coset normalization both run it, and _simple_map
+checks coset-minimality in the same read of the columns.
 """
 
 from __future__ import annotations
@@ -157,17 +158,18 @@ def right_descent(rs: RootSystem, w: WeylElement, indices) -> int | None:
     return _negative(_heights(w.matrix), _simple_indices(rs, indices))
 
 
-def _require_coset_minimal(rs: RootSystem, v: WeylElement, indices, label: str):
-    if right_descent(rs, v, indices) is not None:
-        raise NotMinimalRep(f"{label} is not the minimal element of its coset")
-
-
-def _simple_map(w: WeylElement, indices) -> dict[int, int | None]:
+def _simple_map(w: WeylElement, indices, label: str) -> dict[int, int | None]:
     """i -> j for each i in indices whose simple root alpha_i w sends to a
-    simple root alpha_j, i -> None otherwise.  Column i of w is the root
-    w(alpha_i), which is simple exactly when its height is one; it is e_j."""
-    cols = tuple(zip(*w.matrix))
-    return {i: cols[i].index(1) if sum(cols[i]) == 1 else None for i in indices}
+    simple root alpha_j, i -> None otherwise, in one read of w's columns.
+    Column i of w is the root w(alpha_i): negative height is a right descent,
+    so w is not minimal modulo W_indices (NotMinimalRep, named by label);
+    height one is a simple root, e_j."""
+    cols, out = tuple(zip(*w.matrix)), {}
+    for i in indices:
+        if (h := sum(cols[i])) < 0:
+            raise NotMinimalRep(f"{label} is not the minimal element of its coset")
+        out[i] = cols[i].index(1) if h == 1 else None
+    return out
 
 
 def _stable_indices(step: dict) -> frozenset[int]:

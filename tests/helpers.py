@@ -37,9 +37,9 @@ from leafatlas.rootsys import build_root_system, levi_roots
 from leafatlas.typea import (
     MatrixElement,
     _conjugation_images,
-    _monomial_weyl,
     _orbit_rank,
     cg_sigma,
+    perm_to_weyl,
     tc_orbit_dim,
     wdot_matrix,
 )
@@ -332,12 +332,11 @@ class CartanSplit:
     a2: Subspace
 
 
-def reference_cartan_split(rs, triple, r0) -> CartanSplit:
+def reference_cartan_split(rs, triple, m) -> CartanSplit:
     """h1 = im r0 ∩ z1 and h2 = im r0^T ∩ z2, h_ort_i = (h_i + span Gamma_i)^perp
     and a_i = h_i ∩ h_ort_i^perp, through subspace meets and perps."""
     k = rs.cartan_rank
     g = rs.gram_int
-    m = r0.r0
     z1 = form_perp_of_simples(rs, triple.gamma1)
     z2 = form_perp_of_simples(rs, triple.gamma2)
     h1 = intersect(Subspace(k, [tuple(row[j] for row in m) for j in range(k)]), z1)
@@ -349,10 +348,9 @@ def reference_cartan_split(rs, triple, r0) -> CartanSplit:
     return CartanSplit(h1, h2, h_ort1, h_ort2, a1, a2)
 
 
-def reference_check_cartan_term(rs, triple, term) -> None:
+def reference_check_cartan_term(rs, triple, m) -> None:
     """check_cartan_term's slot constraints as r0^T·G·e_tau(i) + r0·G·e_i = 0,
     one matvec chain per tau pair."""
-    m = term.r0
     if madd(m, transpose(m)) != rs.gram_inverse:
         raise Infeasible("r0 + r0^T does not equal the Cartan Casimir block")
     g = rs.gram
@@ -528,6 +526,13 @@ def cg_orbit_correspondence(n: int, j: int, b):
 # in Fraction arithmetic and the signed permutations as matrix products
 
 
+def monomial_weyl(m: Matrix) -> WeylElement:
+    """The Weyl element sending c to the row of column c's nonzero entry in m,
+    read by scanning the monomial matrix m."""
+    perm = [next(r for r, row in enumerate(m) if row[c] != 0) for c in range(len(m))]
+    return perm_to_weyl(build_root_system(f"A{len(m) - 1}"), perm)
+
+
 def _add_row(work: list[list[Fraction]], dst: int, src: int, lam: Fraction):
     work[dst] = [x + lam * y for x, y in zip(work[dst], work[src])]
 
@@ -570,7 +575,7 @@ def reference_bruhat_core(g: Matrix, left_idx, right_idx):
 
     monomial = tuple(tuple(row) for row in work)
     left, right = ParabolicSubgroup.of(left_idx), ParabolicSubgroup.of(right_idx)
-    w1, w_min, w2 = decompose_min(rs, _monomial_weyl(monomial), left, right)
+    w1, w_min, w2 = decompose_min(rs, monomial_weyl(monomial), left, right)
     m1 = wdot_matrix(w1)
     mmin = wdot_matrix(w_min)
     # g = p1·monomial·p2 = (p1·m1)·mmin·(mmin^T·m1^T·monomial·p2), as the

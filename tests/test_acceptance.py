@@ -411,11 +411,11 @@ def test_primary_8_induction_chains():
     for n in range(2, 6):
         rs = build_root_system(f"A{n}")
         chain = induction_chain(rs, cg_triple(rs))
-        orders = [t.ord_tau for _, t in chain.steps]
+        orders = [t.ord_tau for _, t in chain]
         assert orders[0] == n - 1
         assert all(a - b == 1 for a, b in zip(orders, orders[1:]))
         assert orders[-1] == 0
-        assert chain.steps[-1][1].gamma1 == ()
+        assert chain[-1][1].gamma1 == ()
     rs4 = build_root_system("A4")
     rng = random.Random(17)
     found = 0
@@ -433,10 +433,10 @@ def test_primary_8_induction_chains():
             continue
         found += 1
         chain = induction_chain(rs4, triple)
-        orders = [t.ord_tau for _, t in chain.steps]
+        orders = [t.ord_tau for _, t in chain]
         assert all(a - b == 1 for a, b in zip(orders, orders[1:]))
         assert orders[-1] == 0
-        assert chain.steps[-1][1].gamma1 == ()
+        assert chain[-1][1].gamma1 == ()
     _within(start, 10.0)
 
 

@@ -28,14 +28,13 @@ from math import lcm, prod
 
 import pytest
 
-from helpers import reference_bruhat_core
+from helpers import monomial_weyl, reference_bruhat_core
 from leafatlas import build_root_system
 from leafatlas.linalg import det, matmul, transpose
 from leafatlas.typea import (
     MatrixElement,
     ParabolicBlocks,
     _bruhat_core,
-    _monomial_weyl,
     bruhat_decompose,
     perm_to_weyl,
     wdot_matrix,
@@ -100,7 +99,7 @@ def _reference_decompose(g, lower, left, right):
     rev = lambda s: frozenset(size - 2 - i for i in s)
     p1j, wdj, p2j, _ = reference_bruhat_core(_flip(g), rev(left), rev(right))
     p1, wd_raw, p2 = _flip(p1j), _flip(wdj), _flip(p2j)
-    wd = wdot_matrix(_monomial_weyl(wd_raw))
+    wd = wdot_matrix(monomial_weyl(wd_raw))
     return p1, wd, matmul(matmul(transpose(wd), wd_raw), p2)
 
 

@@ -2,7 +2,7 @@
 
 `solve_r0`, `check_cartan_term`, `compute_decomposition` and `sigma_group`
 carry the Cartan term as an integer matrix over one denominator and build
-the public Fraction fields (`CartanTerm.r0`, `f_cartan`, `theta_cartan`)
+the public Fraction matrices (r0, `f_cartan`, `theta_cartan`)
 once at the end.  The reference in ``helpers`` stays over Q throughout: r0
 by Gaussian elimination of the slot rows, f = r0·G, theta in the product
 form f·(f - 1)^-1, and Sigma through four lattices (ker', the image
@@ -49,7 +49,7 @@ from leafatlas import (
     solve_r0,
     validate_triple,
 )
-from leafatlas.bdtriple import CartanTerm, Infeasible, TargetThetaNotIsometry
+from leafatlas.bdtriple import Infeasible, TargetThetaNotIsometry
 from leafatlas.cli import _parse_matrix_file
 from leafatlas.linalg import identity, mat, matmul, transpose
 
@@ -85,7 +85,7 @@ def mismatches(rs, t) -> list[str]:
     bad = [
         name
         for name, got, want in (
-            ("r0", term.r0, ref), ("f", d.f_cartan, f), ("theta", d.theta_cartan, theta)
+            ("r0", term, ref), ("f", d.f_cartan, f), ("theta", d.theta_cartan, theta)
         )
         if got != want or not _fractions_only(got)
     ]
@@ -129,7 +129,7 @@ def gate_terms(draw):
     k = rs.cartan_rank
     if draw(st.booleans()):
         return rs, t, mat([[draw(entries) for _ in range(k)] for _ in range(k)])
-    m = [list(row) for row in solve_r0(rs, t, "canonical").r0]
+    m = [list(row) for row in solve_r0(rs, t, "canonical")]
     for i, j in combinations(range(k), 2):
         x = draw(entries)
         m[i][j] += x
@@ -149,7 +149,7 @@ def _outcome(fn, *args):
 @given(gate_terms())
 def test_the_gate_accepts_and_rejects_as_the_reference_check(case):
     rs, t, m = case
-    term = CartanTerm(m)
+    term = m
     _, want = _outcome(reference_check_cartan_term, rs, t, term)
     d, got = _outcome(compute_decomposition, rs, t, term)
     assert got == want
@@ -170,7 +170,7 @@ def reference_match_theta(rs, t, target):
         raise TargetThetaNotIsometry("target has fixed vectors; the Cayley transform is undefined")
     r0 = matmul(matmul(target, inv), gauss_inverse(rs.gram))
     try:
-        reference_check_cartan_term(rs, t, CartanTerm(r0))
+        reference_check_cartan_term(rs, t, r0)
     except Infeasible as e:
         raise Infeasible(f"target theta incompatible with the triple: {e}") from None
     return r0
@@ -193,7 +193,7 @@ def test_match_theta_on_every_weyl_isometry(label):
                 )
                 assert got_err == want_err, (w.matrix, scale, t)
                 if got is not None:
-                    assert got.r0 == want
+                    assert got == want
                     assert compute_decomposition(rs, t, got).theta_cartan == target
                 seen.add(want_err and want_err[1].split(";")[0].split(":")[0])
     assert {None, "target has fixed vectors", "target does not preserve the form"} <= seen
@@ -204,9 +204,9 @@ def test_match_theta_on_the_a5_coxeter_rotation():
     t = validate_triple(rs, (), (), {})
     target = _parse_matrix_file(str(DATA / "a5_coxeter.mat"))
     term = solve_r0(rs, t, "match_theta", theta_target=target)
-    assert term.r0 == reference_match_theta(rs, t, target)
+    assert term == reference_match_theta(rs, t, target)
     d = compute_decomposition(rs, t, term)
-    assert d.theta_cartan == target and d.f_cartan == matmul(term.r0, rs.gram)
+    assert d.theta_cartan == target and d.f_cartan == matmul(term, rs.gram)
     kernel = exp_kernel_lattice(rs)
     assert sigma_group(d, kernel) == reference_sigma(target, kernel)
 

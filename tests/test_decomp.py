@@ -19,7 +19,7 @@ from leafatlas import (
     solve_r0,
     validate_triple,
 )
-from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
+from leafatlas.bdtriple import tau_linear_matrix
 from leafatlas.decomp import cartan_domain, simple_span
 from leafatlas.linalg import Subspace, matmul, matvec, transpose
 
@@ -43,7 +43,7 @@ def _tau_on_levi1(rs, t, d):
 
 def test_cg_a2_dimension_summary():
     rs, t, d = _cg_a2()
-    assert dimension_summary(rs, t, d) == {
+    assert dimension_summary(rs, d) == {
         "dim_g": 8,
         "dim_l1": 4,
         "dim_l2": 4,
@@ -154,14 +154,14 @@ def test_compute_decomposition_refuses_an_invalid_term(label, term, message):
     rs = build_root_system(label)
     t = cg_triple(rs) if label == "A2" else validate_triple(rs, (), (), {})
     with pytest.raises(Infeasible, match=message):
-        compute_decomposition(rs, t, CartanTerm(term))
+        compute_decomposition(rs, t, term)
 
 
 def test_degenerate_term_has_nonzero_h_ort_in_the_reference_split():
     """What the gate keeps out: the subspace chain on DEGENERATE gives
     h_ort1 != 0, which the leaf frame has no branch for."""
     rs = build_root_system("A1xA1")
-    split = reference_cartan_split(rs, validate_triple(rs, (), (), {}), CartanTerm(DEGENERATE))
+    split = reference_cartan_split(rs, validate_triple(rs, (), (), {}), DEGENERATE)
     assert split.h1.dim == 1 and split.h_ort1.dim == 1
 
 
@@ -186,7 +186,7 @@ def test_dimension_summary_counts_are_consistent():
     sides = 0
     for rs, t in _summary_inputs():
         d = compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
-        dims = dimension_summary(rs, t, d)
+        dims = dimension_summary(rs, d)
         n_roots = 2 * len(rs.positive_roots)
         assert dims["dim_g"] == n_roots + rs.cartan_rank
         assert dims["dim_g_plus"] + dims["dim_m_minus"] == dims["dim_g"]
@@ -208,7 +208,7 @@ def _non_canonical_terms():
     t = validate_triple(rs, (), (), {})
     half = tuple(tuple(x / 2 for x in row) for row in rs.gram_inverse)
     skew = ((F(0), F(1), F(0)), (F(-1), F(0), F(2)), (F(0), F(-2), F(0)))
-    yield rs, t, CartanTerm(madd(half, skew))
+    yield rs, t, madd(half, skew)
     rs = build_root_system("A2")
     t = validate_triple(rs, (), (), {})
     yield rs, t, solve_r0(rs, t, "match_theta", theta_target=cg_theta_target(rs))
@@ -222,7 +222,7 @@ def test_every_validated_cartan_term_has_full_h():
     terms = [(rs, t, solve_r0(rs, t, "canonical")) for rs, t in _summary_inputs()]
     others = list(_non_canonical_terms())
     for rs, t, term in others:
-        assert term.r0 != solve_r0(rs, t, "canonical").r0
+        assert term != solve_r0(rs, t, "canonical")
     for rs, t, term in terms + others:
         d = compute_decomposition(rs, t, term)
         split = reference_cartan_split(rs, t, term)
@@ -232,7 +232,7 @@ def test_every_validated_cartan_term_has_full_h():
         assert split.h1 == split.a1 == z1 and split.h2 == split.a2 == z2, t
         assert split.h_ort1.dim == split.h_ort2.dim == 0, t
         assert Subspace(k, [matvec(d.theta_cartan, x) for x in split.a1.vectors()]) == split.a2
-        dims = dimension_summary(rs, t, d)
+        dims = dimension_summary(rs, d)
         for side, levi, gamma, a in (
             (1, d.levi1_roots, t.gamma1, split.a1),
             (2, d.levi2_roots, t.gamma2, split.a2),

@@ -119,7 +119,7 @@ def test_gminus_gap_is_dim_g_plus():
         rs, t, d = _setup(label, kind)
         from leafatlas import dimension_summary
 
-        gap = dimension_summary(rs, t, d)["dim_g_plus"]
+        gap = dimension_summary(rs, d)["dim_g_plus"]
         for r in classify_gminus(rs, t, d):
             assert r.coset_dim.constant - r.leaf_dim.constant == gap
 

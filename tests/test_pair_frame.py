@@ -44,7 +44,7 @@ from leafatlas import (
     stable_subalgebra_v,
     validate_triple,
 )
-from leafatlas.bdtriple import CartanTerm, tau_linear_matrix
+from leafatlas.bdtriple import tau_linear_matrix
 from leafatlas.decomp import simple_span
 from leafatlas.leafclass import StableSubalgebra
 from leafatlas.linalg import (
@@ -58,10 +58,11 @@ from leafatlas.linalg import (
     matvec,
 )
 from leafatlas.weyl import (
+    NotMinimalRep,
     ParabolicSubgroup,
-    _require_coset_minimal,
     enumerate_weyl,
     minimal_coset_reps,
+    right_descent,
 )
 
 
@@ -96,8 +97,14 @@ def _domain1(rs, triple, split):
     return simple_span(rs, triple.gamma1).add(split.a1)
 
 
+def _require_minimal(rs, v, gamma, label):
+    """The references' coset-minimality check, through right_descent."""
+    if right_descent(rs, v, gamma) is not None:
+        raise NotMinimalRep(f"{label} is not the minimal element of its coset")
+
+
 def reference_single(rs, triple, d, split, v):
-    _require_coset_minimal(rs, v, triple.gamma1, "v")
+    _require_minimal(rs, v, triple.gamma1, "v")
     k = rs.cartan_rank
     root_set = stable_roots(d.levi1_roots, v)
     assert_simple_generated(rs, root_set)
@@ -127,8 +134,8 @@ def _stack(upper, lower):
 
 
 def reference_pair(rs, triple, d, split, v1, v2):
-    _require_coset_minimal(rs, v1, triple.gamma1, "v1")
-    _require_coset_minimal(rs, v2, triple.gamma2, "v2")
+    _require_minimal(rs, v1, triple.gamma1, "v1")
+    _require_minimal(rs, v2, triple.gamma2, "v2")
     k = rs.cartan_rank
     tlin = tau_linear_matrix(rs, triple)
     tau = {a: matvec(tlin, a) for a in d.levi1_roots}
@@ -322,7 +329,7 @@ def _non_canonical_jobs():
         for m in directions:
             c = rng.choice((-3, -2, -1, 1, 2, 3))
             skew = madd(skew, [[c * x for x in row] for row in m])
-        yield rs, t, CartanTerm(madd(solve_r0(rs, t, "canonical").r0, skew)), sample
+        yield rs, t, madd(solve_r0(rs, t, "canonical"), skew), sample
 
 
 def _moves_s(r, theta, theta_inv):
@@ -344,7 +351,7 @@ def test_records_match_reference_under_non_canonical_terms():
     (span Phi_S)^perp, which holds because theta is an isometry."""
     jobs = singles = pairs = moved = 0
     for rs, t, term, sample in _non_canonical_jobs():
-        assert term.r0 != solve_r0(rs, t, "canonical").r0, t
+        assert term != solve_r0(rs, t, "canonical"), t
         d = compute_decomposition(rs, t, term)
         split = reference_cartan_split(rs, t, term)
         jobs += 1

@@ -194,7 +194,10 @@ def test_classify_g_walks_once_per_map_pair_and_ranks_once_per_key(
     pairs = [(v1, v2) for v1 in reps[0] for v2 in reps[1]]
     frame = _Frame(rs, t, d)
     map_pairs = {
-        (tuple(_simple_map(v1, t.gamma1).items()), tuple(_simple_map(v2, t.gamma2).items()))
+        (
+            tuple(_simple_map(v1, t.gamma1, "v1").items()),
+            tuple(_simple_map(v2, t.gamma2, "v2").items()),
+        )
         for v1, v2 in pairs
     }
     keys = {key[0::2] for key in (frame.key(frame.left(v1), frame.right(v2)) for v1, v2 in pairs)}

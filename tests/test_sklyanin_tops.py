@@ -13,23 +13,36 @@ Both checks fail on the Cremmer-Gervais triples of A2 and A3 and on A3 with
 gamma1 = {1}, gamma2 = {3}, in both orientations: random points reach a
 rank above every record's top.  Those six are strict xfails that name both
 tops until the records account for the extra rank.
+
+Both checks also run at skewed Cartan terms r0 = canonical + c·X, for X a
+skew direction that keeps every slot constraint: the one direction
+``_skew_directions`` gives on each one-pair A3 triple, at c = 1 and 2, and
+on the standard triples of A2 and A3 (where τ sets no constraint, so the
+direction is chosen by hand) at c = 1 and 1/3.  The Cremmer-Gervais triples
+have no skew direction: their r0 is unique.  At c = 1 every record of the
+standard A2 triple and every 12th of A3 is also checked at a point of its
+cell, as the Sklyanin oracle does at the canonical term.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
+from helpers import madd
 from leafatlas import (
     build_root_system,
     classify_g,
     compute_decomposition,
     enumerate_valid_triples,
+    reduced_word,
     solve_r0,
 )
-from test_sklyanin_oracle import _dm, bivector_rank, r_matrix
+from test_pair_frame import _skew_directions
+from test_sklyanin_oracle import _cell_point, _dm, bivector_rank, r_matrix
 
 # (n, tau) of every valid triple of A_n, n <= 3, 0-based
 TRIPLES = [
@@ -67,13 +80,20 @@ def _points(n: int, count: int = 20):
     return points
 
 
-@functools.cache
-def ranks(n: int, tau) -> tuple[set[int], set[int]]:
-    """The bivector ranks seen at the points, and the leaf dimensions the
-    classify_g records allow."""
+def _term(n: int, tau, skew=None):
+    """The triple and r0 = canonical + skew (the canonical term for None)."""
     rs, triples = _triples(n)
     t = triples[tau]
     r0 = solve_r0(rs, t, "canonical")
+    return t, r0 if skew is None else madd(r0, skew)
+
+
+@functools.cache
+def ranks(n: int, tau, skew=None) -> tuple[set[int], set[int]]:
+    """The bivector ranks seen at the points, and the leaf dimensions the
+    classify_g records allow, at r0 = canonical + skew."""
+    rs = _triples(n)[0]
+    t, r0 = _term(n, tau, skew)
     r = r_matrix(n, t, r0)
     seen = {bivector_rank(r, g) for g in _points(n)}
     allowed = {
@@ -115,3 +135,68 @@ def test_the_gap_tops_are_the_ones_the_xfails_name():
     for (n, tau), tops in GAPS.items():
         seen, allowed = ranks(n, tau)
         assert (max(seen), max(allowed)) == tops, (n, tau)
+
+
+# hand-chosen skew directions for the standard triples: E12 - E21 on A2, and
+# on A3 that plus E23 - E32, which couples all three coordinates
+STANDARD_DIRECTIONS = {
+    2: ((0, 1), (-1, 0)),
+    3: ((0, 1, 0), (-1, 0, 1), (0, -1, 0)),
+}
+
+
+def _scaled(x, c):
+    return tuple(tuple(c * y for y in row) for row in x)
+
+
+def _skewed_cases():
+    """(n, tau, c·X) for every skewed term the module checks (docstring)."""
+    for n, tau in TRIPLES:
+        if n == 3 and len(tau) == 1:
+            rs, triples = _triples(n)
+            (x,) = _skew_directions(rs, triples[tau])
+            for c in (1, 2):
+                yield pytest.param(n, tau, _scaled(x, c), id=f"A{n}-{tau}-c={c}")
+    for n, x in STANDARD_DIRECTIONS.items():
+        for c in (Fraction(1), Fraction(1, 3)):
+            yield pytest.param(n, (), _scaled(x, c), id=f"A{n}-()-c={c}")
+
+
+def test_only_the_one_pair_a3_triples_have_a_skew_direction():
+    """_skew_directions gives one direction on each one-pair A3 triple and
+    none on the other triples, the standard ones for want of constraint rows."""
+    counts = {}
+    for n, tau in TRIPLES:
+        rs, triples = _triples(n)
+        counts[n, tau] = len(_skew_directions(rs, triples[tau]))
+    assert counts == {(n, tau): int(n == 3 and len(tau) == 1) for n, tau in TRIPLES}
+    assert len(list(_skewed_cases())) == 16
+
+
+@pytest.mark.parametrize("n,tau,skew", _skewed_cases())
+def test_every_rank_seen_is_allowed_at_a_skewed_term(n, tau, skew):
+    seen, allowed = ranks(n, tau, skew)
+    assert seen <= allowed, sorted(seen - allowed)
+
+
+@pytest.mark.parametrize("n,tau,skew", _skewed_cases())
+def test_the_largest_rank_seen_is_the_records_top_at_a_skewed_term(n, tau, skew):
+    seen, allowed = ranks(n, tau, skew)
+    assert max(seen) == max(allowed)
+
+
+@pytest.mark.parametrize("n, step, count", [(2, 1, 36), (3, 12, 48)])
+def test_standard_records_match_the_bivector_rank_at_a_skewed_term(n, step, count):
+    """Every step-th record of the standard triple of A_n at r0 = canonical +
+    X, X the hand-chosen direction, against the bivector rank at one point
+    of its cell."""
+    rs = _triples(n)[0]
+    t, r0 = _term(n, (), STANDARD_DIRECTIONS[n])
+    records = classify_g(rs, t, compute_decomposition(rs, t, r0))[::step]
+    r, rng = r_matrix(n, t, r0), random.Random(0)
+    got = [
+        bivector_rank(r, _cell_point(n, reduced_word(rs, rec.v1), reduced_word(rs, rec.v2), rng))
+        for rec in records
+    ]
+    assert len(records) == count
+    assert got == [rec.leaf_dim.at(0) for rec in records]

@@ -254,7 +254,7 @@ def test_index_walk_is_the_root_walk_where_the_block_stays_positive():
             ascents = [i for i, col in enumerate(zip(*c.matrix)) if min(col) >= 0]
             for size in range(len(ascents) + 1):
                 for s in combinations(ascents, size):
-                    got = _stable_indices(_simple_map(c, s))
+                    got = _stable_indices(_simple_map(c, s, "c"))
                     want = stable_roots(levi_roots(rs, s), c)
                     assert got == {i for i in s if rs.simple_roots[i] in want}, (label, c, s)
                     assert levi_roots(rs, got) == want, (label, c, s)

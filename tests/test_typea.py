@@ -25,13 +25,14 @@ from leafatlas import (
     solve_r0,
     validate_triple,
 )
-from leafatlas.linalg import det, identity, mat, matmul, rank
+from leafatlas.linalg import det, identity, inverse, mat, matmul, rank, transpose
 from leafatlas.typea import (
     MatrixElement,
     NotInLevi,
     ParabolicBlocks,
     SubalgebraNotPreserved,
     TensorElement,
+    _bruhat_core,
     block_labels,
     bruhat_decompose,
     casimir_tensor,
@@ -39,6 +40,7 @@ from leafatlas.typea import (
     check_cybe,
     check_symmetric_part,
     identity_twist,
+    levi_projection,
     matrix_rows,
     matrix_to_text,
     normalize_coset,
@@ -52,6 +54,9 @@ from leafatlas.typea import (
 from leafatlas.leafclass import NotMinimalRep
 from leafatlas.weyl import (
     ParabolicSubgroup,
+    _simple_map,
+    _stable_indices,
+    compose,
     decompose_min,
     enumerate_weyl,
     minimal_coset_reps,
@@ -74,21 +79,16 @@ def test_matrix_element_enforces_kind():
     MatrixElement([[2, 0], [0, F(1, 2)]], "group")
     with pytest.raises(ValueError):
         MatrixElement([[2, 0], [0, 1]], "group")
-    MatrixElement([[1, 3], [0, -1]], "algebra")
-    with pytest.raises(ValueError):
-        MatrixElement([[1, 0], [0, 1]], "algebra")
     with pytest.raises(ValueError):
         MatrixElement([[1]], "weird")
 
 
 def test_matrix_element_is_nonempty_and_square():
-    # the empty matrix has determinant 1 and trace 0, so the kind checks
-    # alone would pass it
-    for kind in ("group", "algebra"):
-        with pytest.raises(ValueError, match="non-empty and square"):
-            MatrixElement(matrix_rows("# nothing\n"), kind)
+    # the empty matrix has determinant 1, so the kind check alone would pass it
     with pytest.raises(ValueError, match="non-empty and square"):
-        MatrixElement([[0, 1]], "algebra")
+        MatrixElement(matrix_rows("# nothing\n"), "group")
+    with pytest.raises(ValueError, match="non-empty and square"):
+        MatrixElement([[0, 1]], "group")
 
 
 def test_matrix_text_round_trip():
@@ -603,6 +603,50 @@ def test_normalize_outputs_match_their_pinned_digest():
     assert len(lines) == 244 and 0 < len(raised) < len(lines)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (DATA / "normalize_coset.sha256").read_text().split()[0]
+
+
+def _reference_normalize(l, w, triple):
+    """normalize_coset's loop with the conjugation as the matrix product
+    cdot^T·gpp^-1·cdot, cdot = wdot_matrix(c), signs included."""
+    size = len(l)
+    rs = build_root_system(f"A{size - 1}")
+    s_cur, g, c = frozenset(triple.gamma1), l, w
+    while (s_next := _stable_indices(_simple_map(c, s_cur, "w"))) != s_cur:
+        lab = block_labels(s_next, size)
+        if any(x and lab[r] != lab[q] for r, row in enumerate(g) for q, x in enumerate(row)):
+            p1, _, p2, wmin = _bruhat_core(g, s_next, s_next)
+            gp, gpp = (levi_projection(p, s_next, size) for p in (p1, p2))
+            cdot = wdot_matrix(c)
+            g = matmul(matmul(matmul(transpose(cdot), inverse(gpp)), cdot), gp)
+            c = compose(rs, wmin, c)
+        s_cur = s_next
+    return c, g
+
+
+def test_normalize_conjugates_by_the_signed_weyl_representative():
+    """An A5 input on which the signs of cdot reach the output: (v, gK)
+    equals the reference loop's, and normalizing (gK, v) again returns it."""
+    rs = build_root_system("A5")
+    t = validate_triple(rs, (0, 1, 3), (1, 3, 4), {0: 3, 1: 4, 3: 1})
+    d = compute_decomposition(rs, t, solve_r0(rs, t, "canonical"))
+    w = perm_to_weyl(rs, (3, 4, 5, 0, 1, 2))
+    assert reduced_word(rs, w) == (2, 3, 4, 1, 2, 3, 0, 1, 2)
+    l = MatrixElement(
+        [
+            [1, -1, 0, 0, 0, 0],
+            [-1, 0, -2, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, 0, 0, -1, 1, 0],
+            [0, 0, 0, 2, -1, 0],
+            [0, 0, 0, 0, 0, 1],
+        ],
+        "group",
+    )
+    v, gk = normalize_coset(l, w, t, d)
+    want_v, want_g = _reference_normalize(l.entries, w, t)
+    assert (v.matrix, gk.entries) == (want_v.matrix, want_g)
+    v2, gk2 = normalize_coset(gk, v, t, d)
+    assert (v2.matrix, gk2.entries) == (v.matrix, gk.entries)
 
 
 @pytest.mark.xfail(
